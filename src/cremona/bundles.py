@@ -35,6 +35,7 @@ from . import intlinalg as la
 from .errors import (
     AlignmentViolation,
     DegenerateConfiguration,
+    InvalidCertificate,
     OddDelta,
     QOnConfiguration,
     TooFew,
@@ -61,7 +62,11 @@ from .picard import (
     validate_action,
     verify_mori_fibration,
 )
-from .square_class import RamificationTriplet, stabilizer, validate_triplet
+from .square_class import (
+    RamificationTriplet,
+    canonical_delta_and_stabilizer,
+    validate_triplet,
+)
 
 # ---------------------------------------------------------------------------
 # Hirzebruch surfaces (the rank-2 models without singular fibers)
@@ -222,21 +227,21 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
     f = model.marking.fiber_class
     secs = cert.section_classes
     if len(secs) != 4:
-        raise ValueError("a realization certificate lists exactly four sections")
+        raise InvalidCertificate("a realization certificate lists exactly four sections")
     for s in secs:
         if intersect(lat, s, s) != -2 or intersect(lat, s, f) != 1:
-            raise ValueError(f"{s} is not a (-2)-section")
+            raise InvalidCertificate(f"{s} is not a (-2)-section")
     matrix = tuple(
         tuple(intersect(lat, s1, s2) for s2 in secs) for s1 in secs)
     if matrix != cert.intersection_matrix:
-        raise ValueError("stored intersection matrix does not match the classes")
+        raise InvalidCertificate("stored intersection matrix does not match the classes")
     # the Klein four-group must permute the four classes transitively
     index = {s: i for i, s in enumerate(secs)}
     perms = []
     for g in model.generators:
         images = [DivisorClass(la.mat_vec(g, s.coeffs)) for s in secs]
         if any(img not in index for img in images):
-            raise ValueError("the involutions do not permute the certificate sections")
+            raise InvalidCertificate("the involutions do not permute the certificate sections")
         perms.append(tuple(index[img] for img in images))
     reached = {0}
     while True:
@@ -245,10 +250,10 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
             break
         reached = grown
     if reached != {0, 1, 2, 3}:
-        raise ValueError("the certificate sections are not a single orbit")
+        raise InvalidCertificate("the certificate sections are not a single orbit")
     if cert.source == "four-lines":
         if not cert.pairwise_disjoint:
-            raise ValueError("four-line certificates must have disjoint sections")
+            raise InvalidCertificate("four-line certificates must have disjoint sections")
     elif cert.source == "three-lines-conic":
         crossings = sorted(
             tuple(sorted((i, j)))
@@ -257,10 +262,10 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
         flat = [i for pair in crossings for i in pair]
         if len(crossings) != 2 or sorted(flat) != [0, 1, 2, 3] or any(
                 matrix[i][j] != 1 for i, j in crossings):
-            raise ValueError(
+            raise InvalidCertificate(
                 "three-lines-conic certificates must have exactly two crossing pairs")
     else:
-        raise ValueError(f"unknown certificate source {cert.source!r}")
+        raise InvalidCertificate(f"unknown certificate source {cert.source!r}")
 
 
 class FixedCurve(NamedTuple):
@@ -572,6 +577,8 @@ class ExceptionalBundleModel:
     swap: Mat
     section_classes: tuple[DivisorClass, DivisorClass]
     aut: ExceptionalAutDescriptor
+    #: the Moebius canonical form of ``delta`` (None for 2n = 2)
+    canonical_delta: tuple[P1Point, ...] | None
 
     @property
     def n(self) -> int:
@@ -621,19 +628,13 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     assert intersect(lat, s1, s2) == 0
     assert DivisorClass(la.mat_vec(swap, s1.coeffs)) == s2
 
-    if n >= 2:
-        aut = ExceptionalAutDescriptor(
-            kernel_tag="C^* : Z/2",
-            quotient_stabilizer=stabilizer(pts),
-            equals_full_automorphisms=True,
-        )
-    else:
-        aut = ExceptionalAutDescriptor(
-            kernel_tag="C^* : Z/2",
-            quotient_stabilizer=None,
-            equals_full_automorphisms=False,
-        )
-    return ExceptionalBundleModel(marking, pts, swap, (s1, s2), aut)
+    canon, stab = canonical_delta_and_stabilizer(pts) if n >= 2 else (None, None)
+    aut = ExceptionalAutDescriptor(
+        kernel_tag="C^* : Z/2",
+        quotient_stabilizer=stab,
+        equals_full_automorphisms=n >= 2,
+    )
+    return ExceptionalBundleModel(marking, pts, swap, (s1, s2), aut, canon)
 
 
 # ---------------------------------------------------------------------------

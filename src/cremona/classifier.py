@@ -29,7 +29,7 @@ from .bundles import (
 )
 from .errors import InvalidDescriptor, NotAMoriFibration, NotApplicable
 from .picard import LatticeAction, is_pair_minimal
-from .square_class import delta_canonical_form, triplet_canonical_form
+from .square_class import triplet_canonical_form
 
 # closed vocabularies --------------------------------------------------------
 
@@ -157,10 +157,6 @@ def _point_pair(p) -> list[int]:
     return [p.a, p.b]
 
 
-def _delta_invariant(delta) -> dict:
-    return {"delta": [_point_pair(p) for p in delta_canonical_form(delta)]}
-
-
 def _triplet_invariant(triplet) -> dict:
     canon = triplet_canonical_form(triplet)
     return {"triplet": [[_point_pair(p) for p in s] for s in canon.sets]}
@@ -205,7 +201,7 @@ def _classify_hirzebruch(d: HirzebruchDescriptor) -> Verdict:
 def _classify_exceptional(d: ExceptionalDescriptor) -> Verdict:
     model = d.model
     if model.n >= 2:
-        return _maximal(5, _delta_invariant(model.delta))
+        return _maximal(5, {"delta": [_point_pair(p) for p in model.canonical_delta]})
     return _not_maximal(
         ChainStep("extend-group",
                   "automorphisms of the ruling extend to the full automorphism "

@@ -23,7 +23,7 @@ from .bundles import (
     z22_from_triplet,
 )
 from .classifier import classify, link_feasibility
-from .errors import CremonaError
+from .errors import CremonaError, InvariantViolation
 from .picard import (
     BlowupLattice,
     adjunction_genus,
@@ -225,12 +225,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("cannot read or write: %s", exc)
         return EXIT_INVALID_INPUT
+    except (InvariantViolation, AssertionError) as exc:
+        log.error("internal invariant violation: %s", exc)
+        return EXIT_INVARIANT_VIOLATION
     except CremonaError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return EXIT_INVALID_INPUT
-    except AssertionError as exc:
-        log.error("internal invariant violation: %s", exc)
-        return EXIT_INVARIANT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -10,10 +10,15 @@ class CremonaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvariantViolation(CremonaError):
+    """A result failed an internal consistency check; this is a bug, not bad input."""
+
+
 # exact projective geometry ------------------------------------------------
 
 class TooManyPoints(CremonaError):
-    """More points than a predicate supports (general position caps at 8)."""
+    """More points than a computation accepts (general position caps at 8,
+    canonical forms and stabilizers at ``square_class.MAX_CANONICAL_POINTS``)."""
 
 
 class DuplicatePoint(CremonaError):
@@ -110,6 +115,10 @@ class AlignmentViolation(CremonaError):
 
 class InvalidDescriptor(CremonaError):
     """A surface descriptor is malformed or uses an unknown label."""
+
+
+class InvalidCertificate(InvalidDescriptor):
+    """A realization certificate does not fit the model it is attached to."""
 
 
 class NotApplicable(CremonaError):

@@ -28,6 +28,7 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateTriple,
     DuplicatePoint,
+    InvariantViolation,
     LineInConic,
     NonRationalIntersection,
     SamePoint,
@@ -375,7 +376,8 @@ def mobius_from_triples(
         (bd[1][0] * adj[0][0] + bd[1][1] * adj[1][0],
          bd[1][0] * adj[0][1] + bd[1][1] * adj[1][1]),
     ))
-    assert all(m.apply(s) == t for s, t in zip(src, dst))
+    if any(m.apply(s) != t for s, t in zip(src, dst)):
+        raise InvariantViolation(f"{m} does not send {src} to {dst}")
     return m
 
 

@@ -14,21 +14,33 @@ which every point of the union lies in exactly two of the sets, so that
 A_3 is the symmetric difference of the other two.  Canonical forms pin
 three support points to 0, 1 and infinity and minimize over the choices,
 making equality of forms a Q-conjugacy test.
+
+One kernel computes every canonical form and stabilizer.  It works on the
+integer coordinates of the support: the image of each point under each of
+the k(k-1)(k-2) pinning maps is a pair of products of 2 x 2 determinants,
+candidates are first compared on the least image of the smallest sets
+with exact integer cross-multiplication, and only those that reach the
+minimum build Fraction sort keys.  The candidates that tie with the least
+image give the stabilizer of a point set in the same pass.  Supports of
+more than ``MAX_CANONICAL_POINTS`` points are refused with TooManyPoints
+before any candidate is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     CoverageViolation,
     DuplicatePoint,
+    InvariantViolation,
     OddCardinality,
     TooFewPoints,
+    TooManyPoints,
     TooSmall,
 )
-from .geometry import DegenerateTriple, Mobius, P1Point, mobius_from_triples
+from .geometry import Mobius, P1Point, mobius_from_triples
 
 
 def _sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
@@ -197,39 +209,92 @@ def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
     return validate_triplet(block12 + block13, block12 + block23, block13 + block23)
 
 
-def stabilizer(points) -> tuple[Mobius, ...]:
-    """All Moebius maps over Q preserving the given point set.
+# canonical forms and stabilizers ----------------------------------------------
 
-    Every symmetry is pinned down by where it sends the first three
-    points, so we enumerate ordered triples from the set, build the map
-    and keep those that permute the set.  Result is sorted by matrix.
+#: Largest support accepted by the canonical forms and `stabilizer`.  The
+#: kernel takes about k^3 integer steps: on one core of a 2.1 GHz Xeon, 32
+#: points take 0.03 s and 64 points 0.2 to 0.3 s, so a document at the cap
+#: stays well under a second.
+MAX_CANONICAL_POINTS = 64
+
+
+def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], ...]):
+    """The least image of index sets over the maps pinning three support points.
+
+    The map sending the ordered triple (p, q, r) to (0, 1, oo) sends t to
+    ``(det(t,p) det(q,r) : det(t,r) det(q,p))``, so each candidate is read
+    off a table of 2 x 2 determinants and no object is built per candidate.
+    The sort key of an image starts with the sets of least size, so its
+    first value is the least image of a point of those sets.  A first pass
+    computes that value for every candidate with exact integer comparisons
+    (for fixed p and r it is the least or greatest of det(t,p)/det(t,r),
+    divided by the value at q) and keeps only the candidates that reach
+    the minimum; just those build full Fraction keys.
+
+    Returns the images ``(n, d)`` of the support points under the first
+    least candidate, and every ordered index triple whose image ties with
+    it.  For a single set the ties are the stabilizer: the map carrying
+    the first tied triple to another preserves the set.
     """
-    pts = _sorted_distinct(points, "a stabilizer support")
-    if len(pts) < 3:
-        raise TooFewPoints(f"stabilizer needs at least 3 points, got {len(pts)}")
-    base = pts[:3]
-    pset = set(pts)
-    kept = []
-    for img in itertools.permutations(pts, 3):
-        try:
-            m = mobius_from_triples(base, img)
-        except DegenerateTriple:  # unreachable: permutations are distinct
-            continue
-        if {m.apply(p) for p in pts} == pset:
-            kept.append(m)
-    return tuple(sorted(kept, key=Mobius.sort_key))
-
-
-_PINNED = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
-
-
-def _canonical_images(support: tuple[P1Point, ...]):
-    """Yield the Moebius maps sending some ordered support triple to (0, 1, oo)."""
-    if len(support) < 3:
+    k = len(support)
+    if k < 3:
         raise TooFewPoints(
-            f"canonical forms need at least 3 support points, got {len(support)}")
-    for triple in itertools.permutations(support, 3):
-        yield mobius_from_triples(triple, _PINNED)
+            f"canonical forms and stabilizers need at least 3 support points, got {k}")
+    if k > MAX_CANONICAL_POINTS:
+        raise TooManyPoints(
+            f"canonical forms and stabilizers accept at most {MAX_CANONICAL_POINTS} "
+            f"support points, got {k}")
+    coords = [(pt.a, pt.b) for pt in support]
+    det = [[ta * xb - tb * xa for xa, xb in coords] for ta, tb in coords]
+    smallest = min(len(s) for s in sets)
+    front = sorted({i for s in sets if len(s) == smallest for i in s})
+
+    least = None
+    survivors = []
+    for p in range(k):
+        for r in range(k):
+            if r == p:
+                continue
+            lo = hi = None
+            for t in front:
+                n, d = det[t][p], det[t][r]
+                if d == 0:  # t is r, sent to infinity
+                    continue
+                if d < 0:
+                    n, d = -n, -d
+                if lo is None or n * lo[1] < lo[0] * d:
+                    lo = (n, d)
+                if hi is None or n * hi[1] > hi[0] * d:
+                    hi = (n, d)
+            for q in range(k):
+                if q == p or q == r:
+                    continue
+                n, d = det[q][p], det[q][r]
+                if (n > 0) == (d > 0):
+                    first = (lo[0] * abs(d), lo[1] * abs(n))
+                else:
+                    first = (-hi[0] * abs(d), hi[1] * abs(n))
+                if least is not None:
+                    cmp = first[0] * least[1] - least[0] * first[1]
+                    if cmp > 0:
+                        continue
+                    if cmp == 0:
+                        survivors.append((p, q, r))
+                        continue
+                least = first
+                survivors = [(p, q, r)]
+
+    best = None
+    for p, q, r in survivors:
+        at_r, at_p = det[q][r], det[q][p]
+        images = [(row[p] * at_r, row[r] * at_p) for row in det]
+        keys = [(1,) if d == 0 else (0, Fraction(n, d)) for n, d in images]
+        key = sorted((len(s),) + tuple(sorted(keys[i] for i in s)) for s in sets)
+        if best is None or key < best:
+            best, best_images, ties = key, images, [(p, q, r)]
+        elif key == best:
+            ties.append((p, q, r))
+    return best_images, ties
 
 
 def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
@@ -239,21 +304,48 @@ def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
     triple of support points to (0, 1, infinity).  Two triplets have equal
     canonical forms exactly when a Q-Moebius map carries one to the other.
     """
-    best = None
-    for m in _canonical_images(t.support):
-        cand = t.transformed(m)
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    return best
+    support = t.support
+    index = {p: i for i, p in enumerate(support)}
+    sets = tuple(tuple(index[p] for p in s) for s in t.sets)
+    images, _ = _least_pinnings(support, sets)
+    return RamificationTriplet(tuple(tuple(P1Point(*images[i]) for i in s) for s in sets))
+
+
+def _delta_pass(points):
+    pts = _sorted_distinct(points, "a branch set")
+    images, ties = _least_pinnings(pts, (tuple(range(len(pts))),))
+    canon = tuple(sorted((P1Point(n, d) for n, d in images), key=P1Point.sort_key))
+    return pts, canon, ties
+
+
+def _stabilizer_from_ties(pts: tuple[P1Point, ...], ties) -> tuple[Mobius, ...]:
+    first = tuple(pts[i] for i in ties[0])
+    pset = set(pts)
+    maps = []
+    for tie in ties:
+        g = mobius_from_triples(first, tuple(pts[i] for i in tie))
+        if {g.apply(p) for p in pts} != pset:
+            raise InvariantViolation(f"{g} ties with the least pinning but moves the set")
+        maps.append(g)
+    return tuple(sorted(maps, key=Mobius.sort_key))
 
 
 def delta_canonical_form(points) -> tuple[P1Point, ...]:
     """The least Moebius image of a point set with three points pinned."""
-    pts = _sorted_distinct(points, "a branch set")
-    best = None
-    for m in _canonical_images(pts):
-        cand = tuple(sorted((m.apply(p) for p in pts), key=P1Point.sort_key))
-        key = tuple(p.sort_key() for p in cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    return _delta_pass(points)[1]
+
+
+def stabilizer(points) -> tuple[Mobius, ...]:
+    """All Moebius maps over Q preserving the given point set, sorted by matrix.
+
+    A symmetry g carries the least pinned triple to another triple with the
+    same least image, and every such triple gives one; so the symmetries
+    are read off the ties of the canonical-form pass.
+    """
+    return canonical_delta_and_stabilizer(points)[1]
+
+
+def canonical_delta_and_stabilizer(points) -> tuple[tuple[P1Point, ...], tuple[Mobius, ...]]:
+    """`delta_canonical_form` and `stabilizer` of one point set from one pass."""
+    pts, canon, ties = _delta_pass(points)
+    return canon, _stabilizer_from_ties(pts, ties)

@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import cremona
 from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
-from cremona import jsonio
+from cremona import jsonio, square_class
 from cremona.classifier import classify
 from cremona.cli import main
 from cremona.corpus import four_lines_model
@@ -276,6 +279,48 @@ class TestCanonicalCommand:
         code, report = run(tmp_path, ["canonical", "delta"], {"delta": [0, 1, 2, 3]})
         assert code == 0
         assert report == {"delta": [[3, -1], [0, 1], [1, 1], [1, 0]]}
+
+    def test_delta_past_the_cap_is_invalid_input(self, tmp_path, caplog):
+        n = square_class.MAX_CANONICAL_POINTS + 1
+        code, report = run(tmp_path, ["canonical", "delta"], {"delta": list(range(n))})
+        assert code == 1 and report is None
+        assert f"TooManyPoints: canonical forms and stabilizers accept at most {n - 1}" \
+            in caplog.text
+
+    def test_delta_at_the_cap_is_accepted(self, tmp_path):
+        n = square_class.MAX_CANONICAL_POINTS
+        code, report = run(tmp_path, ["canonical", "delta"], {"delta": list(range(n))})
+        assert code == 0 and len(report["delta"]) == n
+
+
+class TestExitCodes:
+    def test_malformed_certificate_is_one_logged_line(self):
+        doc = {
+            "kind": "z22",
+            "triplet": [[0, 1], [0, 2], [1, 2]],
+            "certificate": {"source": "four-lines",
+                            "sections": [[1, 0, 0, 0, 0]] * 4, "matrix": [[1]]},
+        }
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("CREMONA_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cremona", "classify"], input=json.dumps(doc),
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR cremona: InvalidCertificate: ")
+
+    def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
+        # a stabilizer map that moves the set is a bug, not bad input
+        monkeypatch.setattr(square_class, "mobius_from_triples",
+                            lambda src, dst: cremona.Mobius.from_coeffs(1, 1, 0, 1))
+        code, report = run(tmp_path, ["construct", "exceptional"],
+                           {"delta": [0, 1, -1, "inf"]})
+        assert code == 3 and report is None
 
 
 class TestVerifyCommand:

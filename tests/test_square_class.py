@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona import (
@@ -10,6 +11,7 @@ from cremona import (
     RamificationTriplet,
     SquareClass,
     delta_canonical_form,
+    mobius_from_triples,
     realizable_profiles,
     square_class_of,
     stabilizer,
@@ -17,14 +19,22 @@ from cremona import (
     triplet_from_profile,
     validate_triplet,
 )
+from cremona import square_class
 from cremona.errors import (
     CoverageViolation,
     DuplicatePoint,
+    InvariantViolation,
     OddCardinality,
     TooFewPoints,
+    TooManyPoints,
     TooSmall,
 )
-from cremona.square_class import InvolutionRep, involutions_conjugate, multiply
+from cremona.square_class import (
+    InvolutionRep,
+    canonical_delta_and_stabilizer,
+    involutions_conjugate,
+    multiply,
+)
 
 import oracles
 
@@ -203,3 +213,126 @@ class TestTransformed:
         m = mobius_from_triples(src, tuple(src[i] for i in perm))
         assert t.transformed(m).profile == t.profile
         assert set(t.transformed(m).support) == set(src)
+
+
+# The enumeration the integer kernel replaced: one Moebius map, one moved
+# triplet or point tuple and one Fraction key per candidate.  Kept here as
+# the reference the kernel must agree with.
+
+_PINNED = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
+
+
+def reference_triplet_canonical_form(t):
+    best = None
+    for triple in itertools.permutations(t.support, 3):
+        cand = t.transformed(mobius_from_triples(triple, _PINNED))
+        if best is None or cand.sort_key() < best.sort_key():
+            best = cand
+    return best
+
+
+def reference_delta_canonical_form(points):
+    support = tuple(sorted(points, key=P1Point.sort_key))
+    best = None
+    for triple in itertools.permutations(support, 3):
+        m = mobius_from_triples(triple, _PINNED)
+        cand = tuple(sorted((m.apply(p) for p in support), key=P1Point.sort_key))
+        key = tuple(p.sort_key() for p in cand)
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+def reference_stabilizer(points):
+    support = tuple(sorted(points, key=P1Point.sort_key))
+    base = support[:3]
+    kept = []
+    for img in itertools.permutations(support, 3):
+        m = mobius_from_triples(base, img)
+        if {m.apply(p) for p in support} == set(support):
+            kept.append(m)
+    return tuple(sorted(kept, key=Mobius.sort_key))
+
+
+def values():
+    finite = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+    return st.one_of(st.none(), finite)
+
+
+def value_sets(min_size, max_size):
+    return st.sets(values(), min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def triplets(draw, max_k=7):
+    a1, a2, a3 = draw(st.sampled_from(realizable_profiles(max_k)))
+    k = a1 + a2 + a3
+    support = pts(*draw(st.lists(values(), min_size=k, max_size=k, unique=True)))
+    m12, m13 = a1 + a2 - a3, a1 + a3 - a2
+    b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
+    return validate_triplet(b12 + b13, b12 + b23, b13 + b23)
+
+
+SYMMETRIC_SETS = [
+    (0, None, 1, -1),
+    (0, None, 1, -1, 2, -2),
+    (0, 1, None),
+    (1, 2, 3),
+    (-1, Fraction(1, 2), 2),
+]
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(triplets())
+    def test_triplet_canonical_form(self, t):
+        assert triplet_canonical_form(t) == reference_triplet_canonical_form(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(value_sets(3, 8))
+    def test_delta_canonical_form_and_stabilizer(self, vals):
+        support = pts(*vals)
+        canon = delta_canonical_form(support)
+        stab = stabilizer(support)
+        assert canon == reference_delta_canonical_form(support)
+        assert stab == reference_stabilizer(support)
+        assert canonical_delta_and_stabilizer(support) == (canon, stab)
+
+    @settings(max_examples=10, deadline=None)
+    @given(value_sets(3, 3))
+    def test_three_point_sets(self, vals):
+        stab = stabilizer(pts(*vals))
+        assert stab == reference_stabilizer(pts(*vals))
+        assert len(stab) == 6 == oracles.stabilizer_order_oracle(list(vals))
+
+    @pytest.mark.parametrize("vals", SYMMETRIC_SETS)
+    def test_sets_with_symmetries(self, vals):
+        support = pts(*vals)
+        stab = stabilizer(support)
+        assert stab == reference_stabilizer(support)
+        assert delta_canonical_form(support) == reference_delta_canonical_form(support)
+        as_values = [None if v is None else Fraction(v) for v in vals]
+        assert len(stab) == oracles.stabilizer_order_oracle(as_values)
+        assert len(stab) > 1
+
+
+class TestKernelLimits:
+    def test_cap_is_checked_before_enumeration(self, monkeypatch):
+        monkeypatch.setattr(square_class, "MAX_CANONICAL_POINTS", 5)
+        six = pts(*range(6))
+        with pytest.raises(TooManyPoints):
+            delta_canonical_form(six)
+        with pytest.raises(TooManyPoints):
+            stabilizer(six)
+        with pytest.raises(TooManyPoints):
+            triplet_canonical_form(validate_triplet(six[:2], six[2:], six))
+        assert len(stabilizer(six[:5])) == len(reference_stabilizer(six[:5]))
+
+    def test_cap_admits_every_benchmark_size(self):
+        assert square_class.MAX_CANONICAL_POINTS >= 32
+
+    def test_a_tie_that_moves_the_set_is_refused(self, monkeypatch):
+        monkeypatch.setattr(square_class, "mobius_from_triples",
+                            lambda src, dst: Mobius.from_coeffs(1, 1, 0, 1))
+        with pytest.raises(InvariantViolation):
+            stabilizer(pts(0, 1, None))
