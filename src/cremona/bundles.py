@@ -39,6 +39,7 @@ from .errors import (
     OddDelta,
     QOnConfiguration,
     TooFew,
+    require,
 )
 from .geometry import (
     Conic,
@@ -112,25 +113,18 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
     if idx and not 1 <= idx[0] <= idx[-1] <= marking.k:
         raise ValueError(f"fiber indices {idx} out of range 1..{marking.k}")
     a = len(idx) // 2
-    lat = marking.lattice
-    ell = lat.line_class()
-    e0 = lat.exceptional_class(1)
-    swapped_sum = lat.zero()
-    for j in idx:
-        swapped_sum = swapped_sum + marking.fiber_component(j)
-
-    images = [
-        (a + 1) * ell - a * e0 - swapped_sum,       # image of L
-        a * ell - (a - 1) * e0 - swapped_sum,       # image of E_0
+    swapped_set = set(idx)
+    fibers = range(1, marking.k + 1)
+    # rows of the matrix whose columns are the images of L, E_0, E_1..E_k
+    rows = [
+        (a + 1, a) + tuple([1 if j in swapped_set else 0 for j in fibers]),
+        (-a, 1 - a) + tuple([-1 if j in swapped_set else 0 for j in fibers]),
     ]
-    for j in range(1, marking.k + 1):
-        ej = marking.fiber_component(j)
-        if j in idx:
-            images.append(ell - e0 - ej)
-        else:
-            images.append(ej)
-    matrix = la.transpose(la.freeze([d.coeffs for d in images]))
-    return validate_action(lat, matrix)
+    for j in fibers:
+        head = (-1, -1) if j in swapped_set else (0, 0)
+        diagonal = -1 if j in swapped_set else 1
+        rows.append(head + tuple([diagonal if c == j else 0 for c in fibers]))
+    return validate_action(marking.lattice, tuple(rows))
 
 
 class FiberInfo(NamedTuple):
@@ -198,7 +192,8 @@ def z22_from_triplet(
     The support points become the singular fibers (in canonical order) and
     each branch set yields the involution swapping exactly its fibers.
     Construction invariants (involutivity, sigma_1 sigma_2 = sigma_3, the
-    invariant lattice being Z K + Z f) are asserted on the way out.
+    invariant lattice being Z K + Z f) are checked on the way out; a
+    failure raises InvariantViolation.
     """
     support = triplet.support
     marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
@@ -208,15 +203,17 @@ def z22_from_triplet(
         for branch_set in triplet.sets
     )
     ident = la.identity(marking.lattice.rank)
-    assert all(la.mat_mul(g, g) == ident for g in gens)
-    assert la.mat_mul(gens[0], gens[1]) == gens[2]
+    require(all(la.mat_mul(g, g) == ident for g in gens),
+            "a fiberwise involution does not square to the identity")
+    require(la.mat_mul(gens[0], gens[1]) == gens[2], "sigma_1 sigma_2 != sigma_3")
     fibers = tuple(
         FiberInfo(j, p, triplet.membership(p))
         for j, p in enumerate(support, start=1)
     )
     model = Z22BundleModel(marking, triplet, gens, fibers, certificate)
     verdict = verify_mori_fibration(marking.lattice, model.action(), marking)
-    assert verdict.kind == "conic_bundle_over_p1", verdict
+    require(verdict.kind == "conic_bundle_over_p1",
+            f"the Klein four-group model is not a conic bundle: {verdict.reason}")
     if certificate is not None:
         _check_certificate(model, certificate)
     return model
@@ -289,8 +286,9 @@ def fixed_curve_class(model: Z22BundleModel, i: int) -> FixedCurve:
     divisor = -lat.canonical_class + (a_i - 2) * model.marking.fiber_class
     self_int = intersect(lat, divisor, divisor)
     genus = adjunction_genus(lat, divisor)
-    assert self_int == 4 * a_i - model.k
-    assert genus == a_i - 1
+    require(self_int == 4 * a_i - model.k,
+            f"fixed curve of sigma_{i} has self-intersection {self_int}, not 4 a_i - k")
+    require(genus == a_i - 1, f"fixed curve of sigma_{i} has genus {genus}, not a_i - 1")
     return FixedCurve(divisor, self_int, genus)
 
 
@@ -484,7 +482,8 @@ def build_from_three_lines_conic(
 
     proj = {pt: project_from(center, pt) for pt in blown}
     fiber_of_d = project_from(center, d1)
-    assert fiber_of_d == project_from(center, d2)
+    require(fiber_of_d == project_from(center, d2),
+            "d1 and d2 project to different fibers")
     if len(set(proj.values())) != 7 or fiber_of_d in proj.values():
         raise AlignmentViolation(
             "blown-up points must project to seven fibers distinct from the d1 d2 fiber")
@@ -612,11 +611,12 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
 
     f = marking.fiber_class
     k = lat.canonical_class
-    assert la.mat_vec(swap, k.coeffs) == k.coeffs
-    assert la.mat_vec(swap, f.coeffs) == f.coeffs
+    require(la.mat_vec(swap, k.coeffs) == k.coeffs, "the swap moves K")
+    require(la.mat_vec(swap, f.coeffs) == f.coeffs, "the swap moves f")
     for j in range(1, 2 * n + 1):
         v = f - 2 * marking.fiber_component(j)
-        assert la.mat_vec(swap, v.coeffs) == (-v).coeffs
+        require(la.mat_vec(swap, v.coeffs) == (-v).coeffs,
+                f"f - 2 E_{j} is not a (-1)-eigenvector of the swap")
 
     s1 = lat.line_class()
     for j in range(1, n + 2):
@@ -624,9 +624,11 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     s2 = lat.exceptional_class(1)
     for j in range(n + 2, 2 * n + 1):
         s2 = s2 - marking.fiber_component(j)
-    assert intersect(lat, s1, s1) == -n and intersect(lat, s2, s2) == -n
-    assert intersect(lat, s1, s2) == 0
-    assert DivisorClass(la.mat_vec(swap, s1.coeffs)) == s2
+    require(intersect(lat, s1, s1) == -n and intersect(lat, s2, s2) == -n,
+            f"the swapped sections do not have square -{n}")
+    require(intersect(lat, s1, s2) == 0, "the swapped sections meet")
+    require(DivisorClass(la.mat_vec(swap, s1.coeffs)) == s2,
+            "the swap does not exchange the two sections")
 
     canon, stab = canonical_delta_and_stabilizer(pts) if n >= 2 else (None, None)
     aut = ExceptionalAutDescriptor(
@@ -683,7 +685,7 @@ def minimality_obstruction_solver(
             q, rem = divmod(2 * b - l, a)
             if rem != 0:
                 continue
-            assert a * (l + 2 * b) == l
+            require(a * (l + 2 * b) == l, f"({l}, {a}, {b}) does not solve a (l + 2 b) = l")
             out.append(ObstructionSolution(l, a, b, q))
     if k is not None:
         out = [s for s in out if s.k_squared == 8 - k]
@@ -732,10 +734,12 @@ def halphen_check(triplet: RamificationTriplet) -> HalphenReport | None:
     if triplet.profile != (2, 2, 4):
         return None
     model = z22_from_triplet(triplet)
-    assert model.k_squared == 0
+    require(model.k_squared == 0, "the Halphen profile does not give K^2 = 0")
     curve = fixed_curve_class(model, 1)
-    assert curve.divisor == -model.marking.lattice.canonical_class
-    assert curve.genus == 1 and curve.self_intersection == 0
+    require(curve.divisor == -model.marking.lattice.canonical_class,
+            "the Halphen fixed curve is not anticanonical")
+    require(curve.genus == 1 and curve.self_intersection == 0,
+            "the Halphen fixed curve is not an elliptic curve of square 0")
     return HalphenReport(
         k_squared=0,
         fixed_curve=curve.divisor,

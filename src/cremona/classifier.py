@@ -27,7 +27,7 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import InvalidDescriptor, NotAMoriFibration, NotApplicable
+from .errors import InvalidDescriptor, NotAMoriFibration, NotApplicable, require
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import triplet_canonical_form
 
@@ -471,9 +471,10 @@ def link_feasibility(d: GSurfaceDescriptor) -> LinkReport:
     if family == 4:
         return LinkReport(4, 8, _fibration_entries(4, 8))
     if family == 5:
-        assert isinstance(d, ExceptionalDescriptor)
+        require(isinstance(d, ExceptionalDescriptor), "family 5 from a non-exceptional descriptor")
         k2 = d.model.k_squared
         return LinkReport(5, k2, _fibration_entries(5, k2))
-    assert family == 11 and isinstance(d, Z22Descriptor)
+    require(family == 11 and isinstance(d, Z22Descriptor),
+            f"family {family} has no fibration link report")
     k2 = d.model.k_squared
     return LinkReport(11, k2, _fibration_entries(11, k2))

@@ -1,10 +1,10 @@
 """Command-line front end: JSON in, JSON out, exit codes for batch use.
 
 Exit status: 0 success, 1 invalid input (malformed JSON, bad descriptor,
-unreadable file), 2 an indeterminate classification, 3 a violated internal
-invariant.  Logs go to standard error at the level named by the
-``CREMONA_LOG`` environment variable; reports go to the output path
-(default standard output).
+unreadable file, an integer too long to convert to or from text), 2 an
+indeterminate classification, 3 a violated internal invariant.  Logs go
+to standard error at the level named by the ``CREMONA_LOG`` environment
+variable; reports go to the output path (default standard output).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .bundles import (
     z22_from_triplet,
 )
 from .classifier import classify, link_feasibility
-from .errors import CremonaError, InvariantViolation
+from .errors import CremonaError, IntegerTooLong, InvariantViolation
 from .picard import (
     BlowupLattice,
     adjunction_genus,
@@ -47,11 +47,21 @@ def _read_json(path: str):
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise IntegerTooLong(
+            "an input integer has more digits than int() converts from text") from None
 
 
 def _write_report(path: str, doc) -> None:
-    payload = jsonio.dumps(doc)
+    try:
+        payload = jsonio.dumps(doc)
+    except ValueError:
+        raise IntegerTooLong(
+            "a report integer has more digits than str() converts to text") from None
     if path == "-":
         sys.stdout.write(payload)
     else:
@@ -225,7 +235,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("cannot read or write: %s", exc)
         return EXIT_INVALID_INPUT
-    except (InvariantViolation, AssertionError) as exc:
+    except InvariantViolation as exc:
         log.error("internal invariant violation: %s", exc)
         return EXIT_INVARIANT_VIOLATION
     except CremonaError as exc:

@@ -14,6 +14,19 @@ class InvariantViolation(CremonaError):
     """A result failed an internal consistency check; this is a bug, not bad input."""
 
 
+def require(condition: bool, message: str) -> None:
+    """Raise InvariantViolation unless ``condition`` holds.
+
+    Used instead of ``assert``, which ``python -O`` strips.
+    """
+    if not condition:
+        raise InvariantViolation(message)
+
+
+class IntegerTooLong(CremonaError):
+    """A JSON integer has more digits than the interpreter converts to or from text."""
+
+
 # exact projective geometry ------------------------------------------------
 
 class TooManyPoints(CremonaError):

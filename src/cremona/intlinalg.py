@@ -7,8 +7,11 @@ row operations whose product is tracked, which gives integer kernels that
 are automatically saturated (a primitive basis of the full lattice of
 integer solutions, not just a finite-index sublattice).
 
-Sizes in this package stay below 15 x 15, so no effort is spent on
-asymptotics; clarity and exactness win.
+Sizes in this package stay below 15 x 15, and the matrices it multiplies
+are sparse (a fiberwise involution is about a quarter nonzero), so
+``mat_mul`` builds each output row as a combination of the rows of the
+right factor, one per nonzero entry of the left row, and spends no work
+on the zero entries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ Mat = tuple[Vec, ...]
 
 def freeze(rows: Iterable[Sequence[int]]) -> Mat:
     """Copy ``rows`` into the canonical immutable representation."""
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def identity(n: int) -> Mat:
@@ -33,10 +36,16 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """The product ``a @ b``, row by row: row i is ``sum_k a[i][k] * b[k]``."""
+    zero = (0,) * (len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                acc = tuple([s + x * y for s, y in zip(acc, brow)])
+        out.append(acc)
+    return tuple(out)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -74,13 +83,6 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _row_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
-    """rows[i] -= q * rows[j], in place."""
-    ri, rj = rows[i], rows[j]
-    for c in range(len(ri)):
-        ri[c] -= q * rj[c]
-
-
 def hermite_row_form(m: Mat) -> tuple[Mat, Mat]:
     """Row Hermite normal form with its unimodular transform.
 
@@ -88,19 +90,18 @@ def hermite_row_form(m: Mat) -> tuple[Mat, Mat]:
     echelon form with positive pivots and the entries above each pivot
     reduced into ``[0, pivot)``.  Zero rows of ``h`` are collected at the
     bottom; the matching rows of ``u`` span the left kernel of ``m``.
+
+    Each working row is a row of ``m`` with its row of ``u`` carried
+    behind it, so one row operation updates both.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    rows = [list(row) for row in m]
-    u = [list(row) for row in identity(nrows)]
-
-    def swap(i: int, j: int) -> None:
-        rows[i], rows[j] = rows[j], rows[i]
-        u[i], u[j] = u[j], u[i]
+    rows = [list(row) + [1 if i == j else 0 for j in range(nrows)]
+            for i, row in enumerate(m)]
 
     def combine(i: int, j: int, q: int) -> None:
-        _row_sub(rows, i, j, q)
-        _row_sub(u, i, j, q)
+        """rows[i] -= q * rows[j]"""
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
     pivot_row = 0
     for col in range(ncols):
@@ -117,10 +118,10 @@ def hermite_row_form(m: Mat) -> tuple[Mat, Mat]:
                 if q:
                     combine(i, base, q)
             live = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-        swap(pivot_row, live[0])
+        top = live[0]
+        rows[pivot_row], rows[top] = rows[top], rows[pivot_row]
         if rows[pivot_row][col] < 0:
             rows[pivot_row] = [-x for x in rows[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         p = rows[pivot_row][col]
         for i in range(pivot_row):
             q = rows[i][col] // p
@@ -129,7 +130,8 @@ def hermite_row_form(m: Mat) -> tuple[Mat, Mat]:
         pivot_row += 1
         if pivot_row == nrows:
             break
-    return freeze(rows), freeze(u)
+    return (tuple(tuple(row[:ncols]) for row in rows),
+            tuple(tuple(row[ncols:]) for row in rows))
 
 
 def hnf_basis(rows: Iterable[Sequence[int]]) -> Mat:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,18 +173,23 @@ def enumerate_minus_one_classes(lattice: BlowupLattice) -> tuple[DivisorClass, .
 def validate_action(lattice: BlowupLattice, matrix: Mat) -> Mat:
     """Check that a matrix is an isometry fixing K; returns it frozen.
 
-    The matrix acts on coefficient columns: ``D -> M @ D``.
+    The matrix acts on coefficient columns: ``D -> M @ D``.  It preserves
+    the diagonal form G exactly when ``M^T G M = G``, that is when columns
+    i and j of M have intersection number ``G_ii`` for ``i == j`` and 0
+    otherwise; the form is symmetric, so the pairs with ``j >= i`` decide.
     """
     m = la.freeze(matrix)
     n = lattice.rank
     if len(m) != n or any(len(row) != n for row in m):
         raise DimensionMismatch(f"action matrix must be {n} x {n}")
-    gram = tuple(
-        tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n))
-        for i in range(n)
-    )
-    if la.mat_mul(la.mat_mul(la.transpose(m), gram), m) != gram:
-        raise NotIsometry("matrix does not preserve the intersection form")
+    cols = la.transpose(m)
+    # each column with the signs of G = diag(1, -1, ..., -1) applied
+    signed = [(c[0],) + tuple([-x for x in c[1:]]) for c in cols]
+    for i, col in enumerate(cols):
+        for j in range(i, n):
+            product = sum(map(operator.mul, col, signed[j]))
+            if product != ((1 if i == 0 else -1) if i == j else 0):
+                raise NotIsometry("matrix does not preserve the intersection form")
     k = lattice.canonical_class.coeffs
     if la.mat_vec(m, k) != k:
         raise MovesCanonicalClass("matrix moves the canonical class")

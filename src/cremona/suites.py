@@ -21,6 +21,7 @@ from .bundles import (
     z22_from_triplet,
 )
 from .classifier import Z22Descriptor, classify
+from .errors import require
 from .geometry import (
     Mobius,
     P1Point,
@@ -50,11 +51,6 @@ from .square_class import (
 Check = tuple[str, Callable[[], None]]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise AssertionError(message)
-
-
 # geometry ---------------------------------------------------------------------
 
 
@@ -64,31 +60,31 @@ def _check_mobius_round_trip() -> None:
     m = mobius_from_triples(src, dst)
     inv = m.inverse()
     for p, q in zip(src, dst):
-        _require(m.apply(p) == q, f"map should send {p} to {q}")
-        _require(inv.apply(q) == p, f"inverse should send {q} back to {p}")
-    _require((inv @ m).is_identity(), "inverse composed with map is the identity")
+        require(m.apply(p) == q, f"map should send {p} to {q}")
+        require(inv.apply(q) == p, f"inverse should send {q} back to {p}")
+    require((inv @ m).is_identity(), "inverse composed with map is the identity")
 
 
 def _check_projection() -> None:
     center = P2Point(0, 0, 1)
     p = project_from(center, P2Point(3, 6, 11))
-    _require(p == P1Point(1, 2), f"projection from (0:0:1) failed: {p}")
+    require(p == P1Point(1, 2), f"projection from (0:0:1) failed: {p}")
 
 
 def _check_line_conic() -> None:
     conic = corpus.THREE_LINES_CONIC
     line = line_through(P2Point(0, 0, 1), P2Point(1, 1, 1))
     pts = intersect_line_conic(line, conic)
-    _require(len(pts) == 2 and P2Point(0, 0, 1) in pts and P2Point(1, 1, 1) in pts,
+    require(len(pts) == 2 and P2Point(0, 0, 1) in pts and P2Point(1, 1, 1) in pts,
              f"x^2 = yz meets the chord in {pts}")
 
 
 def _check_general_position() -> None:
     good = (P2Point(1, 0, 0), P2Point(0, 1, 0), P2Point(0, 0, 1),
             P2Point(1, 1, 1), P2Point(1, 2, 3))
-    _require(is_general_position(good), "standard five points are general")
+    require(is_general_position(good), "standard five points are general")
     collinear = (P2Point(0, 0, 1), P2Point(1, 0, 1), P2Point(2, 0, 1))
-    _require(not is_general_position(collinear), "a collinear triple is not general")
+    require(not is_general_position(collinear), "a collinear triple is not general")
 
 
 GEOMETRY_CHECKS: tuple[Check, ...] = (
@@ -107,34 +103,34 @@ _SMALL_RANK_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27}
 def _check_minus_one_counts() -> None:
     for r, expected in _SMALL_RANK_COUNTS.items():
         got = len(enumerate_minus_one_classes(BlowupLattice(r)))
-        _require(got == expected, f"r={r}: expected {expected} classes, got {got}")
+        require(got == expected, f"r={r}: expected {expected} classes, got {got}")
 
 
 def _check_adjunction() -> None:
     lat = BlowupLattice(6)
-    _require(adjunction_genus(lat, -lat.canonical_class) == 1,
+    require(adjunction_genus(lat, -lat.canonical_class) == 1,
              "the anticanonical class of a cubic has genus 1")
-    _require(adjunction_genus(lat, lat.line_class()) == 0, "a line has genus 0")
+    require(adjunction_genus(lat, lat.line_class()) == 0, "a line has genus 0")
 
 
 def _check_jonquieres() -> None:
     marking = FiberedMarking.standard(4)
     inv = jonquieres_involution_matrix(marking)
     ident = la.identity(6)
-    _require(la.mat_mul(inv.generator, inv.generator) == ident,
+    require(la.mat_mul(inv.generator, inv.generator) == ident,
              "the de Jonquieres matrix is an involution")
     action = LatticeAction(marking.lattice, (inv.generator,))
     rank, _basis = invariant_sublattice(action)
-    _require(rank == 2, f"invariant rank should be 2, got {rank}")
+    require(rank == 2, f"invariant rank should be 2, got {rank}")
 
 
 def _check_coxeter_rank_one() -> None:
     action = corpus.cubic_coxeter_action()
-    _require(action.order() == 12, "the Coxeter element has order 12")
+    require(action.order() == 12, "the Coxeter element has order 12")
     rank, basis = invariant_sublattice(action)
-    _require(rank == 1, f"invariant rank should be 1, got {rank}")
+    require(rank == 1, f"invariant rank should be 1, got {rank}")
     lat = action.lattice
-    _require(basis[0] in (-lat.canonical_class, lat.canonical_class),
+    require(basis[0] in (-lat.canonical_class, lat.canonical_class),
              "the fixed line should be spanned by K")
 
 
@@ -151,17 +147,17 @@ PICARD_CHECKS: tuple[Check, ...] = (
 
 def _check_stabilizer_orders() -> None:
     three = (corpus.p1(0), corpus.p1(1), corpus.p1(None))
-    _require(len(stabilizer(three)) == 6, "the standard triple has 6 symmetries")
+    require(len(stabilizer(three)) == 6, "the standard triple has 6 symmetries")
     harmonic = (corpus.p1(0), corpus.p1(None), corpus.p1(1), corpus.p1(-1))
-    _require(len(stabilizer(harmonic)) == 8, "the harmonic quadruple has 8 symmetries")
+    require(len(stabilizer(harmonic)) == 8, "the harmonic quadruple has 8 symmetries")
 
 
 def _check_square_class_product() -> None:
     a = square_class_of((corpus.p1(0), corpus.p1(1)))
     b = square_class_of((corpus.p1(1), corpus.p1(2)))
     c = square_class_of((corpus.p1(0), corpus.p1(2)))
-    _require(a * b == c, "classes multiply by symmetric difference")
-    _require((a * a).is_trivial(), "every class squares to the trivial one")
+    require(a * b == c, "classes multiply by symmetric difference")
+    require((a * a).is_trivial(), "every class squares to the trivial one")
 
 
 def _check_canonical_invariance() -> None:
@@ -174,7 +170,7 @@ def _check_canonical_invariance() -> None:
         base = triplet_canonical_form(trip)
         for m in maps:
             moved = triplet_canonical_form(trip.transformed(m))
-            _require(moved == base, f"canonical form moved under {m}")
+            require(moved == base, f"canonical form moved under {m}")
 
 
 SQUARE_CLASS_CHECKS: tuple[Check, ...] = (
@@ -197,7 +193,7 @@ def _check_del_pezzo_partition() -> None:
             expected = "no"
         else:
             expected = "indeterminate"
-        _require(verdict.kind == expected,
+        require(verdict.kind == expected,
                  f"profile {profile}: expected {expected}, got {verdict.kind}")
 
 
@@ -205,9 +201,9 @@ def _check_solver_tables() -> None:
     table = {(s.orbit_size, s.a, s.b, s.k_squared)
              for s in minimality_obstruction_solver()}
     expected = {(1, -1, -1, 3), (2, -1, -2, 6), (4, -1, -4, 12), (4, -2, -3, 5)}
-    _require(table == expected, f"obstruction table changed: {table}")
+    require(table == expected, f"obstruction table changed: {table}")
     fibrations = {k2: second_fibration_solver(k2) for k2 in range(1, 9)}
-    _require(fibrations[8] == "p1xp1" and fibrations[4] == (1, -1)
+    require(fibrations[8] == "p1xp1" and fibrations[4] == (1, -1)
              and fibrations[2] == (2, -1) and fibrations[1] == (4, -1)
              and all(fibrations[k2] is None for k2 in (3, 5, 6, 7)),
              f"second fibration table changed: {fibrations}")
@@ -215,28 +211,28 @@ def _check_solver_tables() -> None:
 
 def _check_certified_instances() -> None:
     four = corpus.four_lines_model()
-    _require(four.profile == (2, 2, 2), f"quadrilateral profile {four.profile}")
-    _require(four.certificate is not None and four.certificate.pairwise_disjoint,
+    require(four.profile == (2, 2, 2), f"quadrilateral profile {four.profile}")
+    require(four.certificate is not None and four.certificate.pairwise_disjoint,
              "quadrilateral certificate should give disjoint sections")
-    _require(is_del_pezzo_bundle(four).kind == "no", "certified (2,2,2) is not del Pezzo")
+    require(is_del_pezzo_bundle(four).kind == "no", "certified (2,2,2) is not del Pezzo")
     three = corpus.three_lines_conic_model()
-    _require(three.profile == (2, 2, 3), f"conic instance profile {three.profile}")
-    _require(is_del_pezzo_bundle(three).kind == "no", "certified (2,2,3) is not del Pezzo")
+    require(three.profile == (2, 2, 3), f"conic instance profile {three.profile}")
+    require(is_del_pezzo_bundle(three).kind == "no", "certified (2,2,3) is not del Pezzo")
 
 
 def _check_halphen() -> None:
     report = halphen_check(corpus.HALPHEN_TRIPLET)
-    _require(report is not None and report.k_squared == 0 and report.genus == 1,
+    require(report is not None and report.k_squared == 0 and report.genus == 1,
              f"Halphen report wrong: {report}")
-    _require(halphen_check(corpus.TRIPLET_K4) is None,
+    require(halphen_check(corpus.TRIPLET_K4) is None,
              "only profile (2,2,4) gets a Halphen report")
 
 
 def _check_exceptional_swap() -> None:
     model = corpus.exceptional_model()
     rank, _basis = invariant_sublattice(model.action())
-    _require(rank == 2, f"swap invariant rank should be 2, got {rank}")
-    _require(len(model.aut.quotient_stabilizer) == 4,
+    require(rank == 2, f"swap invariant rank should be 2, got {rank}")
+    require(len(model.aut.quotient_stabilizer) == 4,
              "a branch set with generic cross-ratio keeps only the double "
              "transpositions")
 
@@ -257,18 +253,18 @@ def _check_golden_families() -> None:
     for key, descriptor in corpus.golden_maximal_descriptors().items():
         verdict = classify(descriptor)
         family = int(key.split("-")[1])
-        _require(verdict.outcome == "maximal" and verdict.family == family,
+        require(verdict.outcome == "maximal" and verdict.family == family,
                  f"{key}: got {verdict.outcome} family {verdict.family}")
 
 
 def _check_golden_reductions() -> None:
     for key, descriptor in corpus.golden_reduction_descriptors().items():
         verdict = classify(descriptor)
-        _require(verdict.outcome == "not_maximal", f"{key}: got {verdict.outcome}")
-        _require(verdict.chain[-1].move == "maximal-family",
+        require(verdict.outcome == "not_maximal", f"{key}: got {verdict.outcome}")
+        require(verdict.chain[-1].move == "maximal-family",
                  f"{key}: chain does not land in a family")
         degrees = [s.k_squared for s in verdict.chain if s.k_squared is not None]
-        _require(all(a < b for a, b in zip(degrees, degrees[1:]))
+        require(all(a < b for a, b in zip(degrees, degrees[1:]))
                  or all(a > b for a, b in zip(degrees, degrees[1:])),
                  f"{key}: chain degrees not strictly monotone: {degrees}")
 
@@ -276,7 +272,7 @@ def _check_golden_reductions() -> None:
 def _check_indeterminate_path() -> None:
     bare = z22_from_triplet(corpus.four_lines_model().triplet)
     verdict = classify(Z22Descriptor(bare))
-    _require(verdict.outcome == "indeterminate", f"got {verdict.outcome}")
+    require(verdict.outcome == "indeterminate", f"got {verdict.outcome}")
 
 
 CLASSIFIER_CHECKS: tuple[Check, ...] = (

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cremona import (
@@ -45,6 +47,7 @@ from cremona.errors import (
     QOnConfiguration,
     TooFew,
 )
+from reference_kernel import reference_involution_matrix
 
 
 class TestHirzebruch:
@@ -90,6 +93,15 @@ class TestInvolutionMatrix:
         marking = FiberedMarking.standard(4)
         with pytest.raises(ValueError):
             involution_matrix(marking, (1, 5))
+
+    def test_matches_divisor_class_reference_for_every_even_swap_set(self):
+        # the integer columns written directly against the DivisorClass sums
+        for k in range(9):
+            marking = FiberedMarking.standard(k)
+            for size in range(0, k + 1, 2):
+                for swapped in itertools.combinations(range(1, k + 1), size):
+                    assert involution_matrix(marking, swapped) == \
+                        reference_involution_matrix(marking, swapped), (k, swapped)
 
 
 class TestZ22Model:

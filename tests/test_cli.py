@@ -1,6 +1,8 @@
+import ast
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -293,6 +295,25 @@ class TestCanonicalCommand:
         assert code == 0 and len(report["delta"]) == n
 
 
+def run_child(args, stdin):
+    """Run ``python <args>`` with the package on the path; returns the process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CREMONA_LOG", None)
+    return subprocess.run(
+        [sys.executable, *args], input=stdin,
+        capture_output=True, text=True, env=env, timeout=60)
+
+
+def assert_one_logged_line(proc, code, prefix):
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+
+
 class TestExitCodes:
     def test_malformed_certificate_is_one_logged_line(self):
         doc = {
@@ -301,18 +322,8 @@ class TestExitCodes:
             "certificate": {"source": "four-lines",
                             "sections": [[1, 0, 0, 0, 0]] * 4, "matrix": [[1]]},
         }
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        env.pop("CREMONA_LOG", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cremona", "classify"], input=json.dumps(doc),
-            capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("ERROR cremona: InvalidCertificate: ")
+        proc = run_child(["-m", "cremona", "classify"], json.dumps(doc))
+        assert_one_logged_line(proc, 1, "ERROR cremona: InvalidCertificate: ")
 
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         # a stabilizer map that moves the set is a bug, not bad input
@@ -321,6 +332,49 @@ class TestExitCodes:
         code, report = run(tmp_path, ["construct", "exceptional"],
                            {"delta": [0, 1, -1, "inf"]})
         assert code == 3 and report is None
+
+    def test_wrong_involution_exits_3_under_optimize(self):
+        # every sigma_i swaps fibers 1 and 2, so sigma_1 sigma_2 = 1 != sigma_3;
+        # python -O strips assert statements but not this check
+        script = (
+            "import sys\n"
+            "from cremona import bundles\n"
+            "from cremona.cli import main\n"
+            "assert False, 'not reached under -O'\n"
+            "real = bundles.involution_matrix\n"
+            "bundles.involution_matrix = lambda marking, swapped: real(marking, (1, 2))\n"
+            "sys.exit(main(['construct', 'z22']))\n"
+        )
+        proc = run_child(["-O", "-c", script],
+                         json.dumps({"triplet": [[0, 1], [0, 2], [1, 2]]}))
+        assert_one_logged_line(
+            proc, 3, "ERROR cremona: internal invariant violation: sigma_1 sigma_2")
+
+    def test_overlong_input_integer_is_one_logged_line(self):
+        # Python refuses to convert integers past 4300 digits from text
+        text = '{"delta": [' + "9" * 5000 + ", 0, 1, 2]}"
+        proc = run_child(["-m", "cremona", "canonical", "delta"], text)
+        assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
+
+    def test_overlong_report_integer_is_one_logged_line(self, tmp_path):
+        # a 2201-digit coefficient reads fine but its square has 4401 digits
+        text = '{"r": 1, "divisor": [1' + "0" * 2200 + ", 0]}"
+        out = tmp_path / "out.json"
+        proc = run_child(["-m", "cremona", "lattice", "genus", "--output", str(out)], text)
+        assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
+        assert not out.exists()
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert; invariants must raise InvariantViolation instead
+    package = pathlib.Path(cremona.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 class TestVerifyCommand:

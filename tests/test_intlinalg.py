@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona import intlinalg as la
+from reference_kernel import reference_hermite_row_form, reference_mat_mul
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -138,3 +139,55 @@ def test_identity_and_transpose(m):
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         la.det(((1, 2, 3), (4, 5, 6)))
+
+
+# the sparse kernel against the dense one it replaced (tests/reference_kernel.py)
+
+sparse_entries = st.one_of(st.just(0), st.just(0), entries)
+
+
+def shaped(n: int, m: int):
+    row = st.lists(sparse_entries, min_size=m, max_size=m).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def product_pairs(draw):
+    n, m, p = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    return draw(shaped(n, m)), draw(shaped(m, p))
+
+
+@given(product_pairs())
+@settings(max_examples=300)
+def test_mat_mul_matches_dense_reference(pair):
+    a, b = pair
+    assert la.mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+@st.composite
+def hnf_inputs(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=6))
+    return draw(shaped(n, m))
+
+
+@given(hnf_inputs())
+@settings(max_examples=300)
+def test_hermite_row_form_matches_two_array_reference(m):
+    assert la.hermite_row_form(m) == reference_hermite_row_form(m)
+
+
+@pytest.mark.parametrize("m", [
+    (),                                  # no rows
+    ((), (), ()),                        # no columns
+    ((0, 0, 0), (0, 0, 0)),              # only zero rows
+    ((0, 2, 4), (0, 0, 0), (0, 3, 5)),   # a zero column and a zero row
+])
+def test_hermite_row_form_degenerate_shapes(m):
+    assert la.hermite_row_form(m) == reference_hermite_row_form(m)
+
+
+def test_freeze_converts_entries_to_int():
+    frozen = la.freeze([[True, 2], (3, False)])
+    assert frozen == ((1, 2), (3, 0))
+    assert all(type(x) is int for row in frozen for x in row)

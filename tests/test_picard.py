@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona import (
     BlowupLattice,
@@ -30,6 +32,7 @@ from cremona.errors import (
 from cremona.picard import validate_action
 
 import oracles
+from reference_kernel import reference_validate_action
 
 
 def swap_matrix(lattice: BlowupLattice, i: int, j: int) -> tuple:
@@ -374,3 +377,83 @@ class TestMoriFibration:
         verdict = verify_mori_fibration(lat, LatticeAction.trivial(lat))
         assert verdict.kind == "not_mori"
         assert "neither 1 nor 2" in verdict.reason
+
+
+# the column Gram check against the dense M^T G M product it replaced
+
+def simple_roots(lat: BlowupLattice) -> list[DivisorClass]:
+    es = [lat.exceptional_class(i) for i in range(1, lat.r + 1)]
+    roots = [a - b for a, b in zip(es, es[1:])]
+    if lat.r >= 3:
+        roots.append(lat.line_class() - es[0] - es[1] - es[2])
+    return roots
+
+
+def weyl_word(lat: BlowupLattice, word) -> tuple:
+    roots = simple_roots(lat)
+    m = la.identity(lat.rank)
+    for letter in word:
+        m = la.mat_mul(reflection_matrix(lat, roots[letter % len(roots)]), m)
+    return m
+
+
+def perturb(m: tuple, how: str, i: int, j: int, delta: int) -> tuple:
+    n = len(m)
+    i, j = i % n, j % n
+    if how == "entry":
+        return tuple(
+            tuple(x + delta if (r, c) == (i, j) else x for c, x in enumerate(row))
+            for r, row in enumerate(m))
+    if how == "negate":   # an isometry sending K to -K
+        return tuple(tuple(-x for x in row) for row in m)
+    if how == "flip-e1":  # followed by the isometry E_1 -> -E_1, which moves K
+        return tuple(tuple(-x for x in row) if r == 1 else row for r, row in enumerate(m))
+    if how == "swap-l-e1":  # followed by L <-> E_1, which flips the form
+        return (m[1], m[0]) + m[2:]
+    if how == "transpose":
+        return la.transpose(m)
+    if how == "drop-row":
+        return m[:-1]
+    return m
+
+
+def outcome(check, lat, m):
+    try:
+        return check(lat, m)
+    except (DimensionMismatch, NotIsometry, MovesCanonicalClass) as exc:
+        return type(exc)
+
+
+PERTURBATIONS = ("none", "entry", "negate", "flip-e1", "swap-l-e1", "transpose", "drop-row")
+
+
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.lists(st.integers(min_value=0, max_value=20), max_size=8),
+    st.sampled_from(PERTURBATIONS),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from((-2, -1, 1, 2)),
+)
+@settings(max_examples=300, deadline=None)
+def test_validate_action_matches_dense_reference(r, word, how, i, j, delta):
+    lat = BlowupLattice(r)
+    m = perturb(weyl_word(lat, word), how, i, j, delta)
+    assert outcome(validate_action, lat, m) == outcome(reference_validate_action, lat, m)
+
+
+@pytest.mark.parametrize("how, expected", [
+    ("none", None),
+    ("entry", NotIsometry),
+    ("negate", MovesCanonicalClass),
+    ("flip-e1", MovesCanonicalClass),
+    ("swap-l-e1", NotIsometry),
+    ("drop-row", DimensionMismatch),
+])
+def test_each_perturbation_reaches_its_error(how, expected):
+    # the property above compares both checks on every one of these outcomes
+    lat = BlowupLattice(6)
+    m = perturb(weyl_word(lat, [0, 5, 2, 5, 1]), how, 3, 4, 1)
+    for check in (validate_action, reference_validate_action):
+        got = outcome(check, lat, m)
+        assert got == (m if expected is None else expected)
