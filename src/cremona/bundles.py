@@ -15,6 +15,15 @@ The branch data of a Klein four-group is a ramification triplet (module
 ``square_class``); the three involutions built from its sets multiply as
 sigma_1 sigma_2 = sigma_3 because every point lies in exactly two sets.
 
+A model checks each fact once.  Each involution is checked when it is
+built, by ``picard.validate_involution``: it squares to the identity,
+G M is symmetric for the form G = diag(1, -1, ..., -1), which for an
+involution is the isometry condition (``M^T G M = (G M)^T M = G M M = G``),
+and it fixes K.  The Klein-four model then checks sigma_1 sigma_2 =
+sigma_3 with one product and runs the Mori test on the checked sigma_1,
+sigma_2 directly; ``action()`` still returns a validated ``LatticeAction``
+to callers that ask for one.
+
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
 (profile (2, 2, 2), four pairwise disjoint sections), and three lines plus
@@ -35,7 +44,9 @@ from . import intlinalg as la
 from .errors import (
     AlignmentViolation,
     DegenerateConfiguration,
+    DimensionMismatch,
     InvalidCertificate,
+    OddCardinality,
     OddDelta,
     QOnConfiguration,
     TooFew,
@@ -60,7 +71,7 @@ from .picard import (
     LatticeAction,
     adjunction_genus,
     intersect,
-    validate_action,
+    validate_involution,
     verify_mori_fibration,
 )
 from .square_class import (
@@ -105,13 +116,15 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
 
     ``swapped`` holds 1-based fiber indices; its size must be even (an
     involution of the generic fiber ramifies over an even set).  The
-    returned matrix is validated as an isometry fixing K.
+    returned matrix is checked once, by ``picard.validate_involution``:
+    it squares to the identity, G M is symmetric (so it is an isometry)
+    and it fixes K.  Callers rely on that check and repeat none of it.
     """
     idx = sorted(set(swapped))
     if len(idx) % 2 != 0:
-        raise ValueError(f"a fiberwise involution swaps an even number of fibers, got {len(idx)}")
+        raise OddCardinality(f"a fiberwise involution swaps an even number of fibers, got {len(idx)}")
     if idx and not 1 <= idx[0] <= idx[-1] <= marking.k:
-        raise ValueError(f"fiber indices {idx} out of range 1..{marking.k}")
+        raise DimensionMismatch(f"fiber indices {idx} out of range 1..{marking.k}")
     a = len(idx) // 2
     swapped_set = set(idx)
     fibers = range(1, marking.k + 1)
@@ -124,7 +137,7 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
         head = (-1, -1) if j in swapped_set else (0, 0)
         diagonal = -1 if j in swapped_set else 1
         rows.append(head + tuple([diagonal if c == j else 0 for c in fibers]))
-    return validate_action(marking.lattice, tuple(rows))
+    return validate_involution(marking.lattice, tuple(rows))
 
 
 class FiberInfo(NamedTuple):
@@ -191,27 +204,25 @@ def z22_from_triplet(
 
     The support points become the singular fibers (in canonical order) and
     each branch set yields the involution swapping exactly its fibers.
-    Construction invariants (involutivity, sigma_1 sigma_2 = sigma_3, the
-    invariant lattice being Z K + Z f) are checked on the way out; a
-    failure raises InvariantViolation.
+    Each fact is checked once: ``involution_matrix`` checks each sigma_i
+    (involutive isometry fixing K), then sigma_1 sigma_2 = sigma_3 and the
+    invariant lattice of sigma_1, sigma_2 being Z K + Z f are checked on
+    the way out; a failure of these two raises InvariantViolation.
     """
     support = triplet.support
+    index = {p: j for j, p in enumerate(support, start=1)}
     marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
     gens = tuple(
-        involution_matrix(
-            marking, tuple(marking.fiber_index_of(p) for p in branch_set))
+        involution_matrix(marking, tuple(index[p] for p in branch_set))
         for branch_set in triplet.sets
     )
-    ident = la.identity(marking.lattice.rank)
-    require(all(la.mat_mul(g, g) == ident for g in gens),
-            "a fiberwise involution does not square to the identity")
     require(la.mat_mul(gens[0], gens[1]) == gens[2], "sigma_1 sigma_2 != sigma_3")
     fibers = tuple(
         FiberInfo(j, p, triplet.membership(p))
         for j, p in enumerate(support, start=1)
     )
     model = Z22BundleModel(marking, triplet, gens, fibers, certificate)
-    verdict = verify_mori_fibration(marking.lattice, model.action(), marking)
+    verdict = verify_mori_fibration(marking.lattice, gens[:2], marking)
     require(verdict.kind == "conic_bundle_over_p1",
             f"the Klein four-group model is not a conic bundle: {verdict.reason}")
     if certificate is not None:

@@ -76,6 +76,14 @@ class MovesCanonicalClass(CremonaError):
     """A proposed action matrix does not fix the canonical class."""
 
 
+class NotInvolution(CremonaError):
+    """A matrix that must be an involution does not square to the identity."""
+
+
+class UnmarkedPoint(CremonaError):
+    """A point of P^1 is not a base point of the fibered marking."""
+
+
 class GroupClosureCapExceeded(CremonaError):
     """Closing the generator set under products passed the element cap."""
 

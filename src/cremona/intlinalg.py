@@ -16,6 +16,7 @@ on the zero entries.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -28,7 +29,7 @@ def freeze(rows: Iterable[Sequence[int]]) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -49,7 +50,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple([sum(map(operator.mul, row, v)) for row in m])
 
 
 def is_zero(v: Sequence[int]) -> bool:

@@ -11,6 +11,14 @@ first exceptional class as ``E_0`` (the blown-up projection center) and
 carries the fiber class ``f = L - E_0`` together with the base point of
 P^1 under each remaining ``E_j``.
 
+A matrix is checked when it enters: ``validate_action`` for a general
+isometry (column pairs against the diagonal form G), and
+``validate_involution`` for a matrix that must square to the identity.
+For G = diag(1, -1, ..., -1) and M^2 = I, M is an isometry exactly when
+G M is symmetric, since then ``M^T G M = (G M)^T M = G M M = G``; so an
+involution costs a sparse square and n(n-1)/2 entry comparisons, not the
+column products.  Later computations trust the checked matrices.
+
 All sublattice computations run over Z with unimodular row reduction, so
 invariant sublattices come out saturated and bases are canonical (Hermite
 normal form).  The number of blowups is capped at 13, enough for an
@@ -29,11 +37,14 @@ from functools import cached_property
 from . import intlinalg as la
 from .errors import (
     DimensionMismatch,
+    DuplicatePoint,
     GroupClosureCapExceeded,
     MovesCanonicalClass,
     NonIntegralGenus,
     NotClosedUnderAction,
+    NotInvolution,
     NotIsometry,
+    UnmarkedPoint,
     UnsupportedRank,
 )
 from .geometry import P1Point
@@ -170,6 +181,21 @@ def enumerate_minus_one_classes(lattice: BlowupLattice) -> tuple[DivisorClass, .
     return tuple(sorted(found))
 
 
+def _square_matrix(lattice: BlowupLattice, matrix: Mat) -> Mat:
+    m = la.freeze(matrix)
+    n = lattice.rank
+    if len(m) != n or any(len(row) != n for row in m):
+        raise DimensionMismatch(f"action matrix must be {n} x {n}")
+    return m
+
+
+def _check_fixes_k(lattice: BlowupLattice, m: Mat) -> Mat:
+    k = lattice.canonical_class.coeffs
+    if la.mat_vec(m, k) != k:
+        raise MovesCanonicalClass("matrix moves the canonical class")
+    return m
+
+
 def validate_action(lattice: BlowupLattice, matrix: Mat) -> Mat:
     """Check that a matrix is an isometry fixing K; returns it frozen.
 
@@ -178,10 +204,8 @@ def validate_action(lattice: BlowupLattice, matrix: Mat) -> Mat:
     i and j of M have intersection number ``G_ii`` for ``i == j`` and 0
     otherwise; the form is symmetric, so the pairs with ``j >= i`` decide.
     """
-    m = la.freeze(matrix)
-    n = lattice.rank
-    if len(m) != n or any(len(row) != n for row in m):
-        raise DimensionMismatch(f"action matrix must be {n} x {n}")
+    m = _square_matrix(lattice, matrix)
+    n = len(m)
     cols = la.transpose(m)
     # each column with the signs of G = diag(1, -1, ..., -1) applied
     signed = [(c[0],) + tuple([-x for x in c[1:]]) for c in cols]
@@ -190,10 +214,29 @@ def validate_action(lattice: BlowupLattice, matrix: Mat) -> Mat:
             product = sum(map(operator.mul, col, signed[j]))
             if product != ((1 if i == 0 else -1) if i == j else 0):
                 raise NotIsometry("matrix does not preserve the intersection form")
-    k = lattice.canonical_class.coeffs
-    if la.mat_vec(m, k) != k:
-        raise MovesCanonicalClass("matrix moves the canonical class")
-    return m
+    return _check_fixes_k(lattice, m)
+
+
+def validate_involution(lattice: BlowupLattice, matrix: Mat) -> Mat:
+    """Check that a matrix is an involutive isometry fixing K; returns it frozen.
+
+    Accepts exactly the matrices that ``validate_action`` accepts and that
+    square to the identity.  Given ``M^2 = I``, M preserves G exactly when
+    G M is symmetric: then ``M^T G M = (G M)^T M = G M M = G``, and
+    conversely ``M^T G = G M^{-1} = G M``.  Row 0 of G M is row 0 of M and
+    every other row is negated, so the test reads ``M[0][j] == -M[j][0]``
+    and ``M[i][j] == M[j][i]`` for ``0 < i < j``.
+    """
+    m = _square_matrix(lattice, matrix)
+    n = len(m)
+    if la.mat_mul(m, m) != la.identity(n):
+        raise NotInvolution("matrix does not square to the identity")
+    top = m[0]
+    for i in range(1, n):
+        row = m[i]
+        if top[i] != -row[0] or any(row[j] != m[j][i] for j in range(i + 1, n)):
+            raise NotIsometry("matrix does not preserve the intersection form")
+    return _check_fixes_k(lattice, m)
 
 
 def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
@@ -261,19 +304,28 @@ class LatticeAction:
 def invariant_sublattice(action: LatticeAction) -> tuple[int, tuple[DivisorClass, ...]]:
     """Rank and canonical basis of the fixed sublattice of the action.
 
-    Stacks ``M - I`` over the generators and takes the saturated integer
-    kernel, so the answer is the full group-invariant sublattice (fixing
-    the generators fixes the group), with a Hermite-form basis.
+    The saturated integer kernel of the rows of ``M - I`` over the
+    generators is the full group-invariant sublattice (fixing the
+    generators fixes the group), with a Hermite-form basis.
     """
-    n = action.lattice.rank
-    if not action.generators:
-        basis = la.identity(n)
-        return n, tuple(DivisorClass(row) for row in basis)
-    rows: list[Vec] = []
-    for g in action.generators:
-        for i in range(n):
-            rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
-    kernel = la.kernel_basis(la.freeze(rows))
+    return _fixed_sublattice(action.lattice.rank, action.generators)
+
+
+def _fixed_sublattice(
+    n: int, generators: tuple[Mat, ...]
+) -> tuple[int, tuple[DivisorClass, ...]]:
+    # Zero and repeated rows of the stacked M - I do not change the kernel,
+    # and the kernel's Hermite basis is canonical, so only the distinct
+    # nonzero rows are reduced (a fiberwise involution has a zero row for
+    # every fiber it leaves alone, and the swapped rows repeat between
+    # generators).
+    rows: dict[Vec, None] = {}
+    for g in generators:
+        for i, row in enumerate(g):
+            moved = row[:i] + (row[i] - 1,) + row[i + 1:]
+            if any(moved):
+                rows[moved] = None
+    kernel = la.kernel_basis(tuple(rows)) if rows else la.identity(n)
     return len(kernel), tuple(DivisorClass(row) for row in kernel)
 
 
@@ -350,7 +402,7 @@ class FiberedMarking:
         pts = tuple(self.base_points)
         object.__setattr__(self, "base_points", pts)
         if len(set(pts)) != len(pts):
-            raise ValueError("base points of the singular fibers must be distinct")
+            raise DuplicatePoint("base points of the singular fibers must be distinct")
         if self.lattice.r != len(pts) + 1:
             raise DimensionMismatch(
                 f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {self.lattice.r}")
@@ -386,7 +438,7 @@ class FiberedMarking:
         try:
             return self.base_points.index(point) + 1
         except ValueError:
-            raise ValueError(f"{point} is not a marked base point") from None
+            raise UnmarkedPoint(f"{point} is not a marked base point") from None
 
 
 @dataclass(frozen=True)
@@ -404,17 +456,21 @@ class MoriVerdict:
 
 def verify_mori_fibration(
     lattice: BlowupLattice,
-    action: LatticeAction,
+    generators: tuple[Mat, ...],
     marking: FiberedMarking | None = None,
 ) -> MoriVerdict:
     """Decide which of the two rank conditions the invariant lattice meets.
+
+    ``generators`` generate the group and are trusted as already checked:
+    the ``generators`` of a ``LatticeAction``, or the involutions of a
+    model, validated when the model was built.
 
     Rank one with K^2 >= 1 is the del Pezzo (point) case.  Rank two is a
     conic bundle over P^1 exactly when a marking is supplied and the
     invariant lattice equals Z K + Z f on the nose, not just up to finite
     index; saturation of the kernel makes that an equality of Hermite bases.
     """
-    rank, basis = invariant_sublattice(action)
+    rank, basis = _fixed_sublattice(lattice.rank, generators)
     if rank == 1:
         if lattice.degree >= 1:
             return MoriVerdict("del_pezzo_point", rank, basis)

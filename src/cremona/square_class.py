@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CoverageViolation,
@@ -130,8 +131,9 @@ class RamificationTriplet:
         """Number of singular fibers: a_1 + a_2 + a_3 = |union|."""
         return sum(self.profile)
 
-    @property
+    @cached_property
     def support(self) -> tuple[P1Point, ...]:
+        """The union of the sets, sorted; computed once per triplet."""
         seen = set()
         for s in self.sets:
             seen.update(s)

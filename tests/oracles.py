@@ -117,7 +117,9 @@ def _mob_from_triple(src: tuple[Value, Value, Value], dst: tuple[Value, Value, V
         if free:
             vals = vals.subs({f: 1 for f in free})
         if vals.det() != 0:
-            flat = [sympy.nsimplify(x) for x in vals]
+            # the entries are exact rationals; nsimplify can turn one into a
+            # product of radical powers (8409/1651 did), so convert directly
+            flat = [sympy.Rational(x) for x in vals]
             denoms = [sympy.fraction(x)[1] for x in flat]
             scale = sympy.lcm(denoms)
             ints = [int(x * scale) for x in flat]

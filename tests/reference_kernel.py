@@ -3,13 +3,15 @@
 These copies are the reference the sparse kernel must agree with, entry
 for entry and error class for error class: the dense product through the
 transpose, the isometry check as a full ``M^T G M`` product against the
-dense Gram matrix, the Hermite form on two separate arrays, and the
-fiberwise involution assembled with ``DivisorClass`` arithmetic.
+dense Gram matrix, the Hermite form on two separate arrays, the
+fiberwise involution assembled with ``DivisorClass`` arithmetic, and the
+invariant sublattice from every stacked row of ``M - I``.
 """
 
 from __future__ import annotations
 
 from cremona import intlinalg as la
+from cremona.picard import DivisorClass
 from cremona.errors import DimensionMismatch, MovesCanonicalClass, NotIsometry
 
 
@@ -112,3 +114,16 @@ def reference_involution_matrix(marking, swapped):
             images.append(ej)
     matrix = la.transpose(la.freeze([d.coeffs for d in images]))
     return reference_validate_action(lat, matrix)
+
+
+def reference_invariant_sublattice(action):
+    n = action.lattice.rank
+    if not action.generators:
+        basis = la.identity(n)
+        return n, tuple(DivisorClass(row) for row in basis)
+    rows = []
+    for g in action.generators:
+        for i in range(n):
+            rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
+    kernel = la.kernel_basis(la.freeze(rows))
+    return len(kernel), tuple(DivisorClass(row) for row in kernel)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -22,11 +23,13 @@ from cremona import (
     is_del_pezzo_bundle,
     jonquieres_involution_matrix,
     minimality_obstruction_solver,
+    realizable_profiles,
     second_fibration_solver,
     triplet_from_profile,
     validate_triplet,
     z22_from_triplet,
 )
+from cremona import bundles, picard
 from cremona import intlinalg as la
 from cremona.bundles import HirzebruchModel
 from cremona.corpus import (
@@ -43,6 +46,8 @@ from cremona.corpus import (
 )
 from cremona.errors import (
     DegenerateConfiguration,
+    DimensionMismatch,
+    OddCardinality,
     OddDelta,
     QOnConfiguration,
     TooFew,
@@ -86,12 +91,12 @@ class TestInvolutionMatrix:
 
     def test_odd_swap_set_rejected(self):
         marking = FiberedMarking.standard(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(OddCardinality):
             involution_matrix(marking, (1, 2, 3))
 
     def test_out_of_range_rejected(self):
         marking = FiberedMarking.standard(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             involution_matrix(marking, (1, 5))
 
     def test_matches_divisor_class_reference_for_every_even_swap_set(self):
@@ -132,6 +137,64 @@ class TestZ22Model:
         lat = model.marking.lattice
         target = (lat.canonical_class.coeffs, model.marking.fiber_class.coeffs)
         assert la.spans_equal(tuple(d.coeffs for d in basis), target)
+
+
+class TestWorkCount:
+    """Each generator is checked once, by the involution check, and never again."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        counts = collections.Counter()
+        kernels = []
+        depth = [0]
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                depth[0] += 1
+                try:
+                    return f(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        real_mul, real_kernel = la.mat_mul, la.kernel_basis
+
+        def mat_mul(a, b):
+            if not depth[0]:
+                counts["product outside a check"] += 1
+            return real_mul(a, b)
+
+        def kernel_basis(m):
+            kernels.append(m)
+            return real_kernel(m)
+
+        monkeypatch.setattr(picard, "validate_action",
+                            counted("validate_action", picard.validate_action))
+        monkeypatch.setattr(bundles, "validate_involution",
+                            counted("validate_involution", bundles.validate_involution))
+        monkeypatch.setattr(la, "mat_mul", mat_mul)
+        monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+        return counts, kernels
+
+    @pytest.mark.parametrize("profile", realizable_profiles(12))
+    def test_z22_model(self, work, profile):
+        counts, kernels = work
+        model = z22_from_triplet(triplet_from_profile(profile))
+        assert counts == {"validate_involution": 3, "product outside a check": 1}
+        # one Mori kernel, on the distinct nonzero rows of sigma_1 - I, sigma_2 - I
+        (rows,) = kernels
+        assert len(rows) == len(set(rows)) <= model.k + 4
+        assert not any(la.is_zero(row) for row in rows)
+        assert model.action().generators == model.generators[:2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exceptional_model(self, work, n):
+        counts, _ = work
+        model = exceptional_from_delta([p1(j) for j in range(2 * n)])
+        assert counts["validate_involution"] == 1
+        assert counts["validate_action"] == 0
+        assert model.action().generators == (model.swap,)
 
 
 class TestFixedCurves:

@@ -191,3 +191,18 @@ def test_freeze_converts_entries_to_int():
     frozen = la.freeze([[True, 2], (3, False)])
     assert frozen == ((1, 2), (3, 0))
     assert all(type(x) is int for row in frozen for x in row)
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    n, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(2))
+    return draw(shaped(n, m)), draw(shaped(1, m))[0]
+
+
+@given(matrix_vector_pairs())
+@settings(max_examples=200)
+def test_mat_vec_matches_dense_reference(pair):
+    m, v = pair
+    column = tuple((x,) for x in v)
+    expected = tuple(row[0] for row in reference_mat_mul(m, column)) if v else (0,) * len(m)
+    assert la.mat_vec(m, v) == expected

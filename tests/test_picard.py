@@ -22,17 +22,27 @@ from cremona import (
 from cremona import intlinalg as la
 from cremona.corpus import cubic_coxeter_action, cubic_coxeter_matrix
 from cremona.errors import (
+    CremonaError,
     DimensionMismatch,
+    DuplicatePoint,
     GroupClosureCapExceeded,
     MovesCanonicalClass,
     NotClosedUnderAction,
+    NotInvolution,
     NotIsometry,
+    UnmarkedPoint,
     UnsupportedRank,
 )
-from cremona.picard import validate_action
+from cremona.bundles import involution_matrix
+from cremona.picard import validate_action, validate_involution
 
 import oracles
-from reference_kernel import reference_validate_action
+from reference_kernel import (
+    reference_invariant_sublattice,
+    reference_involution_matrix,
+    reference_mat_mul,
+    reference_validate_action,
+)
 
 
 def swap_matrix(lattice: BlowupLattice, i: int, j: int) -> tuple:
@@ -319,7 +329,7 @@ class TestFiberedMarking:
     def test_index_lookup(self):
         marking = FiberedMarking.standard(2)
         assert marking.fiber_index_of(P1Point(1, 1)) == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(UnmarkedPoint):
             marking.fiber_index_of(P1Point(5, 1))
 
     def test_component_range(self):
@@ -328,7 +338,7 @@ class TestFiberedMarking:
             marking.fiber_component(3)
 
     def test_constructor_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicatePoint):
             FiberedMarking(BlowupLattice(3), (P1Point(0, 1), P1Point(0, 1)))
         with pytest.raises(DimensionMismatch):
             FiberedMarking(BlowupLattice(3), (P1Point(0, 1),))
@@ -337,7 +347,7 @@ class TestFiberedMarking:
 class TestMoriFibration:
     def test_del_pezzo_point_case(self):
         action = cubic_coxeter_action()
-        verdict = verify_mori_fibration(action.lattice, action)
+        verdict = verify_mori_fibration(action.lattice, action.generators)
         assert verdict.is_mori()
         assert verdict.kind == "del_pezzo_point"
         assert verdict.invariant_rank == 1
@@ -348,7 +358,7 @@ class TestMoriFibration:
         marking = FiberedMarking.standard(4)
         gen = jonquieres_involution_matrix(marking).generator
         action = LatticeAction(marking.lattice, (gen,))
-        verdict = verify_mori_fibration(marking.lattice, action, marking)
+        verdict = verify_mori_fibration(marking.lattice, action.generators, marking)
         assert verdict.kind == "conic_bundle_over_p1"
         assert verdict.invariant_rank == 2
 
@@ -358,7 +368,7 @@ class TestMoriFibration:
 
         gen = jonquieres_involution_matrix(marking).generator
         action = LatticeAction(marking.lattice, (gen,))
-        verdict = verify_mori_fibration(marking.lattice, action)
+        verdict = verify_mori_fibration(marking.lattice, action.generators)
         assert verdict.kind == "not_mori"
         assert "no fibered marking" in verdict.reason
 
@@ -368,13 +378,13 @@ class TestMoriFibration:
         marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
         lat = marking.lattice
         action = LatticeAction(lat, (swap_matrix(lat, 1, 2),))
-        verdict = verify_mori_fibration(lat, action, marking)
+        verdict = verify_mori_fibration(lat, action.generators, marking)
         assert verdict.kind == "not_mori"
         assert "not Z K + Z f" in verdict.reason
 
     def test_rank_too_large(self):
         lat = BlowupLattice(2)
-        verdict = verify_mori_fibration(lat, LatticeAction.trivial(lat))
+        verdict = verify_mori_fibration(lat, LatticeAction.trivial(lat).generators)
         assert verdict.kind == "not_mori"
         assert "neither 1 nor 2" in verdict.reason
 
@@ -457,3 +467,111 @@ def test_each_perturbation_reaches_its_error(how, expected):
     for check in (validate_action, reference_validate_action):
         got = outcome(check, lat, m)
         assert got == (m if expected is None else expected)
+
+
+# the involution check (G M symmetric) against the dense M^T G M reference
+
+def dense_identity(n: int) -> tuple:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def involution_expected(lat, m):
+    """The reference verdict, with NotInvolution for a square matrix with M^2 != I."""
+    ref = outcome(reference_validate_action, lat, m)
+    if ref is DimensionMismatch:
+        return ref
+    if reference_mat_mul(m, m) != dense_identity(lat.rank):
+        return NotInvolution
+    return ref
+
+
+def involution_outcome(lat, m):
+    try:
+        return validate_involution(lat, m)
+    except CremonaError as exc:
+        return type(exc)
+
+
+@st.composite
+def involution_candidates(draw):
+    """Fiberwise involutions, Weyl reflections and words, the cubic Coxeter element."""
+    source = draw(st.sampled_from(("swap", "reflection", "word", "coxeter")))
+    if source == "swap":
+        k = draw(st.integers(min_value=0, max_value=8))
+        swapped = sorted(draw(st.sets(st.integers(min_value=1, max_value=max(k, 1)), max_size=k)))
+        marking = FiberedMarking.standard(k)
+        return marking.lattice, reference_involution_matrix(
+            marking, tuple(swapped[:len(swapped) // 2 * 2]))
+    if source == "coxeter":
+        return BlowupLattice(6), cubic_coxeter_matrix()
+    lat = BlowupLattice(draw(st.integers(min_value=2, max_value=9)))
+    word = draw(st.lists(st.integers(min_value=0, max_value=20), max_size=6))
+    if source == "word":
+        return lat, weyl_word(lat, word)
+    # the reflection in the root w(alpha) for a Weyl word w and a simple root alpha
+    alpha = draw(st.sampled_from(simple_roots(lat)))
+    root = DivisorClass(la.mat_vec(weyl_word(lat, word), alpha.coeffs))
+    return lat, reflection_matrix(lat, root)
+
+
+@given(involution_candidates(), st.sampled_from(PERTURBATIONS),
+       st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20),
+       st.sampled_from((-2, -1, 1, 2)))
+@settings(max_examples=400, deadline=None)
+def test_validate_involution_matches_reference(candidate, how, i, j, delta):
+    # every even swap set unperturbed is also checked in test_bundles, through
+    # involution_matrix against the DivisorClass reference
+    lat, m = candidate
+    m = perturb(m, how, i, j, delta)
+    assert involution_outcome(lat, m) == involution_expected(lat, m)
+
+
+@pytest.mark.parametrize("lat, m, expected", [
+    (BlowupLattice(6), cubic_coxeter_matrix(), NotInvolution),   # an isometry of order 12
+    (BlowupLattice(1), ((1, 0), (0, -1)), MovesCanonicalClass),  # E_1 -> -E_1
+    (BlowupLattice(1), ((0, 1), (1, 0)), NotIsometry),           # L <-> E_1
+    # E_1 -> E_1 + 2 E_2, E_2 -> -E_2: an involution fixing K, but (E_1 + 2 E_2)^2 = -5
+    (BlowupLattice(2), ((1, 0, 0), (0, 1, 0), (0, 2, -1)), NotIsometry),
+    (BlowupLattice(1), ((1, 0), (0, 1), (0, 0)), DimensionMismatch),
+])
+def test_validate_involution_errors(lat, m, expected):
+    assert involution_outcome(lat, m) is expected
+
+
+# the fixed lattice from distinct nonzero rows against every stacked row
+
+@st.composite
+def generator_sets(draw):
+    """Generators on one lattice, with identities, repeats and many zero rows of M - I."""
+    r = draw(st.integers(min_value=2, max_value=13))
+    lat = BlowupLattice(r)
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(("identity", "repeat", "word", "fiberwise")))
+        if kind == "identity":
+            gens.append(la.identity(lat.rank))
+        elif kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "fiberwise":
+            # a fiberwise involution fixes every fiber component it does not swap
+            swapped = sorted(draw(st.sets(st.integers(min_value=1, max_value=r - 1))))
+            marking = FiberedMarking.standard(r - 1)
+            gens.append(involution_matrix(marking, tuple(swapped[:len(swapped) // 2 * 2])))
+        else:
+            gens.append(weyl_word(lat, draw(st.lists(st.integers(min_value=0, max_value=20),
+                                                     max_size=4))))
+    return LatticeAction(lat, tuple(gens))
+
+
+@given(generator_sets())
+@settings(max_examples=200, deadline=None)
+def test_invariant_sublattice_matches_stacked_rows_reference(action):
+    assert invariant_sublattice(action) == reference_invariant_sublattice(action)
+
+
+def test_invariant_sublattice_of_identities_is_everything():
+    lat = BlowupLattice(4)
+    ident = la.identity(lat.rank)
+    action = LatticeAction(lat, (ident, ident))
+    assert invariant_sublattice(action) == reference_invariant_sublattice(action)
+    assert invariant_sublattice(action)[0] == lat.rank
