@@ -1,4 +1,4 @@
-"""Conic-bundle models: Klein-four actions, exceptional bundles, Hirzebruch surfaces.
+"""Conic-bundle models: Klein-four actions and exceptional bundles.
 
 The central object is a rational surface fibered in conics over P^1,
 presented by its fibered Picard marking (see ``picard.FiberedMarking``)
@@ -50,6 +50,8 @@ from .errors import (
     OddDelta,
     QOnConfiguration,
     TooFew,
+    TooSmall,
+    UnsupportedOrbitSize,
     require,
 )
 from .geometry import (
@@ -79,33 +81,6 @@ from .square_class import (
     canonical_delta_and_stabilizer,
     validate_triplet,
 )
-
-# ---------------------------------------------------------------------------
-# Hirzebruch surfaces (the rank-2 models without singular fibers)
-
-
-@dataclass(frozen=True)
-class HirzebruchModel:
-    """The surface F_n with its ruling; automorphisms never mix the data.
-
-    ``structure_tag`` is the symbolic shape of the automorphism group,
-    a vector-group extension of GL_2 / mu_n.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("Hirzebruch index must be >= 0")
-
-    @property
-    def structure_tag(self) -> str:
-        return f"C^{self.n + 1} : (GL(2,C)/mu_{self.n})"
-
-    @property
-    def k_squared(self) -> int:
-        return 8
-
 
 # ---------------------------------------------------------------------------
 # fiberwise involutions on a marked lattice
@@ -291,7 +266,7 @@ def fixed_curve_class(model: Z22BundleModel, i: int) -> FixedCurve:
     and the self-intersection is ``4 a_i - k``.
     """
     if not 1 <= i <= 3:
-        raise ValueError("involution index must be 1, 2 or 3")
+        raise DimensionMismatch(f"involution index must be 1, 2 or 3, got {i}")
     a_i = model.profile[i - 1]
     lat = model.marking.lattice
     divisor = -lat.canonical_class + (a_i - 2) * model.marking.fiber_class
@@ -323,8 +298,10 @@ def del_pezzo_verdict_for_profile(
     triangle inequality a_3 <= a_1 + a_2; the rule below does not need it).
     """
     a = tuple(sorted(profile))
-    if len(a) != 3 or a[0] < 1:
-        raise ValueError(f"profile must be three half-sizes >= 1, got {profile}")
+    if len(a) != 3:
+        raise DimensionMismatch(f"a profile has three half-sizes, got {profile}")
+    if a[0] < 1:
+        raise TooSmall(f"every half-size of a profile is at least 1, got {profile}")
     k = sum(a)
     if k >= 8:
         return DelPezzoVerdict("no", f"K^2 = {8 - k} <= 0")
@@ -548,7 +525,7 @@ class JonquieresInvolution(NamedTuple):
 def jonquieres_involution_matrix(marking: FiberedMarking) -> JonquieresInvolution:
     """The fiberwise involution swapping all four singular fibers (a = 2)."""
     if marking.k != 4:
-        raise ValueError(f"this involution lives on a four-fiber marking, got k={marking.k}")
+        raise DimensionMismatch(f"this involution lives on a four-fiber marking, got k={marking.k}")
     gen = involution_matrix(marking, (1, 2, 3, 4))
     n = marking.lattice.rank
     order = [1, 2, 3, 4, 5, 0]
@@ -673,7 +650,7 @@ _ALLOWED_ORBITS = (1, 2, 4)
 
 
 def minimality_obstruction_solver(
-    k: int | None = None, orbit_sizes=(1, 2, 4)
+    k: int | None = None, orbit_sizes=_ALLOWED_ORBITS
 ) -> tuple[ObstructionSolution, ...]:
     """Solve the contraction constraints, optionally filtered to one bundle.
 
@@ -683,7 +660,7 @@ def minimality_obstruction_solver(
     """
     for l in orbit_sizes:
         if l not in _ALLOWED_ORBITS:
-            raise ValueError(f"orbit sizes must be among {_ALLOWED_ORBITS}, got {l}")
+            raise UnsupportedOrbitSize(f"orbit sizes must be among {_ALLOWED_ORBITS}, got {l}")
     out = []
     for l in sorted(set(orbit_sizes)):
         for a in range(-l, 0):

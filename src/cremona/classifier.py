@@ -27,7 +27,7 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import InvalidDescriptor, NotAMoriFibration, NotApplicable, require
+from .errors import InvalidDescriptor, NotAMoriFibration, require
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import triplet_canonical_form
 
@@ -150,6 +150,15 @@ def _family_step(n: int) -> ChainStep:
     return ChainStep("maximal-family", f"family {n}")
 
 
+def _contract_to_plane() -> Verdict:
+    """F_1 and the degree-8 del Pezzo surface: the plane, family 1, remains."""
+    return _not_maximal(
+        ChainStep("contract-orbit",
+                  "contract the exceptional section; the plane remains", 9),
+        _family_step(1),
+    )
+
+
 # canonical invariants -------------------------------------------------------
 
 
@@ -189,11 +198,7 @@ def _classify_hirzebruch(d: HirzebruchDescriptor) -> Verdict:
     if d.n >= 2:
         return _maximal(4, {"n": d.n})
     if d.n == 1:
-        return _not_maximal(
-            ChainStep("contract-orbit",
-                      "contract the exceptional section; the plane remains", 9),
-            _family_step(1),
-        )
+        return _contract_to_plane()
     # n = 0 is the quadric with both rulings
     return _maximal(2, "point")
 
@@ -275,11 +280,7 @@ def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
     if deg == 8:
         if d.p1xp1:
             return _maximal(2, "point")
-        return _not_maximal(
-            ChainStep("contract-orbit",
-                      "contract the exceptional section; the plane remains", 9),
-            _family_step(1),
-        )
+        return _contract_to_plane()
     if deg == 7:
         return _not_maximal(
             ChainStep("contract-orbit",
@@ -350,19 +351,6 @@ def classify(d: GSurfaceDescriptor) -> Verdict:
     if isinstance(d, DelPezzoDescriptor):
         return _classify_del_pezzo(d)
     raise InvalidDescriptor(f"not a surface descriptor: {d!r}")
-
-
-def conjugacy_invariant(v: Verdict) -> dict:
-    """The canonical datum separating conjugacy classes within a family.
-
-    Only maximal verdicts carry one.  Equal data means conjugate over Q
-    for the families with point or integer data; for families 5, 8 and 11
-    the canonical forms are computed over Q, so distinct data may still be
-    conjugate over an extension (documented caveat).
-    """
-    if v.outcome != "maximal":
-        raise NotApplicable(f"no conjugacy invariant for outcome {v.outcome!r}")
-    return {"family": v.family, "datum": v.invariant}
 
 
 # link feasibility -----------------------------------------------------------

@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 
-from . import jsonio, suites
+from . import jsonio
 from .bundles import (
     build_from_four_lines,
     build_from_three_lines_conic,
@@ -150,6 +150,9 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # only verify needs the suites and the worked corpus they run on
+    from . import suites
+
     if args.suite not in suites.suite_names():
         log.error("unknown suite %r; choose from %s", args.suite, ", ".join(suites.suite_names()))
         return EXIT_INVALID_INPUT

@@ -30,8 +30,8 @@ class IntegerTooLong(CremonaError):
 # exact projective geometry ------------------------------------------------
 
 class TooManyPoints(CremonaError):
-    """More points than a computation accepts (general position caps at 8,
-    canonical forms and stabilizers at ``square_class.MAX_CANONICAL_POINTS``)."""
+    """More points than canonical forms and stabilizers accept
+    (``square_class.MAX_CANONICAL_POINTS``)."""
 
 
 class DuplicatePoint(CremonaError):
@@ -57,7 +57,7 @@ class LineInConic(CremonaError):
 # Picard lattices -----------------------------------------------------------
 
 class DimensionMismatch(CremonaError):
-    """A divisor vector has the wrong length for the lattice."""
+    """A vector, matrix or index does not fit the lattice, map or range it is for."""
 
 
 class NonIntegralGenus(CremonaError):
@@ -82,10 +82,6 @@ class NotInvolution(CremonaError):
 
 class UnmarkedPoint(CremonaError):
     """A point of P^1 is not a base point of the fibered marking."""
-
-
-class GroupClosureCapExceeded(CremonaError):
-    """Closing the generator set under products passed the element cap."""
 
 
 class NotClosedUnderAction(CremonaError):
@@ -121,7 +117,8 @@ class TooFew(CremonaError):
 
 
 class DegenerateConfiguration(CremonaError):
-    """Input curves violate the transversality the construction needs."""
+    """Input geometry is degenerate: all-zero coordinates, a singular Moebius
+    matrix, or curves that violate the transversality a construction needs."""
 
 
 class QOnConfiguration(CremonaError):
@@ -132,6 +129,10 @@ class AlignmentViolation(CremonaError):
     """Two blown-up points project to the same fiber, or to the reference fiber."""
 
 
+class UnsupportedOrbitSize(CremonaError):
+    """An orbit size of the Klein four-group other than 1, 2 or 4."""
+
+
 # classifier -----------------------------------------------------------------
 
 class InvalidDescriptor(CremonaError):
@@ -140,10 +141,6 @@ class InvalidDescriptor(CremonaError):
 
 class InvalidCertificate(InvalidDescriptor):
     """A realization certificate does not fit the model it is attached to."""
-
-
-class NotApplicable(CremonaError):
-    """The requested invariant is undefined for this verdict."""
 
 
 class NotAMoriFibration(CremonaError):

@@ -19,7 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,19 +26,18 @@ from fractions import Fraction
 from .errors import (
     DegenerateConfiguration,
     DegenerateTriple,
-    DuplicatePoint,
+    DimensionMismatch,
     InvariantViolation,
     LineInConic,
     NonRationalIntersection,
     SamePoint,
-    TooManyPoints,
 )
 from .intlinalg import Mat, det, freeze
 
 
 def _reduced(coords: tuple[int, ...], what: str) -> tuple[int, ...]:
     if all(c == 0 for c in coords):
-        raise ValueError(f"all coordinates of a {what} are zero")
+        raise DegenerateConfiguration(f"all coordinates of a {what} are zero")
     g = math.gcd(*coords)
     coords = tuple(c // g for c in coords)
     first = next(c for c in coords if c != 0)
@@ -68,9 +66,6 @@ class P1Point:
     @classmethod
     def infinity(cls) -> "P1Point":
         return cls(1, 0)
-
-    def is_infinity(self) -> bool:
-        return self.b == 0
 
     def value(self) -> Fraction | None:
         """The affine value ``a/b``, or None for the point at infinity."""
@@ -173,16 +168,6 @@ def are_collinear(p: P2Point, q: P2Point, r: P2Point) -> bool:
 
 # conics ---------------------------------------------------------------------
 
-#: exponent triples for the ten cubic monomials, fixed once for all
-#: vanishing/singularity matrices built below
-_CUBIC_EXPONENTS: tuple[tuple[int, int, int], ...] = (
-    (3, 0, 0), (0, 3, 0), (0, 0, 3),
-    (2, 1, 0), (2, 0, 1), (1, 2, 0),
-    (0, 2, 1), (1, 0, 2), (0, 1, 2),
-    (1, 1, 1),
-)
-
-
 @dataclass(frozen=True)
 class Conic:
     """A plane conic with integer coefficients ``(xx, yy, zz, xy, xz, yz)``."""
@@ -226,65 +211,6 @@ class Conic:
         return det(m) != 0
 
 
-def _conic_row(x: int, y: int, z: int) -> tuple[int, ...]:
-    return (x * x, y * y, z * z, x * y, x * z, y * z)
-
-
-def _cubic_row(x: int, y: int, z: int) -> tuple[int, ...]:
-    return tuple(x**i * y**j * z**k for i, j, k in _CUBIC_EXPONENTS)
-
-
-def _cubic_gradient_rows(x: int, y: int, z: int) -> list[tuple[int, ...]]:
-    def partial(axis: int) -> tuple[int, ...]:
-        out = []
-        for exps in _CUBIC_EXPONENTS:
-            e = exps[axis]
-            if e == 0:
-                out.append(0)
-                continue
-            shifted = list(exps)
-            shifted[axis] -= 1
-            i, j, k = shifted
-            out.append(e * x**i * y**j * z**k)
-        return tuple(out)
-
-    return [partial(0), partial(1), partial(2)]
-
-
-def is_general_position(points: list[P2Point] | tuple[P2Point, ...]) -> bool:
-    """Whether up to 8 plane points are in general position.
-
-    General position means: no three collinear, no six on a conic, and no
-    eight on a cubic that is singular at one of them.  Each condition is a
-    rank check on an exact integer matrix of monomial values, so there is
-    no tolerance anywhere.
-    """
-    pts = list(points)
-    if len(pts) > 8:
-        raise TooManyPoints(f"general position is only defined here for <= 8 points, got {len(pts)}")
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoint("repeated point in general-position test")
-    for p, q, r in itertools.combinations(pts, 3):
-        if are_collinear(p, q, r):
-            return False
-    if len(pts) >= 6:
-        for sub in itertools.combinations(pts, 6):
-            m = freeze([_conic_row(*p.coords()) for p in sub])
-            if det(m) == 0:
-                return False
-    if len(pts) == 8:
-        # A cubic through all eight, singular at the chosen one, is a
-        # nonzero kernel vector of the 10 x 10 system below.
-        for singular_at in pts:
-            # 7 vanishing rows + 3 gradient rows; vanishing at the singular
-            # point itself follows from the gradient by Euler's relation.
-            rows = [_cubic_row(*p.coords()) for p in pts if p != singular_at]
-            rows.extend(_cubic_gradient_rows(*singular_at.coords()))
-            if det(freeze(rows)) == 0:
-                return False
-    return True
-
-
 # Moebius transformations ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -300,11 +226,11 @@ class Mobius:
     def __post_init__(self) -> None:
         rows = freeze(self.matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("a Moebius map needs a 2 x 2 matrix")
+            raise DimensionMismatch("a Moebius map needs a 2 x 2 matrix")
         flat = _reduced(rows[0] + rows[1], "Moebius map")
         m = ((flat[0], flat[1]), (flat[2], flat[3]))
         if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
-            raise ValueError("singular matrix does not define a Moebius map")
+            raise DegenerateConfiguration("singular matrix does not define a Moebius map")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -316,9 +242,6 @@ class Mobius:
         """The map ``t -> (a t + b) / (c t + d)``."""
         return cls(((a, b), (c, d)))
 
-    def is_identity(self) -> bool:
-        return self.matrix == ((1, 0), (0, 1))
-
     def apply(self, p: P1Point) -> P1Point:
         (m00, m01), (m10, m11) = self.matrix
         return P1Point(m00 * p.a + m01 * p.b, m10 * p.a + m11 * p.b)
@@ -329,13 +252,6 @@ class Mobius:
         (e, f), (g, h) = other.matrix
         return Mobius(((a * e + b * g, a * f + b * h),
                        (c * e + d * g, c * f + d * h)))
-
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return self.compose(other)
-
-    def inverse(self) -> "Mobius":
-        (a, b), (c, d) = self.matrix
-        return Mobius(((d, -b), (-c, a)))
 
     def sort_key(self) -> tuple[int, ...]:
         return self.matrix[0] + self.matrix[1]

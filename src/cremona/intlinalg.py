@@ -19,6 +19,8 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 
+from .errors import DimensionMismatch
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
@@ -63,7 +65,7 @@ def det(m: Mat) -> int:
     if n == 0:
         return 1
     if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
+        raise DimensionMismatch("determinant of a non-square matrix")
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -162,23 +164,6 @@ def kernel_basis(m: Mat) -> Mat:
     h, u = hermite_row_form(transpose(m))
     raw = tuple(urow for urow, hrow in zip(u, h) if is_zero(hrow))
     return hnf_basis(raw)
-
-
-def hnf_contains(hnf_rows: Mat, v: Vec) -> bool:
-    """Membership of ``v`` in the row span, given a basis in HNF shape."""
-    w = list(v)
-    for row in hnf_rows:
-        p = next((c for c, x in enumerate(row) if x != 0), None)
-        if p is None:
-            continue
-        if w[p] == 0:
-            continue
-        q, r = divmod(w[p], row[p])
-        if r != 0:
-            return False
-        for c in range(len(w)):
-            w[c] -= q * row[c]
-    return is_zero(w)
 
 
 def spans_equal(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:

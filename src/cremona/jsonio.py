@@ -30,7 +30,7 @@ from .classifier import (
     Z22Descriptor,
 )
 from .errors import InvalidDescriptor
-from .geometry import Conic, Line, Mobius, P1Point, P2Point
+from .geometry import Conic, Line, P1Point, P2Point
 from .picard import BlowupLattice, DivisorClass, LatticeAction
 from .square_class import RamificationTriplet, validate_triplet
 
@@ -128,13 +128,6 @@ def parse_conic(v, where: str) -> Conic:
         raise _fail(where, f"unknown conic keys {unknown}")
     coeffs = tuple(expect_int(obj.get(k, 0), f"{where}.{k}") for k in _CONIC_KEYS)
     return Conic(*coeffs)
-
-
-def parse_mobius(v, where: str) -> Mobius:
-    rows = expect_list(v, where, 2)
-    a, b = (expect_int(x, f"{where}[0][{i}]") for i, x in enumerate(expect_list(rows[0], f"{where}[0]", 2)))
-    c, d = (expect_int(x, f"{where}[1][{i}]") for i, x in enumerate(expect_list(rows[1], f"{where}[1]", 2)))
-    return Mobius.from_coeffs(a, b, c, d)
 
 
 def point_pair(p: P1Point) -> list[int]:

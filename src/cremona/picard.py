@@ -32,13 +32,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import intlinalg as la
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
-    GroupClosureCapExceeded,
     MovesCanonicalClass,
     NonIntegralGenus,
     NotClosedUnderAction,
@@ -264,7 +262,6 @@ class LatticeAction:
 
     lattice: BlowupLattice
     generators: tuple[Mat, ...]
-    closure_cap: int = 100_000
 
     def __post_init__(self) -> None:
         gens = tuple(validate_action(self.lattice, g) for g in self.generators)
@@ -273,29 +270,6 @@ class LatticeAction:
     @classmethod
     def trivial(cls, lattice: BlowupLattice) -> "LatticeAction":
         return cls(lattice, ())
-
-    @cached_property
-    def elements(self) -> tuple[Mat, ...]:
-        """Every element of the generated group, by breadth-first closure."""
-        ident = la.identity(self.lattice.rank)
-        seen: dict[Mat, None] = {ident: None}
-        frontier = [ident]
-        while frontier:
-            nxt: list[Mat] = []
-            for m in frontier:
-                for g in self.generators:
-                    prod = la.mat_mul(g, m)
-                    if prod not in seen:
-                        if len(seen) >= self.closure_cap:
-                            raise GroupClosureCapExceeded(
-                                f"group closure exceeded {self.closure_cap} elements")
-                        seen[prod] = None
-                        nxt.append(prod)
-            frontier = nxt
-        return tuple(seen)
-
-    def order(self) -> int:
-        return len(self.elements)
 
     def apply(self, matrix: Mat, d: DivisorClass) -> DivisorClass:
         return DivisorClass(la.mat_vec(matrix, _check_vector(self.lattice, d)))
@@ -450,9 +424,6 @@ class MoriVerdict:
     invariant_basis: tuple[DivisorClass, ...]
     reason: str | None = None
 
-    def is_mori(self) -> bool:
-        return self.kind != "not_mori"
-
 
 def verify_mori_fibration(
     lattice: BlowupLattice,
@@ -469,6 +440,7 @@ def verify_mori_fibration(
     conic bundle over P^1 exactly when a marking is supplied and the
     invariant lattice equals Z K + Z f on the nose, not just up to finite
     index; saturation of the kernel makes that an equality of Hermite bases.
+    The kernel basis already is in Hermite form, so only Z K + Z f is reduced.
     """
     rank, basis = _fixed_sublattice(lattice.rank, generators)
     if rank == 1:
@@ -486,7 +458,7 @@ def verify_mori_fibration(
             lattice.canonical_class.coeffs,
             marking.fiber_class.coeffs,
         )
-        if la.spans_equal(tuple(d.coeffs for d in basis), target):
+        if tuple(d.coeffs for d in basis) == la.hnf_basis(target):
             return MoriVerdict("conic_bundle_over_p1", rank, basis)
         return MoriVerdict(
             "not_mori", rank, basis,

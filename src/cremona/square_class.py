@@ -1,12 +1,9 @@
-"""Square classes of rational functions on P^1 and ramification data.
+"""Ramification data of Klein-four actions on conic bundles over P^1.
 
 A square-free rational function on P^1, up to squares and scalars, is
-determined by its even set of zeros-and-poles of odd order.  We therefore
-represent a square class as a finite even-cardinality set of points of
-P^1; multiplication of classes is symmetric difference of supports.  The
-class of the determinant of a 2-torsion element of PGL(2, Q(x)) is a
-conjugacy invariant, and two involutions are conjugate exactly when the
-classes agree.
+determined by its even set of zeros-and-poles of odd order, and
+multiplying two such classes takes the symmetric difference of their
+supports.  An involution of a conic bundle ramifies over such a set.
 
 A ramification triplet is the combinatorial core of an action of the
 Klein four-group on a conic bundle: three branch sets A_1, A_2, A_3 in
@@ -53,55 +50,6 @@ def _sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
 
 def _set_key(pts: tuple[P1Point, ...]) -> tuple:
     return (len(pts),) + tuple(p.sort_key() for p in pts)
-
-
-@dataclass(frozen=True)
-class SquareClass:
-    """A square class, stored as its sorted even support set."""
-
-    support: tuple[P1Point, ...]
-
-    def __post_init__(self) -> None:
-        pts = _sorted_distinct(self.support, "a square class support")
-        if len(pts) % 2 != 0:
-            raise OddCardinality(f"square class support must have even size, got {len(pts)}")
-        object.__setattr__(self, "support", pts)
-
-    @classmethod
-    def identity(cls) -> "SquareClass":
-        return cls(())
-
-    def is_trivial(self) -> bool:
-        return not self.support
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        sym = set(self.support) ^ set(other.support)
-        return SquareClass(tuple(sym))
-
-    def __repr__(self) -> str:
-        return f"SquareClass{list(self.support)}"
-
-
-def square_class_of(points) -> SquareClass:
-    """The square class with the given support (an even set of points)."""
-    return SquareClass(tuple(points))
-
-
-def multiply(c1: SquareClass, c2: SquareClass) -> SquareClass:
-    """Product of square classes: symmetric difference of supports."""
-    return c1 * c2
-
-
-@dataclass(frozen=True)
-class InvolutionRep:
-    """An involution presented by its determinant square class."""
-
-    determinant_class: SquareClass
-
-
-def involutions_conjugate(s: InvolutionRep, t: InvolutionRep) -> bool:
-    """Conjugacy holds exactly when the determinant classes coincide."""
-    return s.determinant_class == t.determinant_class
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Named invariant suites behind ``cremona verify``.
 
-Each suite is a sequence of (name, thunk) checks that raise on violation;
-``run_suite`` executes them all and reports per-check status.  The checks
-re-assert the structural invariants of one module on the worked corpus
-instances; they are a fast health check, not the full test suite.
+Each suite is a tuple of rows ``(check name, computed, frozen)``: two
+thunks, one computing a value from the worked corpus instances and one
+giving the value it must equal.  ``run_suite`` is the only comparison:
+a mismatch is reported as an InvariantViolation naming both values, and
+an exception from either thunk is reported by its class and message.
+The suites are a fast health check under ``python -O``, not the full
+test suite.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .geometry import (
     P1Point,
     P2Point,
     intersect_line_conic,
-    is_general_position,
     line_through,
     mobius_from_triples,
     project_from,
@@ -42,255 +44,132 @@ from .picard import (
 )
 from .square_class import (
     realizable_profiles,
-    square_class_of,
     stabilizer,
     triplet_canonical_form,
     triplet_from_profile,
 )
 
-Check = tuple[str, Callable[[], None]]
+Row = tuple[str, Callable[[], object], Callable[[], object]]
+
+_SRC = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
+_DST = (P1Point(2, 1), P1Point(3, 1), P1Point(5, 7))
 
 
-# geometry ---------------------------------------------------------------------
+def _mobius_round_trip():
+    m = mobius_from_triples(_SRC, _DST)
+    return tuple(map(m.apply, _SRC)), mobius_from_triples(_DST, _SRC).compose(m)
 
 
-def _check_mobius_round_trip() -> None:
-    src = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
-    dst = (P1Point(2, 1), P1Point(3, 1), P1Point(5, 7))
-    m = mobius_from_triples(src, dst)
-    inv = m.inverse()
-    for p, q in zip(src, dst):
-        require(m.apply(p) == q, f"map should send {p} to {q}")
-        require(inv.apply(q) == p, f"inverse should send {q} back to {p}")
-    require((inv @ m).is_identity(), "inverse composed with map is the identity")
-
-
-def _check_projection() -> None:
-    center = P2Point(0, 0, 1)
-    p = project_from(center, P2Point(3, 6, 11))
-    require(p == P1Point(1, 2), f"projection from (0:0:1) failed: {p}")
-
-
-def _check_line_conic() -> None:
-    conic = corpus.THREE_LINES_CONIC
-    line = line_through(P2Point(0, 0, 1), P2Point(1, 1, 1))
-    pts = intersect_line_conic(line, conic)
-    require(len(pts) == 2 and P2Point(0, 0, 1) in pts and P2Point(1, 1, 1) in pts,
-             f"x^2 = yz meets the chord in {pts}")
-
-
-def _check_general_position() -> None:
-    good = (P2Point(1, 0, 0), P2Point(0, 1, 0), P2Point(0, 0, 1),
-            P2Point(1, 1, 1), P2Point(1, 2, 3))
-    require(is_general_position(good), "standard five points are general")
-    collinear = (P2Point(0, 0, 1), P2Point(1, 0, 1), P2Point(2, 0, 1))
-    require(not is_general_position(collinear), "a collinear triple is not general")
-
-
-GEOMETRY_CHECKS: tuple[Check, ...] = (
-    ("mobius-round-trip", _check_mobius_round_trip),
-    ("projection-from-center", _check_projection),
-    ("line-conic-intersection", _check_line_conic),
-    ("general-position", _check_general_position),
-)
-
-
-# picard -----------------------------------------------------------------------
-
-_SMALL_RANK_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27}
-
-
-def _check_minus_one_counts() -> None:
-    for r, expected in _SMALL_RANK_COUNTS.items():
-        got = len(enumerate_minus_one_classes(BlowupLattice(r)))
-        require(got == expected, f"r={r}: expected {expected} classes, got {got}")
-
-
-def _check_adjunction() -> None:
+def _cubic_genera():
     lat = BlowupLattice(6)
-    require(adjunction_genus(lat, -lat.canonical_class) == 1,
-             "the anticanonical class of a cubic has genus 1")
-    require(adjunction_genus(lat, lat.line_class()) == 0, "a line has genus 0")
+    return adjunction_genus(lat, -lat.canonical_class), adjunction_genus(lat, lat.line_class())
 
 
-def _check_jonquieres() -> None:
+def _jonquieres():
     marking = FiberedMarking.standard(4)
-    inv = jonquieres_involution_matrix(marking)
-    ident = la.identity(6)
-    require(la.mat_mul(inv.generator, inv.generator) == ident,
-             "the de Jonquieres matrix is an involution")
-    action = LatticeAction(marking.lattice, (inv.generator,))
-    rank, _basis = invariant_sublattice(action)
-    require(rank == 2, f"invariant rank should be 2, got {rank}")
+    g = jonquieres_involution_matrix(marking).generator
+    return la.mat_mul(g, g), invariant_sublattice(LatticeAction(marking.lattice, (g,)))[0]
 
 
-def _check_coxeter_rank_one() -> None:
-    action = corpus.cubic_coxeter_action()
-    require(action.order() == 12, "the Coxeter element has order 12")
-    rank, basis = invariant_sublattice(action)
-    require(rank == 1, f"invariant rank should be 1, got {rank}")
-    lat = action.lattice
-    require(basis[0] in (-lat.canonical_class, lat.canonical_class),
-             "the fixed line should be spanned by K")
+def _canonical_forms_per_triplet():
+    maps = (Mobius.identity(), Mobius.from_coeffs(2, 1, 0, 1),
+            Mobius.from_coeffs(0, 1, 1, 0), Mobius.from_coeffs(3, -2, 1, 4))
+    return tuple(len({triplet_canonical_form(t.transformed(m)) for m in maps})
+                 for t in (corpus.TRIPLET_K4, corpus.HALPHEN_TRIPLET))
 
 
-PICARD_CHECKS: tuple[Check, ...] = (
-    ("minus-one-counts", _check_minus_one_counts),
-    ("adjunction-genus", _check_adjunction),
-    ("jonquieres-involution", _check_jonquieres),
-    ("coxeter-rank-one", _check_coxeter_rank_one),
-)
+def _certified_instances():
+    four, three = corpus.four_lines_model(), corpus.three_lines_conic_model()
+    return (four.profile, four.certificate.pairwise_disjoint,
+            is_del_pezzo_bundle(four).kind, three.profile, is_del_pezzo_bundle(three).kind)
 
 
-# square classes ----------------------------------------------------------------
-
-
-def _check_stabilizer_orders() -> None:
-    three = (corpus.p1(0), corpus.p1(1), corpus.p1(None))
-    require(len(stabilizer(three)) == 6, "the standard triple has 6 symmetries")
-    harmonic = (corpus.p1(0), corpus.p1(None), corpus.p1(1), corpus.p1(-1))
-    require(len(stabilizer(harmonic)) == 8, "the harmonic quadruple has 8 symmetries")
-
-
-def _check_square_class_product() -> None:
-    a = square_class_of((corpus.p1(0), corpus.p1(1)))
-    b = square_class_of((corpus.p1(1), corpus.p1(2)))
-    c = square_class_of((corpus.p1(0), corpus.p1(2)))
-    require(a * b == c, "classes multiply by symmetric difference")
-    require((a * a).is_trivial(), "every class squares to the trivial one")
-
-
-def _check_canonical_invariance() -> None:
-    maps = (
-        Mobius.from_coeffs(2, 1, 0, 1),
-        Mobius.from_coeffs(0, 1, 1, 0),
-        Mobius.from_coeffs(3, -2, 1, 4),
-    )
-    for trip in (corpus.TRIPLET_K4, corpus.HALPHEN_TRIPLET):
-        base = triplet_canonical_form(trip)
-        for m in maps:
-            moved = triplet_canonical_form(trip.transformed(m))
-            require(moved == base, f"canonical form moved under {m}")
-
-
-SQUARE_CLASS_CHECKS: tuple[Check, ...] = (
-    ("stabilizer-orders", _check_stabilizer_orders),
-    ("square-class-product", _check_square_class_product),
-    ("canonical-form-invariance", _check_canonical_invariance),
-)
-
-
-# bundles ------------------------------------------------------------------------
-
-
-def _check_del_pezzo_partition() -> None:
-    for profile in realizable_profiles(8):
-        verdict = is_del_pezzo_bundle(z22_from_triplet(triplet_from_profile(profile)))
-        k = sum(profile)
-        if k <= 5:
-            expected = "yes"
-        elif k >= 8 or min(profile) == 1:
-            expected = "no"
-        else:
-            expected = "indeterminate"
-        require(verdict.kind == expected,
-                 f"profile {profile}: expected {expected}, got {verdict.kind}")
-
-
-def _check_solver_tables() -> None:
-    table = {(s.orbit_size, s.a, s.b, s.k_squared)
-             for s in minimality_obstruction_solver()}
-    expected = {(1, -1, -1, 3), (2, -1, -2, 6), (4, -1, -4, 12), (4, -2, -3, 5)}
-    require(table == expected, f"obstruction table changed: {table}")
-    fibrations = {k2: second_fibration_solver(k2) for k2 in range(1, 9)}
-    require(fibrations[8] == "p1xp1" and fibrations[4] == (1, -1)
-             and fibrations[2] == (2, -1) and fibrations[1] == (4, -1)
-             and all(fibrations[k2] is None for k2 in (3, 5, 6, 7)),
-             f"second fibration table changed: {fibrations}")
-
-
-def _check_certified_instances() -> None:
-    four = corpus.four_lines_model()
-    require(four.profile == (2, 2, 2), f"quadrilateral profile {four.profile}")
-    require(four.certificate is not None and four.certificate.pairwise_disjoint,
-             "quadrilateral certificate should give disjoint sections")
-    require(is_del_pezzo_bundle(four).kind == "no", "certified (2,2,2) is not del Pezzo")
-    three = corpus.three_lines_conic_model()
-    require(three.profile == (2, 2, 3), f"conic instance profile {three.profile}")
-    require(is_del_pezzo_bundle(three).kind == "no", "certified (2,2,3) is not del Pezzo")
-
-
-def _check_halphen() -> None:
+def _halphen():
     report = halphen_check(corpus.HALPHEN_TRIPLET)
-    require(report is not None and report.k_squared == 0 and report.genus == 1,
-             f"Halphen report wrong: {report}")
-    require(halphen_check(corpus.TRIPLET_K4) is None,
-             "only profile (2,2,4) gets a Halphen report")
+    return (report.k_squared, report.fixed_curve, report.genus,
+            halphen_check(corpus.TRIPLET_K4))
 
 
-def _check_exceptional_swap() -> None:
+def _exceptional_swap():
     model = corpus.exceptional_model()
-    rank, _basis = invariant_sublattice(model.action())
-    require(rank == 2, f"swap invariant rank should be 2, got {rank}")
-    require(len(model.aut.quotient_stabilizer) == 4,
-             "a branch set with generic cross-ratio keeps only the double "
-             "transpositions")
+    return invariant_sublattice(model.action())[0], len(model.aut.quotient_stabilizer)
 
 
-BUNDLE_CHECKS: tuple[Check, ...] = (
-    ("del-pezzo-partition", _check_del_pezzo_partition),
-    ("solver-tables", _check_solver_tables),
-    ("certified-instances", _check_certified_instances),
-    ("halphen-profile", _check_halphen),
-    ("exceptional-swap", _check_exceptional_swap),
-)
-
-
-# classifier ----------------------------------------------------------------------
-
-
-def _check_golden_families() -> None:
-    for key, descriptor in corpus.golden_maximal_descriptors().items():
-        verdict = classify(descriptor)
-        family = int(key.split("-")[1])
-        require(verdict.outcome == "maximal" and verdict.family == family,
-                 f"{key}: got {verdict.outcome} family {verdict.family}")
-
-
-def _check_golden_reductions() -> None:
+def _reduction_chains():
+    chains = {}
     for key, descriptor in corpus.golden_reduction_descriptors().items():
-        verdict = classify(descriptor)
-        require(verdict.outcome == "not_maximal", f"{key}: got {verdict.outcome}")
-        require(verdict.chain[-1].move == "maximal-family",
-                 f"{key}: chain does not land in a family")
-        degrees = [s.k_squared for s in verdict.chain if s.k_squared is not None]
-        require(all(a < b for a, b in zip(degrees, degrees[1:]))
-                 or all(a > b for a, b in zip(degrees, degrees[1:])),
-                 f"{key}: chain degrees not strictly monotone: {degrees}")
+        v = classify(descriptor)
+        chains[key] = (v.outcome,) + tuple(
+            s.detail if s.k_squared is None else s.k_squared for s in v.chain)
+    return chains
 
 
-def _check_indeterminate_path() -> None:
-    bare = z22_from_triplet(corpus.four_lines_model().triplet)
-    verdict = classify(Z22Descriptor(bare))
-    require(verdict.outcome == "indeterminate", f"got {verdict.outcome}")
-
-
-CLASSIFIER_CHECKS: tuple[Check, ...] = (
-    ("golden-families", _check_golden_families),
-    ("golden-reductions", _check_golden_reductions),
-    ("indeterminate-path", _check_indeterminate_path),
-)
-
-
-SUITES: dict[str, tuple[Check, ...]] = {
-    "geometry": GEOMETRY_CHECKS,
-    "picard": PICARD_CHECKS,
-    "square-class": SQUARE_CLASS_CHECKS,
-    "bundles": BUNDLE_CHECKS,
-    "classifier": CLASSIFIER_CHECKS,
+SUITES: dict[str, tuple[Row, ...]] = {
+    "geometry": (
+        ("mobius-round-trip", _mobius_round_trip, lambda: (_DST, Mobius.identity())),
+        ("projection-from-center",
+         lambda: project_from(P2Point(0, 0, 1), P2Point(3, 6, 11)),
+         lambda: P1Point(1, 2)),
+        ("line-conic-intersection",
+         lambda: intersect_line_conic(line_through(P2Point(0, 0, 1), P2Point(1, 1, 1)),
+                                      corpus.THREE_LINES_CONIC),
+         lambda: (P2Point(0, 0, 1), P2Point(1, 1, 1))),
+    ),
+    "picard": (
+        ("minus-one-counts",
+         lambda: tuple(len(enumerate_minus_one_classes(BlowupLattice(r))) for r in range(1, 7)),
+         lambda: (1, 3, 6, 10, 16, 27)),
+        ("adjunction-genus", _cubic_genera, lambda: (1, 0)),
+        ("jonquieres-involution", _jonquieres, lambda: (la.identity(6), 2)),
+        ("coxeter-rank-one",
+         lambda: invariant_sublattice(corpus.cubic_coxeter_action()),
+         lambda: (1, (-BlowupLattice(6).canonical_class,))),
+    ),
+    "square-class": (
+        ("stabilizer-orders",
+         lambda: (len(stabilizer((corpus.p1(0), corpus.p1(1), corpus.p1(None)))),
+                  len(stabilizer((corpus.p1(0), corpus.p1(None), corpus.p1(1), corpus.p1(-1))))),
+         lambda: (6, 8)),
+        ("canonical-form-invariance", _canonical_forms_per_triplet, lambda: (1, 1)),
+    ),
+    "bundles": (
+        ("del-pezzo-partition",
+         lambda: {p: is_del_pezzo_bundle(z22_from_triplet(triplet_from_profile(p))).kind
+                  for p in realizable_profiles(8)},
+         lambda: (dict.fromkeys([(1, 1, 1), (1, 1, 2), (1, 2, 2)], "yes")
+                  | dict.fromkeys([(2, 2, 2), (2, 2, 3)], "indeterminate")
+                  | dict.fromkeys([(1, 2, 3), (1, 3, 3), (1, 3, 4), (2, 2, 4), (2, 3, 3)], "no"))),
+        ("solver-tables",
+         lambda: ({tuple(s) for s in minimality_obstruction_solver()},
+                  tuple(second_fibration_solver(k2) for k2 in range(1, 9))),
+         lambda: ({(1, -1, -1, 3), (2, -1, -2, 6), (4, -1, -4, 12), (4, -2, -3, 5)},
+                  ((4, -1), (2, -1), None, (1, -1), None, None, None, "p1xp1"))),
+        ("certified-instances", _certified_instances,
+         lambda: ((2, 2, 2), True, "no", (2, 2, 3), "no")),
+        ("halphen-profile", _halphen,
+         lambda: (0, -BlowupLattice(9).canonical_class, 1, None)),
+        ("exceptional-swap", _exceptional_swap, lambda: (2, 4)),
+    ),
+    "classifier": (
+        ("golden-families",
+         lambda: tuple((v.outcome, v.family) for v in
+                       map(classify, corpus.golden_maximal_descriptors().values())),
+         lambda: tuple(("maximal", family) for family in range(1, 12))),
+        ("golden-reductions", _reduction_chains,
+         lambda: {
+             "reduce-hirzebruch-1": ("not_maximal", 9, "family 1"),
+             "reduce-degree-7": ("not_maximal", 8, "family 2"),
+             "reduce-degree-8": ("not_maximal", 9, "family 1"),
+             "reduce-cubic-extra-fixed-point": ("not_maximal", 2, 1, "family 10"),
+             "reduce-degree-2-no-row": ("not_maximal", 1, "family 10"),
+             "reduce-exceptional-two-fibers": ("not_maximal", 6, "family 3"),
+         }),
+        ("indeterminate-path",
+         lambda: classify(Z22Descriptor(z22_from_triplet(corpus.four_lines_model().triplet))).outcome,
+         lambda: "indeterminate"),
+    ),
 }
-SUITES["all"] = tuple(c for name in ("geometry", "picard", "square-class",
-                                     "bundles", "classifier") for c in SUITES[name])
+SUITES["all"] = tuple(row for rows in SUITES.values() for row in rows)
 
 
 def suite_names() -> tuple[str, ...]:
@@ -298,17 +177,19 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str) -> list[tuple[str, str | None]]:
-    """Run every check of the named suite; returns (check, error) pairs.
+    """Run every row of the named suite; returns (check, error) pairs.
 
-    The error slot is None on success and the stringified exception on
-    failure; unknown names raise KeyError for the caller to map.
+    The error slot is None when the computed value equals the frozen one,
+    and the exception's class and message otherwise; unknown names raise
+    KeyError for the caller to map.
     """
     results = []
-    for check_name, thunk in SUITES[name]:
+    for check, computed, frozen in SUITES[name]:
         try:
-            thunk()
+            got, expected = computed(), frozen()
+            require(got == expected, f"expected {expected!r}, got {got!r}")
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            results.append((check_name, f"{type(exc).__name__}: {exc}"))
+            results.append((check, f"{type(exc).__name__}: {exc}"))
         else:
-            results.append((check_name, None))
+            results.append((check, None))
     return results

@@ -5,7 +5,8 @@ for entry and error class for error class: the dense product through the
 transpose, the isometry check as a full ``M^T G M`` product against the
 dense Gram matrix, the Hermite form on two separate arrays, the
 fiberwise involution assembled with ``DivisorClass`` arithmetic, and the
-invariant sublattice from every stacked row of ``M - I``.
+invariant sublattice from every stacked row of ``M - I``.  The group order
+of an action comes from a breadth-first closure under the generators.
 """
 
 from __future__ import annotations
@@ -127,3 +128,15 @@ def reference_invariant_sublattice(action):
             rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
     kernel = la.kernel_basis(la.freeze(rows))
     return len(kernel), tuple(DivisorClass(row) for row in kernel)
+
+
+def reference_group_order(action):
+    """The order of the group the generators of ``action`` generate."""
+    ident = la.identity(action.lattice.rank)
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        frontier = [p for p in {la.mat_mul(g, m) for m in frontier for g in action.generators}
+                    if p not in seen]
+        seen.update(frontier)
+    return len(seen)

@@ -14,7 +14,6 @@ from cremona import (
     OFF_EXCEPTIONAL,
     Z22Descriptor,
     classify,
-    conjugacy_invariant,
     exceptional_from_delta,
     link_feasibility,
     reflection_matrix,
@@ -28,7 +27,7 @@ from cremona.corpus import (
     golden_reduction_descriptors,
     p1,
 )
-from cremona.errors import InvalidDescriptor, NotAMoriFibration, NotApplicable
+from cremona.errors import InvalidDescriptor, NotAMoriFibration
 
 
 def non_minimal_cubic_action() -> LatticeAction:
@@ -278,15 +277,13 @@ class TestDescriptorValidation:
 class TestConjugacyInvariant:
     def test_maximal_verdicts_carry_data(self):
         v = classify(HirzebruchDescriptor(5))
-        assert conjugacy_invariant(v) == {"family": 4, "datum": {"n": 5}}
+        assert (v.family, v.invariant) == (4, {"n": 5})
 
     def test_other_outcomes_do_not(self):
-        with pytest.raises(NotApplicable):
-            conjugacy_invariant(classify(DelPezzoDescriptor(7)))
+        assert classify(DelPezzoDescriptor(7)).invariant is None
         indeterminate = classify(
             Z22Descriptor(z22_from_triplet(triplet_from_profile((2, 2, 2)))))
-        with pytest.raises(NotApplicable):
-            conjugacy_invariant(indeterminate)
+        assert indeterminate.invariant is None
 
 
 def entry(report, link_type):

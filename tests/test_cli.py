@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import cremona
 from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
-from cremona import jsonio, square_class
+from cremona import jsonio, square_class, suites
 from cremona.classifier import classify
 from cremona.cli import main
 from cremona.corpus import four_lines_model
@@ -101,10 +102,6 @@ class TestPlaneParsing:
         assert conic.coeffs() == (1, 0, 0, 0, 0, -1)
         with pytest.raises(InvalidDescriptor, match="unknown conic keys"):
             jsonio.parse_conic({"xx": 1, "ww": 2}, "$")
-
-    def test_mobius(self):
-        m = jsonio.parse_mobius([[2, 1], [1, 3]], "$")
-        assert m.matrix == ((2, 1), (1, 3))
 
 
 class TestTripletRoundTrip:
@@ -325,6 +322,12 @@ class TestExitCodes:
         proc = run_child(["-m", "cremona", "classify"], json.dumps(doc))
         assert_one_logged_line(proc, 1, "ERROR cremona: InvalidCertificate: ")
 
+    def test_zero_conic_is_one_logged_line(self):
+        doc = {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": {},
+               "d1": [1, 7, 3], "d2": [0, 0, 1]}
+        proc = run_child(["-m", "cremona", "construct", "three-lines-conic"], json.dumps(doc))
+        assert_one_logged_line(proc, 1, "ERROR cremona: DegenerateConfiguration: ")
+
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         # a stabilizer map that moves the set is a bug, not bad input
         monkeypatch.setattr(square_class, "mobius_from_triples",
@@ -377,6 +380,26 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_value_errors_raised_in_the_package():
+    # every failure the package raises is a CremonaError subclass
+    package = pathlib.Path(cremona.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and ast.unparse(node.exc).split("(")[0] == "ValueError"
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_the_suites_and_corpus_unloaded():
+    proc = run_child(["-c", "import sys, cremona.cli; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m in ('cremona.suites', 'cremona.corpus')))"], "")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path):
         code, report = run(tmp_path, ["verify", "--suite", "geometry"])
@@ -394,3 +417,24 @@ class TestVerifyCommand:
         assert report["failures"] == 0
         names = [c["name"] for c in report["checks"]]
         assert len(names) == len(set(names)) >= 15
+
+    def test_failed_rows_are_reported_and_exit_3(self, tmp_path, monkeypatch, caplog):
+        def raises():
+            raise ZeroDivisionError("the thunk failed")
+
+        (first, computed, _), (second, _, frozen), *rest = suites.SUITES["geometry"]
+        monkeypatch.setitem(suites.SUITES, "geometry", (
+            (first, computed, lambda: "a wrong frozen value"),
+            (second, raises, frozen),
+            *rest))
+        code, report = run(tmp_path, ["verify", "--suite", "geometry"])
+        assert code == 3
+        assert report["failures"] == 2
+        failed = [c for c in report["checks"] if c["status"] == "failed"]
+        assert [c["name"] for c in failed] == [first, second]
+        assert failed[0]["error"].startswith(
+            "InvariantViolation: expected 'a wrong frozen value', got ")
+        assert failed[1]["error"] == "ZeroDivisionError: the thunk failed"
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "cremona" and r.levelno == logging.ERROR]
+        assert logged == [f"check {c['name']} failed: {c['error']}" for c in failed]

@@ -9,11 +9,9 @@ from cremona import (
     Mobius,
     P1Point,
     RamificationTriplet,
-    SquareClass,
     delta_canonical_form,
     mobius_from_triples,
     realizable_profiles,
-    square_class_of,
     stabilizer,
     triplet_canonical_form,
     triplet_from_profile,
@@ -22,19 +20,13 @@ from cremona import (
 from cremona import square_class
 from cremona.errors import (
     CoverageViolation,
-    DuplicatePoint,
     InvariantViolation,
     OddCardinality,
     TooFewPoints,
     TooManyPoints,
     TooSmall,
 )
-from cremona.square_class import (
-    InvolutionRep,
-    canonical_delta_and_stabilizer,
-    involutions_conjugate,
-    multiply,
-)
+from cremona.square_class import canonical_delta_and_stabilizer
 
 import oracles
 
@@ -44,46 +36,6 @@ def pts(*values) -> tuple[P1Point, ...]:
         P1Point.infinity() if v is None else P1Point.from_value(Fraction(v))
         for v in values
     )
-
-
-def support_sets():
-    values = st.sets(
-        st.integers(min_value=-8, max_value=8), min_size=0, max_size=6
-    ).filter(lambda s: len(s) % 2 == 0)
-    return values.map(lambda s: pts(*sorted(s)))
-
-
-class TestSquareClass:
-    def test_support_is_normalized(self):
-        c = square_class_of(pts(3, 0))
-        assert c.support == pts(0, 3)
-
-    def test_odd_support_rejected(self):
-        with pytest.raises(OddCardinality):
-            square_class_of(pts(0, 1, 2))
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DuplicatePoint):
-            square_class_of(pts(0, 0))
-
-    def test_product_is_symmetric_difference(self):
-        c1 = square_class_of(pts(0, 1))
-        c2 = square_class_of(pts(1, 2))
-        assert multiply(c1, c2) == square_class_of(pts(0, 2))
-
-    @given(support_sets(), support_sets())
-    def test_group_laws(self, s1, s2):
-        c1, c2 = SquareClass(s1), SquareClass(s2)
-        assert c1 * c2 == c2 * c1
-        assert (c1 * c1).is_trivial()
-        assert c1 * SquareClass.identity() == c1
-
-    def test_conjugacy_is_class_equality(self):
-        a = InvolutionRep(square_class_of(pts(0, None)))
-        b = InvolutionRep(square_class_of(pts(None, 0)))
-        c = InvolutionRep(square_class_of(pts(1, 2)))
-        assert involutions_conjugate(a, b)
-        assert not involutions_conjugate(a, c)
 
 
 class TestValidateTriplet:
