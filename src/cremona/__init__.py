@@ -10,8 +10,6 @@ reports for equivariant Sarkisov links.
 
 from .bundles import (
     ExceptionalBundleModel,
-    HalphenReport,
-    RealizationCertificate,
     Z22BundleModel,
     build_from_four_lines,
     build_from_three_lines_conic,
@@ -27,18 +25,9 @@ from .bundles import (
     z22_from_triplet,
 )
 from .classifier import (
-    ALL_ON_EXCEPTIONAL,
-    CUBIC_CLEBSCH,
-    CUBIC_EXTRA_FIXED_POINT,
-    CUBIC_S4_LAMBDA,
-    CUBIC_TRIPLE_COVER,
-    DEGREE2_TABLE,
-    OFF_EXCEPTIONAL,
     DelPezzoDescriptor,
     ExceptionalDescriptor,
     HirzebruchDescriptor,
-    LinkEntry,
-    LinkReport,
     Verdict,
     Z22Descriptor,
     classify,
@@ -51,12 +40,7 @@ from .geometry import (
     Mobius,
     P1Point,
     P2Point,
-    are_collinear,
-    intersect_line_conic,
-    line_through,
-    lines_meet,
     mobius_from_triples,
-    project_from,
 )
 from .picard import (
     BlowupLattice,
@@ -68,9 +52,7 @@ from .picard import (
     intersect,
     invariant_sublattice,
     is_pair_minimal,
-    orbits,
     reflection_matrix,
-    verify_mori_fibration,
 )
 from .square_class import (
     RamificationTriplet,
@@ -85,37 +67,25 @@ from .square_class import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_ON_EXCEPTIONAL",
     "BlowupLattice",
-    "CUBIC_CLEBSCH",
-    "CUBIC_EXTRA_FIXED_POINT",
-    "CUBIC_S4_LAMBDA",
-    "CUBIC_TRIPLE_COVER",
     "Conic",
     "CremonaError",
-    "DEGREE2_TABLE",
     "DelPezzoDescriptor",
     "DivisorClass",
     "ExceptionalBundleModel",
     "ExceptionalDescriptor",
     "FiberedMarking",
-    "HalphenReport",
     "HirzebruchDescriptor",
     "LatticeAction",
     "Line",
-    "LinkEntry",
-    "LinkReport",
     "Mobius",
-    "OFF_EXCEPTIONAL",
     "P1Point",
     "P2Point",
     "RamificationTriplet",
-    "RealizationCertificate",
     "Verdict",
     "Z22BundleModel",
     "Z22Descriptor",
     "adjunction_genus",
-    "are_collinear",
     "build_from_four_lines",
     "build_from_three_lines_conic",
     "classify",
@@ -126,19 +96,14 @@ __all__ = [
     "fixed_curve_class",
     "halphen_check",
     "intersect",
-    "intersect_line_conic",
     "invariant_sublattice",
     "involution_matrix",
     "is_del_pezzo_bundle",
     "is_pair_minimal",
     "jonquieres_involution_matrix",
-    "line_through",
-    "lines_meet",
     "link_feasibility",
     "minimality_obstruction_solver",
     "mobius_from_triples",
-    "orbits",
-    "project_from",
     "realizable_profiles",
     "reflection_matrix",
     "second_fibration_solver",
@@ -146,6 +111,5 @@ __all__ = [
     "triplet_canonical_form",
     "triplet_from_profile",
     "validate_triplet",
-    "verify_mori_fibration",
     "z22_from_triplet",
 ]

@@ -20,9 +20,10 @@ built, by ``picard.validate_involution``: it squares to the identity,
 G M is symmetric for the form G = diag(1, -1, ..., -1), which for an
 involution is the isometry condition (``M^T G M = (G M)^T M = G M M = G``),
 and it fixes K.  The Klein-four model then checks sigma_1 sigma_2 =
-sigma_3 with one product and runs the Mori test on the checked sigma_1,
-sigma_2 directly; ``action()`` still returns a validated ``LatticeAction``
-to callers that ask for one.
+sigma_3 with one product, and that the fixed lattice of the checked
+sigma_1, sigma_2 is exactly Z K + Z f (``picard.is_conic_bundle``), so the
+model is a conic bundle of invariant Picard rank two; ``action()`` still
+returns a validated ``LatticeAction`` to callers that ask for one.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -51,12 +52,12 @@ from .errors import (
     QOnConfiguration,
     TooFew,
     TooSmall,
-    UnsupportedOrbitSize,
     require,
 )
 from .geometry import (
     Conic,
     Line,
+    Mobius,
     P1Point,
     P2Point,
     SamePoint,
@@ -73,8 +74,8 @@ from .picard import (
     LatticeAction,
     adjunction_genus,
     intersect,
+    is_conic_bundle,
     validate_involution,
-    verify_mori_fibration,
 )
 from .square_class import (
     RamificationTriplet,
@@ -115,14 +116,6 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
     return validate_involution(marking.lattice, tuple(rows))
 
 
-class FiberInfo(NamedTuple):
-    """One singular fiber: its index, base point, and which involutions swap it."""
-
-    index: int
-    base_point: P1Point
-    swapped_by: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class RealizationCertificate:
     """Witness that a branch triplet is realized by an actual surface.
@@ -152,7 +145,6 @@ class Z22BundleModel:
     marking: FiberedMarking
     triplet: RamificationTriplet
     generators: tuple[Mat, Mat, Mat]
-    fibers: tuple[FiberInfo, ...]
     certificate: RealizationCertificate | None = None
 
     @property
@@ -192,14 +184,9 @@ def z22_from_triplet(
         for branch_set in triplet.sets
     )
     require(la.mat_mul(gens[0], gens[1]) == gens[2], "sigma_1 sigma_2 != sigma_3")
-    fibers = tuple(
-        FiberInfo(j, p, triplet.membership(p))
-        for j, p in enumerate(support, start=1)
-    )
-    model = Z22BundleModel(marking, triplet, gens, fibers, certificate)
-    verdict = verify_mori_fibration(marking.lattice, gens[:2], marking)
-    require(verdict.kind == "conic_bundle_over_p1",
-            f"the Klein four-group model is not a conic bundle: {verdict.reason}")
+    model = Z22BundleModel(marking, triplet, gens, certificate)
+    require(is_conic_bundle(marking, gens[:2]),
+            "the fixed lattice of the Klein four-group model is not Z K + Z f")
     if certificate is not None:
         _check_certificate(model, certificate)
     return model
@@ -513,26 +500,17 @@ def build_from_three_lines_conic(
 class JonquieresInvolution(NamedTuple):
     """The involution fixing a pencil of conics through four points.
 
-    ``generator`` acts in the standard basis (L, E_0, E_1..E_4);
-    ``section_first`` is the same map written in the basis
-    (E_0, E_1..E_4, L) used by classical references.
+    ``generator`` acts in the standard basis (L, E_0, E_1..E_4).
     """
 
     generator: Mat
-    section_first: Mat
 
 
 def jonquieres_involution_matrix(marking: FiberedMarking) -> JonquieresInvolution:
     """The fiberwise involution swapping all four singular fibers (a = 2)."""
     if marking.k != 4:
         raise DimensionMismatch(f"this involution lives on a four-fiber marking, got k={marking.k}")
-    gen = involution_matrix(marking, (1, 2, 3, 4))
-    n = marking.lattice.rank
-    order = [1, 2, 3, 4, 5, 0]
-    perm = tuple(
-        tuple(1 if j == order[i] else 0 for j in range(n)) for i in range(n))
-    section_first = la.mat_mul(la.mat_mul(perm, gen), la.transpose(perm))
-    return JonquieresInvolution(gen, section_first)
+    return JonquieresInvolution(involution_matrix(marking, (1, 2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,36 +518,35 @@ def jonquieres_involution_matrix(marking: FiberedMarking) -> JonquieresInvolutio
 
 
 @dataclass(frozen=True)
-class ExceptionalAutDescriptor:
-    """Shape of the automorphism group of an exceptional bundle.
+class ExceptionalBundleModel:
+    """The minimal bundle with two (-n)-sections swapped by an involution.
 
-    The kernel of the action on the base is the fiberwise torus extended
-    by the component swap; the image in PGL(2, Q) is the stabilizer of the
-    branch set.  For 2n >= 4 this describes the full automorphism group of
-    the surface; for 2n = 2 the surface is the del Pezzo of degree 6 whose
-    automorphisms do not all preserve the ruling.
+    Its automorphism group is an extension of the stabilizer of the branch
+    set in PGL(2, Q) by the kernel of the action on the base, the
+    fiberwise torus extended by the component swap (``KERNEL_TAG``).  For
+    2n >= 4 that is the full automorphism group of the surface; for 2n = 2
+    the surface is the del Pezzo of degree 6, whose automorphisms do not
+    all preserve the ruling.
     """
 
-    kernel_tag: str
-    quotient_stabilizer: tuple | None
-    equals_full_automorphisms: bool
-
-
-@dataclass(frozen=True)
-class ExceptionalBundleModel:
-    """The minimal bundle with two (-n)-sections swapped by an involution."""
+    KERNEL_TAG = "C^* : Z/2"
 
     marking: FiberedMarking
     delta: tuple[P1Point, ...]
     swap: Mat
     section_classes: tuple[DivisorClass, DivisorClass]
-    aut: ExceptionalAutDescriptor
-    #: the Moebius canonical form of ``delta`` (None for 2n = 2)
+    #: the Moebius canonical form of ``delta`` and the Moebius stabilizer
+    #: of ``delta`` (both None for 2n = 2)
     canonical_delta: tuple[P1Point, ...] | None
+    stabilizer: tuple[Mobius, ...] | None
 
     @property
     def n(self) -> int:
         return len(self.delta) // 2
+
+    @property
+    def equals_full_automorphisms(self) -> bool:
+        return self.n >= 2
 
     @property
     def k_squared(self) -> int:
@@ -619,12 +596,7 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
             "the swap does not exchange the two sections")
 
     canon, stab = canonical_delta_and_stabilizer(pts) if n >= 2 else (None, None)
-    aut = ExceptionalAutDescriptor(
-        kernel_tag="C^* : Z/2",
-        quotient_stabilizer=stab,
-        equals_full_automorphisms=n >= 2,
-    )
-    return ExceptionalBundleModel(marking, pts, swap, (s1, s2), aut, canon)
+    return ExceptionalBundleModel(marking, pts, swap, (s1, s2), canon, stab)
 
 
 # ---------------------------------------------------------------------------
@@ -646,23 +618,15 @@ class ObstructionSolution(NamedTuple):
     k_squared: int
 
 
-_ALLOWED_ORBITS = (1, 2, 4)
-
-
-def minimality_obstruction_solver(
-    k: int | None = None, orbit_sizes=_ALLOWED_ORBITS
-) -> tuple[ObstructionSolution, ...]:
+def minimality_obstruction_solver(k: int | None = None) -> tuple[ObstructionSolution, ...]:
     """Solve the contraction constraints, optionally filtered to one bundle.
 
     With ``k`` given, keeps the solutions whose ``k_squared`` equals
     ``8 - k``; a nonempty answer means a numerical obstruction to
     minimality exists (the converse needs the orbit computation).
     """
-    for l in orbit_sizes:
-        if l not in _ALLOWED_ORBITS:
-            raise UnsupportedOrbitSize(f"orbit sizes must be among {_ALLOWED_ORBITS}, got {l}")
     out = []
-    for l in sorted(set(orbit_sizes)):
+    for l in (1, 2, 4):  # the orbit sizes of a Klein four-group
         for a in range(-l, 0):
             if l % a != 0:
                 continue

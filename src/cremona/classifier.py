@@ -28,8 +28,9 @@ from .bundles import (
     second_fibration_solver,
 )
 from .errors import InvalidDescriptor, NotAMoriFibration, require
+from .geometry import P1Point
 from .picard import LatticeAction, is_pair_minimal
-from .square_class import triplet_canonical_form
+from .square_class import RamificationTriplet, triplet_canonical_form
 
 # closed vocabularies --------------------------------------------------------
 
@@ -132,7 +133,9 @@ class Verdict:
     outcome: str  # "maximal" | "not_maximal" | "indeterminate"
     family: int | None = None
     subfamily: str | None = None
-    invariant: object = None
+    # "point" (families 1, 2, 3, 6), a JSON-native dict (4, 7, 8, 9, 10), the
+    # canonical branch set (5) or the canonical triplet (11); jsonio renders it
+    invariant: str | dict | tuple[P1Point, ...] | RamificationTriplet | None = None
     chain: tuple[ChainStep, ...] | None = None
     reason: str | None = None
 
@@ -160,15 +163,6 @@ def _contract_to_plane() -> Verdict:
 
 
 # canonical invariants -------------------------------------------------------
-
-
-def _point_pair(p) -> list[int]:
-    return [p.a, p.b]
-
-
-def _triplet_invariant(triplet) -> dict:
-    canon = triplet_canonical_form(triplet)
-    return {"triplet": [[_point_pair(p) for p in s] for s in canon.sets]}
 
 
 def _lambda_up_to_sign(raw: str) -> str:
@@ -206,7 +200,7 @@ def _classify_hirzebruch(d: HirzebruchDescriptor) -> Verdict:
 def _classify_exceptional(d: ExceptionalDescriptor) -> Verdict:
     model = d.model
     if model.n >= 2:
-        return _maximal(5, {"delta": [_point_pair(p) for p in model.canonical_delta]})
+        return _maximal(5, model.canonical_delta)
     return _not_maximal(
         ChainStep("extend-group",
                   "automorphisms of the ruling extend to the full automorphism "
@@ -219,7 +213,7 @@ def _classify_z22(d: Z22Descriptor) -> Verdict:
     model = d.model
     verdict = is_del_pezzo_bundle(model)
     if verdict.kind == "no":
-        return _maximal(11, _triplet_invariant(model.triplet))
+        return _maximal(11, triplet_canonical_form(model.triplet))
     if verdict.kind == "indeterminate":
         return Verdict("indeterminate", reason=verdict.reason)
     degree = model.k_squared
@@ -267,6 +261,9 @@ def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
             raise InvalidDescriptor("cubic family tags only apply to degree 3")
         if d.cubic_family not in _CUBIC_TAGS:
             raise InvalidDescriptor(f"unknown cubic family tag {d.cubic_family!r}")
+        if d.cubic_family == CUBIC_S4_LAMBDA and d.parameter is not None:
+            # the restrictions on lambda hold whichever branch is taken below
+            _lambda_up_to_sign(d.parameter)
     if d.quartic_row is not None and d.degree != 2:
         raise InvalidDescriptor("quartic table rows only apply to degree 2")
     if d.action is not None and d.action.lattice.r != 9 - d.degree:

@@ -129,10 +129,6 @@ class AlignmentViolation(CremonaError):
     """Two blown-up points project to the same fiber, or to the reference fiber."""
 
 
-class UnsupportedOrbitSize(CremonaError):
-    """An orbit size of the Klein four-group other than 1, 2 or 4."""
-
-
 # classifier -----------------------------------------------------------------
 
 class InvalidDescriptor(CremonaError):

@@ -162,10 +162,6 @@ def lines_meet(l1: Line, l2: Line) -> P2Point:
     return P2Point(a, b, c)
 
 
-def are_collinear(p: P2Point, q: P2Point, r: P2Point) -> bool:
-    return det(freeze([p.coords(), q.coords(), r.coords()])) == 0
-
-
 # conics ---------------------------------------------------------------------
 
 @dataclass(frozen=True)

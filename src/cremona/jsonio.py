@@ -127,6 +127,8 @@ def parse_conic(v, where: str) -> Conic:
     if unknown:
         raise _fail(where, f"unknown conic keys {unknown}")
     coeffs = tuple(expect_int(obj.get(k, 0), f"{where}.{k}") for k in _CONIC_KEYS)
+    if not any(coeffs):
+        raise _fail(where, "the zero form is not a conic")
     return Conic(*coeffs)
 
 
@@ -220,10 +222,9 @@ def exceptional_model_json(model: ExceptionalBundleModel) -> dict:
         "sections": [divisor_json(s) for s in model.section_classes],
         "swap": matrix_json(model.swap),
         "aut": {
-            "kernel": model.aut.kernel_tag,
-            "stabilizer_order": (None if model.aut.quotient_stabilizer is None
-                                 else len(model.aut.quotient_stabilizer)),
-            "equals_full_automorphisms": model.aut.equals_full_automorphisms,
+            "kernel": model.KERNEL_TAG,
+            "stabilizer_order": None if model.stabilizer is None else len(model.stabilizer),
+            "equals_full_automorphisms": model.equals_full_automorphisms,
         },
     }
 
@@ -288,9 +289,18 @@ def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
 # verdicts and reports ---------------------------------------------------------
 
 
+def _invariant_json(invariant):
+    if isinstance(invariant, RamificationTriplet):
+        return {"triplet": triplet_json(invariant)}
+    if isinstance(invariant, tuple):
+        return {"delta": [point_pair(p) for p in invariant]}
+    return invariant
+
+
 def verdict_json(v: Verdict) -> dict:
     if v.outcome == "maximal":
-        doc = {"outcome": "maximal", "family": v.family, "invariant": v.invariant}
+        doc = {"outcome": "maximal", "family": v.family,
+               "invariant": _invariant_json(v.invariant)}
         if v.subfamily is not None:
             doc["subfamily"] = v.subfamily
         return doc

@@ -9,7 +9,9 @@ preserving the intersection form and fixing K.
 The fibered variant used by the conic-bundle constructions relabels the
 first exceptional class as ``E_0`` (the blown-up projection center) and
 carries the fiber class ``f = L - E_0`` together with the base point of
-P^1 under each remaining ``E_j``.
+P^1 under each remaining ``E_j``.  ``is_conic_bundle`` checks that a
+group's fixed lattice on such a marking is exactly Z K + Z f, which makes
+the marked fibration a conic bundle of invariant Picard rank two.
 
 A matrix is checked when it enters: ``validate_action`` for a general
 isometry (column pairs against the diagonal form G), and
@@ -415,54 +417,14 @@ class FiberedMarking:
             raise UnmarkedPoint(f"{point} is not a marked base point") from None
 
 
-@dataclass(frozen=True)
-class MoriVerdict:
-    """Outcome of the Mori-fibration test on an invariant sublattice."""
+def is_conic_bundle(marking: FiberedMarking, generators: tuple[Mat, ...]) -> bool:
+    """Whether the fixed lattice of the group is Z K + Z f on the nose.
 
-    kind: str  # "del_pezzo_point" | "conic_bundle_over_p1" | "not_mori"
-    invariant_rank: int
-    invariant_basis: tuple[DivisorClass, ...]
-    reason: str | None = None
-
-
-def verify_mori_fibration(
-    lattice: BlowupLattice,
-    generators: tuple[Mat, ...],
-    marking: FiberedMarking | None = None,
-) -> MoriVerdict:
-    """Decide which of the two rank conditions the invariant lattice meets.
-
-    ``generators`` generate the group and are trusted as already checked:
-    the ``generators`` of a ``LatticeAction``, or the involutions of a
-    model, validated when the model was built.
-
-    Rank one with K^2 >= 1 is the del Pezzo (point) case.  Rank two is a
-    conic bundle over P^1 exactly when a marking is supplied and the
-    invariant lattice equals Z K + Z f on the nose, not just up to finite
-    index; saturation of the kernel makes that an equality of Hermite bases.
-    The kernel basis already is in Hermite form, so only Z K + Z f is reduced.
+    ``generators`` are trusted as already checked.  The kernel is saturated
+    and already in Hermite form, so the test is an equality of Hermite
+    bases that reduces only Z K + Z f.
     """
-    rank, basis = _fixed_sublattice(lattice.rank, generators)
-    if rank == 1:
-        if lattice.degree >= 1:
-            return MoriVerdict("del_pezzo_point", rank, basis)
-        return MoriVerdict(
-            "not_mori", rank, basis,
-            reason=f"invariant rank 1 but K^2 = {lattice.degree} < 1")
-    if rank == 2:
-        if marking is None:
-            return MoriVerdict(
-                "not_mori", rank, basis,
-                reason="invariant rank 2 but no fibered marking supplied")
-        target = (
-            lattice.canonical_class.coeffs,
-            marking.fiber_class.coeffs,
-        )
-        if tuple(d.coeffs for d in basis) == la.hnf_basis(target):
-            return MoriVerdict("conic_bundle_over_p1", rank, basis)
-        return MoriVerdict(
-            "not_mori", rank, basis,
-            reason="invariant rank 2 but the fixed lattice is not Z K + Z f")
-    return MoriVerdict(
-        "not_mori", rank, basis,
-        reason=f"invariant rank {rank} is neither 1 nor 2")
+    lattice = marking.lattice
+    _rank, basis = _fixed_sublattice(lattice.rank, generators)
+    target = (lattice.canonical_class.coeffs, marking.fiber_class.coeffs)
+    return tuple(d.coeffs for d in basis) == la.hnf_basis(target)

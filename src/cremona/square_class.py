@@ -87,10 +87,6 @@ class RamificationTriplet:
             seen.update(s)
         return tuple(sorted(seen, key=P1Point.sort_key))
 
-    def membership(self, point: P1Point) -> tuple[int, ...]:
-        """1-based indices of the sets containing the point (always two)."""
-        return tuple(i + 1 for i, s in enumerate(self.sets) if point in s)
-
     def sort_key(self) -> tuple:
         return tuple(_set_key(s) for s in self.sets)
 

@@ -92,7 +92,7 @@ def _halphen():
 
 def _exceptional_swap():
     model = corpus.exceptional_model()
-    return invariant_sublattice(model.action())[0], len(model.aut.quotient_stabilizer)
+    return invariant_sublattice(model.action())[0], len(model.stabilizer)
 
 
 def _reduction_chains():

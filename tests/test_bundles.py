@@ -51,7 +51,6 @@ from cremona.errors import (
     QOnConfiguration,
     TooFew,
     TooSmall,
-    UnsupportedOrbitSize,
 )
 from reference_kernel import reference_group_order, reference_involution_matrix
 
@@ -113,12 +112,6 @@ class TestZ22Model:
         assert model.profile == (1, 2, 3)
         assert model.k == 6
         assert model.k_squared == 2
-
-    def test_fibers_record_membership(self):
-        model = z22_from_triplet(triplet_from_profile((1, 1, 2)))
-        for info in model.fibers:
-            assert info.swapped_by == model.triplet.membership(info.base_point)
-            assert len(info.swapped_by) == 2
 
     def test_invariant_lattice_is_k_and_fiber(self):
         model = z22_from_triplet(triplet_from_profile((2, 2, 2)))
@@ -329,14 +322,6 @@ class TestJonquieres:
         rank, _ = invariant_sublattice(action)
         assert rank == 2
 
-    def test_basis_change_is_a_conjugation(self):
-        marking = FiberedMarking.standard(4)
-        inv = jonquieres_involution_matrix(marking)
-        assert sorted(
-            tuple(sorted(row)) for row in inv.section_first
-        ) == sorted(tuple(sorted(row)) for row in inv.generator)
-        assert la.mat_mul(inv.section_first, inv.section_first) == la.identity(6)
-
     def test_needs_four_fibers(self):
         with pytest.raises(DimensionMismatch):
             jonquieres_involution_matrix(FiberedMarking.standard(3))
@@ -366,14 +351,14 @@ class TestExceptionalBundles:
 
     def test_aut_descriptor_for_large_n(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2, 3)))
-        assert model.aut.equals_full_automorphisms
-        assert model.aut.kernel_tag == "C^* : Z/2"
-        assert len(model.aut.quotient_stabilizer) == 4
+        assert model.equals_full_automorphisms
+        assert model.KERNEL_TAG == "C^* : Z/2"
+        assert len(model.stabilizer) == 4
 
     def test_aut_descriptor_for_n_one(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1)))
-        assert not model.aut.equals_full_automorphisms
-        assert model.aut.quotient_stabilizer is None
+        assert not model.equals_full_automorphisms
+        assert model.stabilizer is None
 
     def test_branch_set_guards(self):
         with pytest.raises(TooFew):
@@ -406,10 +391,6 @@ class TestObstructionSolver:
         for sol in minimality_obstruction_solver():
             assert sol.a * (sol.orbit_size + 2 * sol.b) == sol.orbit_size
             assert sol.a * sol.k_squared == 2 * sol.b - sol.orbit_size
-
-    def test_orbit_size_validation(self):
-        with pytest.raises(UnsupportedOrbitSize):
-            minimality_obstruction_solver(orbit_sizes=(3,))
 
 
 class TestSecondFibration:

@@ -1,17 +1,11 @@
 import pytest
 
 from cremona import (
-    ALL_ON_EXCEPTIONAL,
     BlowupLattice,
-    CUBIC_CLEBSCH,
-    CUBIC_EXTRA_FIXED_POINT,
-    CUBIC_S4_LAMBDA,
-    CUBIC_TRIPLE_COVER,
     DelPezzoDescriptor,
     ExceptionalDescriptor,
     HirzebruchDescriptor,
     LatticeAction,
-    OFF_EXCEPTIONAL,
     Z22Descriptor,
     classify,
     exceptional_from_delta,
@@ -19,6 +13,15 @@ from cremona import (
     reflection_matrix,
     triplet_from_profile,
     z22_from_triplet,
+)
+from cremona import jsonio
+from cremona.classifier import (
+    ALL_ON_EXCEPTIONAL,
+    CUBIC_CLEBSCH,
+    CUBIC_EXTRA_FIXED_POINT,
+    CUBIC_S4_LAMBDA,
+    CUBIC_TRIPLE_COVER,
+    OFF_EXCEPTIONAL,
 )
 from cremona.corpus import (
     cubic_coxeter_action,
@@ -72,7 +75,8 @@ class TestExceptionalBranch:
         model = exceptional_from_delta(tuple(p1(x) for x in (0, 1, 2, 3)))
         v = classify(ExceptionalDescriptor(model))
         assert v.outcome == "maximal" and v.family == 5
-        assert v.invariant == {"delta": [[3, -1], [0, 1], [1, 1], [1, 0]]}
+        assert jsonio.verdict_json(v)["invariant"] == {
+            "delta": [[3, -1], [0, 1], [1, 1], [1, 0]]}
 
     def test_one_pair_reduces_to_degree_six(self):
         model = exceptional_from_delta(tuple(p1(x) for x in (0, 1)))
@@ -87,7 +91,7 @@ class TestZ22Branch:
     def test_certified_profile_is_maximal(self):
         v = classify(Z22Descriptor(four_lines_model()))
         assert v.outcome == "maximal" and v.family == 11
-        assert set(v.invariant) == {"triplet"}
+        assert set(jsonio.verdict_json(v)["invariant"]) == {"triplet"}
 
     def test_uncertified_interior_profile_is_indeterminate(self):
         for profile in ((2, 2, 2), (2, 2, 3)):
@@ -178,6 +182,16 @@ class TestCubicBranch:
         for bad in ("0", "-1/2"):
             with pytest.raises(InvalidDescriptor):
                 classify(minimal_cubic(CUBIC_S4_LAMBDA, parameter=bad))
+
+    @pytest.mark.parametrize("bad", ["0", "-1/2"])
+    @pytest.mark.parametrize("report", [ALL_ON_EXCEPTIONAL, OFF_EXCEPTIONAL])
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "not-minimal"])
+    def test_lambda_restrictions_hold_on_every_branch(self, minimal, report, bad):
+        action = cubic_coxeter_action() if minimal else non_minimal_cubic_action()
+        with pytest.raises(InvalidDescriptor, match="S_4 cubic restrictions"):
+            classify(DelPezzoDescriptor(
+                3, action=action, fixed_point_report=report,
+                cubic_family=CUBIC_S4_LAMBDA, parameter=bad))
 
     def test_non_rational_lambda_passes_through(self):
         v = classify(minimal_cubic(CUBIC_S4_LAMBDA, parameter="sqrt(2)"))

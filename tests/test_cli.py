@@ -14,7 +14,7 @@ from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
 from cremona import jsonio, square_class, suites
 from cremona.classifier import classify
 from cremona.cli import main
-from cremona.corpus import four_lines_model
+from cremona.corpus import cubic_coxeter_matrix, four_lines_model
 from cremona.errors import InvalidDescriptor
 
 FOUR_LINES_DOC = {
@@ -102,6 +102,8 @@ class TestPlaneParsing:
         assert conic.coeffs() == (1, 0, 0, 0, 0, -1)
         with pytest.raises(InvalidDescriptor, match="unknown conic keys"):
             jsonio.parse_conic({"xx": 1, "ww": 2}, "$")
+        with pytest.raises(InvalidDescriptor, match=r"at \$\.conic: the zero form"):
+            jsonio.parse_conic({"xx": 0}, "$.conic")
 
 
 class TestTripletRoundTrip:
@@ -161,6 +163,16 @@ class TestClassifyCommand:
     def test_invalid_descriptor_exit_code(self, tmp_path):
         code, _ = run(tmp_path, ["classify"], {"kind": "del-pezzo", "degree": 17})
         assert code == 1
+
+    def test_s4_cubic_restriction_holds_off_the_maximal_branch(self, tmp_path):
+        # the fixed point report sends this cubic down the reduction chain;
+        # lambda = 0 is still not an S_4 cubic
+        doc = {"kind": "del-pezzo", "degree": 3,
+               "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
+               "fixed_point_report": "off-exceptional",
+               "cubic_family": "s4-lambda", "parameter": "0"}
+        code, report = run(tmp_path, ["classify"], doc)
+        assert code == 1 and report is None
 
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -326,7 +338,7 @@ class TestExitCodes:
         doc = {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": {},
                "d1": [1, 7, 3], "d2": [0, 0, 1]}
         proc = run_child(["-m", "cremona", "construct", "three-lines-conic"], json.dumps(doc))
-        assert_one_logged_line(proc, 1, "ERROR cremona: DegenerateConfiguration: ")
+        assert_one_logged_line(proc, 1, "ERROR cremona: InvalidDescriptor: at $.conic")
 
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         # a stabilizer map that moves the set is a bug, not bad input
@@ -366,6 +378,30 @@ class TestExitCodes:
         proc = run_child(["-m", "cremona", "lattice", "genus", "--output", str(out)], text)
         assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
         assert not out.exists()
+
+
+PUBLIC_NAMES = [
+    "BlowupLattice", "Conic", "CremonaError", "DelPezzoDescriptor", "DivisorClass",
+    "ExceptionalBundleModel", "ExceptionalDescriptor", "FiberedMarking",
+    "HirzebruchDescriptor", "LatticeAction", "Line", "Mobius", "P1Point", "P2Point",
+    "RamificationTriplet", "Verdict", "Z22BundleModel", "Z22Descriptor",
+    "adjunction_genus", "build_from_four_lines", "build_from_three_lines_conic",
+    "classify", "del_pezzo_verdict_for_profile", "delta_canonical_form",
+    "enumerate_minus_one_classes", "exceptional_from_delta", "fixed_curve_class",
+    "halphen_check", "intersect", "invariant_sublattice", "involution_matrix",
+    "is_del_pezzo_bundle", "is_pair_minimal", "jonquieres_involution_matrix",
+    "link_feasibility", "minimality_obstruction_solver", "mobius_from_triples",
+    "realizable_profiles", "reflection_matrix", "second_fibration_solver",
+    "stabilizer", "triplet_canonical_form", "triplet_from_profile",
+    "validate_triplet", "z22_from_triplet",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(cremona.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) <= 45
+    for name in PUBLIC_NAMES:
+        getattr(cremona, name)
 
 
 def test_no_assert_statements_in_the_package():

@@ -10,11 +10,13 @@ from cremona import (
     Mobius,
     P1Point,
     P2Point,
-    are_collinear,
+    mobius_from_triples,
+)
+from cremona import intlinalg as la
+from cremona.geometry import (
     intersect_line_conic,
     line_through,
     lines_meet,
-    mobius_from_triples,
     project_from,
 )
 from cremona.errors import (
@@ -94,10 +96,6 @@ class TestLines:
         with pytest.raises(DegenerateConfiguration):
             lines_meet(Line(1, 1, 0), Line(2, 2, 0))
 
-    def test_collinearity(self):
-        assert are_collinear(P2Point(0, 0, 1), P2Point(1, 1, 1), P2Point(2, 2, 1))
-        assert not are_collinear(P2Point(0, 0, 1), P2Point(1, 0, 1), P2Point(0, 1, 1))
-
 
 class TestConic:
     def test_evaluate_and_contains(self):
@@ -168,7 +166,7 @@ class TestProjection:
     def test_lines_through_center_collapse(self):
         center = P2Point(1, 1, 1)
         a, b = P2Point(3, 1, 2), P2Point(5, 1, 3)  # both on a line through center
-        assert are_collinear(center, a, b)
+        assert la.det((center.coords(), a.coords(), b.coords())) == 0
         assert project_from(center, a) == project_from(center, b)
 
 

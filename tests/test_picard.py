@@ -15,9 +15,7 @@ from cremona import (
     intersect,
     invariant_sublattice,
     is_pair_minimal,
-    orbits,
     reflection_matrix,
-    verify_mori_fibration,
 )
 from cremona import intlinalg as la
 from cremona.corpus import cubic_coxeter_action, cubic_coxeter_matrix
@@ -33,7 +31,7 @@ from cremona.errors import (
     UnsupportedRank,
 )
 from cremona.bundles import involution_matrix
-from cremona.picard import validate_action, validate_involution
+from cremona.picard import is_conic_bundle, orbits, validate_action, validate_involution
 
 import oracles
 from reference_kernel import (
@@ -340,32 +338,14 @@ class TestFiberedMarking:
 
 
 class TestMoriFibration:
-    def test_del_pezzo_point_case(self):
-        action = cubic_coxeter_action()
-        verdict = verify_mori_fibration(action.lattice, action.generators)
-        assert verdict.kind != "not_mori"
-        assert verdict.kind == "del_pezzo_point"
-        assert verdict.invariant_rank == 1
-
     def test_conic_bundle_case(self):
         from cremona import jonquieres_involution_matrix
 
         marking = FiberedMarking.standard(4)
         gen = jonquieres_involution_matrix(marking).generator
         action = LatticeAction(marking.lattice, (gen,))
-        verdict = verify_mori_fibration(marking.lattice, action.generators, marking)
-        assert verdict.kind == "conic_bundle_over_p1"
-        assert verdict.invariant_rank == 2
-
-    def test_rank_two_without_marking(self):
-        marking = FiberedMarking.standard(4)
-        from cremona import jonquieres_involution_matrix
-
-        gen = jonquieres_involution_matrix(marking).generator
-        action = LatticeAction(marking.lattice, (gen,))
-        verdict = verify_mori_fibration(marking.lattice, action.generators)
-        assert verdict.kind == "not_mori"
-        assert "no fibered marking" in verdict.reason
+        assert invariant_sublattice(action)[0] == 2
+        assert is_conic_bundle(marking, action.generators)
 
     def test_rank_two_wrong_lattice(self):
         # swapping E_0 with the unique fiber component fixes L and E_0 + E_1,
@@ -373,15 +353,13 @@ class TestMoriFibration:
         marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
         lat = marking.lattice
         action = LatticeAction(lat, (swap_matrix(lat, 1, 2),))
-        verdict = verify_mori_fibration(lat, action.generators, marking)
-        assert verdict.kind == "not_mori"
-        assert "not Z K + Z f" in verdict.reason
+        assert invariant_sublattice(action)[0] == 2
+        assert not is_conic_bundle(marking, action.generators)
 
     def test_rank_too_large(self):
-        lat = BlowupLattice(2)
-        verdict = verify_mori_fibration(lat, LatticeAction.trivial(lat).generators)
-        assert verdict.kind == "not_mori"
-        assert "neither 1 nor 2" in verdict.reason
+        # the trivial group fixes the whole rank-3 lattice
+        marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
+        assert not is_conic_bundle(marking, LatticeAction.trivial(marking.lattice).generators)
 
 
 # the column Gram check against the dense M^T G M product it replaced

@@ -53,7 +53,7 @@ class TestValidateTriplet:
     def test_membership_lists_exactly_two_sets(self):
         t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
         for p in t.support:
-            assert len(t.membership(p)) == 2
+            assert sum(p in s for s in t.sets) == 2
 
     def test_sets_are_sorted_among_themselves(self):
         t1 = validate_triplet(pts(1, 2), pts(0, 1), pts(0, 2))
