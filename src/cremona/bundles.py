@@ -33,6 +33,14 @@ a conic in the incidence of the classical quintic construction (profile
 sections cannot be pairwise disjoint: summing four disjoint (-2)-sections
 would give a class -2K + b f with square 4 + 8b = -8, which has no integer
 solution, while the (2, 2, 2) case takes b = -2.
+
+A certificate is checked from the group law.  Its four classes must be
+(-2)-sections with the stored intersection matrix, and must be the images
+of the first one under the Klein four-group.  An orbit of four under a
+group of order four is regular, so this also proves that the group
+permutes them.  Each source then fixes the sorted intersections of every
+section with the other three: (0, 0, 0) for four lines, (0, 0, 1) for
+three lines and a conic.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ from .picard import (
 from .square_class import (
     RamificationTriplet,
     canonical_delta_and_stabilizer,
+    sorted_distinct,
     validate_triplet,
 )
 
@@ -192,6 +201,18 @@ def z22_from_triplet(
     return model
 
 
+#: per source: the sorted intersections of each section with the other three
+_SECTION_PATTERNS = {
+    "four-lines": ((0, 0, 0), "four-line certificates must have disjoint sections"),
+    "three-lines-conic": (
+        (0, 0, 1), "three-lines-conic certificates must have exactly two crossing pairs"),
+}
+
+
+def _intersection_matrix(lattice: BlowupLattice, classes) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(intersect(lattice, s, t) for t in classes) for s in classes)
+
+
 def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> None:
     lat = model.marking.lattice
     f = model.marking.fiber_class
@@ -201,41 +222,19 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
     for s in secs:
         if intersect(lat, s, s) != -2 or intersect(lat, s, f) != 1:
             raise InvalidCertificate(f"{s} is not a (-2)-section")
-    matrix = tuple(
-        tuple(intersect(lat, s1, s2) for s2 in secs) for s1 in secs)
+    matrix = _intersection_matrix(lat, secs)
     if matrix != cert.intersection_matrix:
         raise InvalidCertificate("stored intersection matrix does not match the classes")
-    # the Klein four-group must permute the four classes transitively
-    index = {s: i for i, s in enumerate(secs)}
-    perms = []
-    for g in model.generators:
-        images = [DivisorClass(la.mat_vec(g, s.coeffs)) for s in secs]
-        if any(img not in index for img in images):
-            raise InvalidCertificate("the involutions do not permute the certificate sections")
-        perms.append(tuple(index[img] for img in images))
-    reached = {0}
-    while True:
-        grown = reached | {p[i] for p in perms for i in reached}
-        if grown == reached:
-            break
-        reached = grown
-    if reached != {0, 1, 2, 3}:
-        raise InvalidCertificate("the certificate sections are not a single orbit")
-    if cert.source == "four-lines":
-        if not cert.pairwise_disjoint:
-            raise InvalidCertificate("four-line certificates must have disjoint sections")
-    elif cert.source == "three-lines-conic":
-        crossings = sorted(
-            tuple(sorted((i, j)))
-            for i in range(4) for j in range(i + 1, 4)
-            if matrix[i][j] != 0)
-        flat = [i for pair in crossings for i in pair]
-        if len(crossings) != 2 or sorted(flat) != [0, 1, 2, 3] or any(
-                matrix[i][j] != 1 for i, j in crossings):
-            raise InvalidCertificate(
-                "three-lines-conic certificates must have exactly two crossing pairs")
-    else:
+    first = secs[0].coeffs
+    orbit = {first} | {la.mat_vec(g, first) for g in model.generators}
+    if len(orbit) != 4 or orbit != {s.coeffs for s in secs}:
+        raise InvalidCertificate(
+            "the certificate sections are not one orbit of four under the Klein four-group")
+    if cert.source not in _SECTION_PATTERNS:
         raise InvalidCertificate(f"unknown certificate source {cert.source!r}")
+    pattern, message = _SECTION_PATTERNS[cert.source]
+    if any(tuple(sorted(row[:i] + row[i + 1:])) != pattern for i, row in enumerate(matrix)):
+        raise InvalidCertificate(message)
 
 
 class FixedCurve(NamedTuple):
@@ -373,12 +372,8 @@ def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
             if i in pair:
                 coeffs[1 + marking.fiber_index_of(proj[pair])] = -1
         sections.append(DivisorClass(tuple(coeffs)))
-    lat = marking.lattice
     cert = RealizationCertificate(
-        "four-lines",
-        tuple(sections),
-        tuple(tuple(intersect(lat, s1, s2) for s2 in sections) for s1 in sections),
-    )
+        "four-lines", tuple(sections), _intersection_matrix(marking.lattice, sections))
     return z22_from_triplet(triplet, cert)
 
 
@@ -484,12 +479,8 @@ def build_from_three_lines_conic(
         section({a3: 1, b3: 1, c: 1}, 1, False),
         section({a1: 1, a2: 1, b1: 1, b2: 1, c: 1}, 2, True),
     )
-    lat = marking.lattice
     cert = RealizationCertificate(
-        "three-lines-conic",
-        sections,
-        tuple(tuple(intersect(lat, s1, s2) for s2 in sections) for s1 in sections),
-    )
+        "three-lines-conic", sections, _intersection_matrix(marking.lattice, sections))
     return z22_from_triplet(triplet, cert)
 
 
@@ -564,7 +555,7 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     classes ``f - 2 E_j``; the two sections ``L - E_1 - ... - E_{n+1}`` and
     ``E_0 - E_{n+2} - ... - E_{2n}`` are disjoint of square -n and swapped.
     """
-    pts = tuple(sorted(set(delta), key=P1Point.sort_key))
+    pts = sorted_distinct(delta, "the branch set")
     if len(pts) < 2:
         raise TooFew(f"an exceptional bundle needs at least two branch points, got {len(pts)}")
     if len(pts) % 2 != 0:
@@ -575,8 +566,6 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     lat = marking.lattice
 
     f = marking.fiber_class
-    k = lat.canonical_class
-    require(la.mat_vec(swap, k.coeffs) == k.coeffs, "the swap moves K")
     require(la.mat_vec(swap, f.coeffs) == f.coeffs, "the swap moves f")
     for j in range(1, 2 * n + 1):
         v = f - 2 * marking.fiber_component(j)

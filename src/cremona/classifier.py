@@ -165,22 +165,32 @@ def _contract_to_plane() -> Verdict:
 # canonical invariants -------------------------------------------------------
 
 
-def _lambda_up_to_sign(raw: str) -> str:
-    """Canonical form of the S_4 cubic parameter: |lambda| when rational.
+def _cubic_parameter(family: str, raw: str) -> str:
+    """The invariant form of the 8a or 8c parameter, after its restrictions.
 
-    The two signs give isomorphic surfaces, so rational input is folded to
-    its absolute value; a non-rational parameter string is kept verbatim
-    (canonicalization over extensions is out of scope).
+    alpha (8a) is kept as given; alpha = -3 makes W^3 + X^3 + Y^3 + Z^3 +
+    alpha XYZ singular at (0:1:1:1).  lambda (8c) must avoid 0 and
+    8 lambda^3 = -1, and the two signs give isomorphic surfaces, so it is
+    folded to its absolute value.  A parameter that is not rational is kept
+    verbatim (canonicalization over extensions is out of scope); one with
+    denominator zero is no number.
     """
     try:
-        lam = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
+        value = Fraction(raw)
+    except ValueError:
         return raw
-    if lam == 0 or 8 * lam**3 == -1:
+    except ZeroDivisionError:
+        raise InvalidDescriptor(f"parameter {raw} has denominator zero") from None
+    if family == CUBIC_TRIPLE_COVER:
+        if value == -3:
+            raise InvalidDescriptor(
+                f"parameter {raw} makes the triple-cover cubic singular (alpha^3 = -27)")
+        return raw
+    if value == 0 or 8 * value**3 == -1:
         raise InvalidDescriptor(
             f"parameter {raw} violates the S_4 cubic restrictions "
             "(9 l^3 != 8 l and 8 l^3 != -1)")
-    return str(abs(lam))
+    return str(abs(value))
 
 
 # the decision tree ----------------------------------------------------------
@@ -261,9 +271,9 @@ def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
             raise InvalidDescriptor("cubic family tags only apply to degree 3")
         if d.cubic_family not in _CUBIC_TAGS:
             raise InvalidDescriptor(f"unknown cubic family tag {d.cubic_family!r}")
-        if d.cubic_family == CUBIC_S4_LAMBDA and d.parameter is not None:
-            # the restrictions on lambda hold whichever branch is taken below
-            _lambda_up_to_sign(d.parameter)
+        if d.cubic_family in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA) and d.parameter is not None:
+            # the restrictions hold whichever branch is taken below
+            _cubic_parameter(d.cubic_family, d.parameter)
     if d.quartic_row is not None and d.degree != 2:
         raise InvalidDescriptor("quartic table rows only apply to degree 2")
     if d.action is not None and d.action.lattice.r != 9 - d.degree:
@@ -314,12 +324,11 @@ def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
                 "the extra-fixed-point family contradicts an all-on-exceptional report")
         sub = _CUBIC_SUBFAMILY[d.cubic_family]
         datum: dict = {"subfamily": sub}
-        if sub == "8a":
-            datum["alpha"] = d.parameter
-        elif sub == "8c":
+        if sub != "8b":
             if d.parameter is None:
-                raise InvalidDescriptor("the S_4 cubic family needs its parameter")
-            datum["lambda_up_to_sign"] = _lambda_up_to_sign(d.parameter)
+                raise InvalidDescriptor(f"the {d.cubic_family} cubic family needs its parameter")
+            key = "alpha" if sub == "8a" else "lambda_up_to_sign"
+            datum[key] = _cubic_parameter(d.cubic_family, d.parameter)
         return _maximal(8, datum, subfamily=sub)
     return _not_maximal(*_blow_down_chain_from(3))
 

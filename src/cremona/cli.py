@@ -1,10 +1,10 @@
 """Command-line front end: JSON in, JSON out, exit codes for batch use.
 
-Exit status: 0 success, 1 invalid input (malformed JSON, bad descriptor,
-unreadable file, an integer too long to convert to or from text), 2 an
-indeterminate classification, 3 a violated internal invariant.  Logs go
-to standard error at the level named by the ``CREMONA_LOG`` environment
-variable; reports go to the output path (default standard output).
+Exit status: 0 success, 1 invalid input (a usage error, malformed JSON,
+bad descriptor, unreadable file, an integer too long to convert to or from
+text), 2 an indeterminate classification, 3 a violated internal invariant.
+Logs go to standard error at the level named by the ``CREMONA_LOG``
+environment variable; reports go to the output path (default stdout).
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ import os
 import sys
 
 from . import jsonio
-from .bundles import (
-    build_from_four_lines,
-    build_from_three_lines_conic,
-    exceptional_from_delta,
-    z22_from_triplet,
-)
 from .classifier import classify, link_feasibility
 from .errors import CremonaError, IntegerTooLong, InvariantViolation
 from .picard import (
@@ -83,32 +77,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    doc = _read_json(args.input)
-    obj = doc if isinstance(doc, dict) else {}
-    if args.kind == "four-lines":
-        lines = jsonio.expect_list(obj.get("lines"), "$.lines", 4)
-        model = build_from_four_lines(
-            tuple(jsonio.parse_line(l, f"$.lines[{i}]") for i, l in enumerate(lines)),
-            jsonio.parse_p2_point(obj.get("center"), "$.center"))
-        report = jsonio.z22_model_json(model)
-    elif args.kind == "three-lines-conic":
-        lines = jsonio.expect_list(obj.get("lines"), "$.lines", 3)
-        model = build_from_three_lines_conic(
-            tuple(jsonio.parse_line(l, f"$.lines[{i}]") for i, l in enumerate(lines)),
-            jsonio.parse_conic(obj.get("conic"), "$.conic"),
-            jsonio.parse_p2_point(obj.get("d1"), "$.d1"),
-            jsonio.parse_p2_point(obj.get("d2"), "$.d2"))
-        report = jsonio.z22_model_json(model)
-    elif args.kind == "z22":
-        triplet = jsonio.parse_triplet(obj.get("triplet"), "$.triplet")
-        cert = None
-        if obj.get("certificate") is not None:
-            cert = jsonio.parse_certificate(obj["certificate"], "$.certificate")
-        report = jsonio.z22_model_json(z22_from_triplet(triplet, cert))
-    else:
-        delta = jsonio.parse_p1_points(obj.get("delta"), "$.delta")
-        report = jsonio.exceptional_model_json(exceptional_from_delta(delta))
-    _write_report(args.output, report)
+    model = jsonio.parse_model(jsonio.expect_obj(_read_json(args.input), "$"), args.kind)
+    emit = jsonio.exceptional_model_json if args.kind == "exceptional" else jsonio.z22_model_json
+    _write_report(args.output, emit(model))
     return EXIT_OK
 
 
@@ -228,8 +199,14 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, after printing the usage; here
+        # 2 means an indeterminate verdict
+        if exc.code == 2:
+            return EXIT_INVALID_INPUT
+        raise
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

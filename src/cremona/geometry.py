@@ -32,7 +32,7 @@ from .errors import (
     NonRationalIntersection,
     SamePoint,
 )
-from .intlinalg import Mat, det, freeze
+from .intlinalg import Mat, freeze
 
 
 def _reduced(coords: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -142,24 +142,22 @@ class Line:
         return f"Line({self.u},{self.v},{self.w})"
 
 
+def _cross(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
 def line_through(p: P2Point, q: P2Point) -> Line:
     """The unique line through two distinct points (cross product)."""
     if p == q:
         raise SamePoint(f"no unique line through {p} twice")
-    u = p.b * q.c - p.c * q.b
-    v = p.c * q.a - p.a * q.c
-    w = p.a * q.b - p.b * q.a
-    return Line(u, v, w)
+    return Line(*_cross(p.coords(), q.coords()))
 
 
 def lines_meet(l1: Line, l2: Line) -> P2Point:
-    """The intersection point of two distinct lines."""
+    """The intersection point of two distinct lines (cross product)."""
     if l1 == l2:
         raise DegenerateConfiguration("two equal lines meet in a line, not a point")
-    a = l1.v * l2.w - l1.w * l2.v
-    b = l1.w * l2.u - l1.u * l2.w
-    c = l1.u * l2.v - l1.v * l2.u
-    return P2Point(a, b, c)
+    return P2Point(*_cross(l1.coeffs(), l2.coeffs()))
 
 
 # conics ---------------------------------------------------------------------
@@ -198,13 +196,10 @@ class Conic:
         return self.evaluate(p) == 0
 
     def is_smooth(self) -> bool:
-        """Smooth iff the (doubled) symmetric matrix has nonzero determinant."""
-        m = freeze([
-            [2 * self.xx, self.xy, self.xz],
-            [self.xy, 2 * self.yy, self.yz],
-            [self.xz, self.yz, 2 * self.zz],
-        ])
-        return det(m) != 0
+        """Smooth iff the discriminant, half the determinant of the doubled
+        symmetric matrix, is nonzero."""
+        return (4 * self.xx * self.yy * self.zz + self.xy * self.xz * self.yz
+                - self.xx * self.yz**2 - self.yy * self.xz**2 - self.zz * self.xy**2) != 0
 
 
 # Moebius transformations ------------------------------------------------------

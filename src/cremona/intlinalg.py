@@ -1,11 +1,11 @@
 """Exact linear algebra over the integers for small matrices.
 
 Matrices are immutable tuples of row tuples of Python ints.  Everything
-here is fraction free: determinants use the Bareiss scheme, and row
-reduction is the Hermite normal form computed with elementary unimodular
-row operations whose product is tracked, which gives integer kernels that
-are automatically saturated (a primitive basis of the full lattice of
-integer solutions, not just a finite-index sublattice).
+here is fraction free: row reduction is the Hermite normal form computed
+with elementary unimodular row operations whose product is tracked, which
+gives integer kernels that are automatically saturated (a primitive basis
+of the full lattice of integer solutions, not just a finite-index
+sublattice).
 
 Sizes in this package stay below 15 x 15, and the matrices it multiplies
 are sparse (a fiberwise involution is about a quarter nonzero), so
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
-
-from .errors import DimensionMismatch
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -57,33 +55,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
 
 def is_zero(v: Sequence[int]) -> bool:
     return all(x == 0 for x in v)
-
-
-def det(m: Mat) -> int:
-    """Determinant by the fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise DimensionMismatch("determinant of a non-square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def hermite_row_form(m: Mat) -> tuple[Mat, Mat]:

@@ -17,6 +17,8 @@ from .bundles import (
     ExceptionalBundleModel,
     RealizationCertificate,
     Z22BundleModel,
+    build_from_four_lines,
+    build_from_three_lines_conic,
     exceptional_from_delta,
     z22_from_triplet,
 )
@@ -71,6 +73,12 @@ def expect_obj(v, where: str) -> dict:
     if not isinstance(v, dict):
         raise _fail(where, f"expected an object, got {v!r}")
     return v
+
+
+def _optional(obj: dict, key: str, parse):
+    """``obj[key]`` read by ``parse``, or None when absent or null."""
+    v = obj.get(key)
+    return None if v is None else parse(v, f"$.{key}")
 
 
 # points, lines, conics, maps -------------------------------------------------
@@ -229,6 +237,29 @@ def exceptional_model_json(model: ExceptionalBundleModel) -> dict:
     }
 
 
+def _parse_lines(obj: dict, count: int) -> tuple[Line, ...]:
+    lines = expect_list(obj.get("lines"), "$.lines", count)
+    return tuple(parse_line(l, f"$.lines[{i}]") for i, l in enumerate(lines))
+
+
+def parse_model(obj: dict, kind: str) -> Z22BundleModel | ExceptionalBundleModel:
+    """Build the model of a document's top-level object for one ``construct``
+    kind: ``four-lines``, ``three-lines-conic``, ``z22`` or ``exceptional``."""
+    if kind == "four-lines":
+        return build_from_four_lines(
+            _parse_lines(obj, 4), parse_p2_point(obj.get("center"), "$.center"))
+    if kind == "three-lines-conic":
+        return build_from_three_lines_conic(
+            _parse_lines(obj, 3),
+            parse_conic(obj.get("conic"), "$.conic"),
+            parse_p2_point(obj.get("d1"), "$.d1"),
+            parse_p2_point(obj.get("d2"), "$.d2"))
+    if kind == "z22":
+        return z22_from_triplet(parse_triplet(obj.get("triplet"), "$.triplet"),
+                                _optional(obj, "certificate", parse_certificate))
+    return exceptional_from_delta(parse_p1_points(obj.get("delta"), "$.delta"))
+
+
 # descriptors ------------------------------------------------------------------
 
 
@@ -241,14 +272,9 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
     if kind == "hirzebruch":
         return HirzebruchDescriptor(n=expect_int(obj.get("n"), "$.n"))
     if kind == "exceptional":
-        delta = parse_p1_points(obj.get("delta"), "$.delta")
-        return ExceptionalDescriptor(exceptional_from_delta(delta))
+        return ExceptionalDescriptor(parse_model(obj, kind))
     if kind == "z22":
-        triplet = parse_triplet(obj.get("triplet"), "$.triplet")
-        cert = None
-        if obj.get("certificate") is not None:
-            cert = parse_certificate(obj["certificate"], "$.certificate")
-        return Z22Descriptor(z22_from_triplet(triplet, cert))
+        return Z22Descriptor(parse_model(obj, kind))
     raise _fail("$.kind", f"unknown descriptor kind {kind!r}")
 
 
@@ -257,15 +283,9 @@ def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
     p1xp1 = obj.get("p1xp1", False)
     if not isinstance(p1xp1, bool):
         raise _fail("$.p1xp1", f"expected a boolean, got {p1xp1!r}")
-    action = None
-    if obj.get("action") is not None:
-        action = parse_action(obj["action"], "$.action")
-    report = obj.get("fixed_point_report")
-    if report is not None:
-        report = expect_str(report, "$.fixed_point_report")
-    cubic = obj.get("cubic_family")
-    if cubic is not None:
-        cubic = expect_str(cubic, "$.cubic_family")
+    action = _optional(obj, "action", parse_action)
+    report = _optional(obj, "fixed_point_report", expect_str)
+    cubic = _optional(obj, "cubic_family", expect_str)
     row = obj.get("quartic_row")
     if row is not None:
         pair = expect_list(row, "$.quartic_row", 2)
@@ -274,16 +294,11 @@ def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
     restrictions = obj.get("restrictions_satisfied", True)
     if not isinstance(restrictions, bool):
         raise _fail("$.restrictions_satisfied", f"expected a boolean, got {restrictions!r}")
-    iso = obj.get("iso_class_tag")
-    if iso is not None:
-        iso = expect_str(iso, "$.iso_class_tag")
-    parameter = obj.get("parameter")
-    if parameter is not None:
-        parameter = expect_str(parameter, "$.parameter")
     return DelPezzoDescriptor(
         degree=degree, p1xp1=p1xp1, action=action, fixed_point_report=report,
         cubic_family=cubic, quartic_row=row, restrictions_satisfied=restrictions,
-        iso_class_tag=iso, parameter=parameter)
+        iso_class_tag=_optional(obj, "iso_class_tag", expect_str),
+        parameter=_optional(obj, "parameter", expect_str))
 
 
 # verdicts and reports ---------------------------------------------------------

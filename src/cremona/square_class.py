@@ -41,7 +41,7 @@ from .errors import (
 from .geometry import Mobius, P1Point, mobius_from_triples
 
 
-def _sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
+def sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePoint(f"repeated point in {what}")
@@ -64,7 +64,7 @@ class RamificationTriplet:
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(
-            (_sorted_distinct(s, "a branch set") for s in self.sets),
+            (sorted_distinct(s, "a branch set") for s in self.sets),
             key=_set_key,
         ))
         object.__setattr__(self, "sets", canon)
@@ -105,7 +105,7 @@ def validate_triplet(a1, a2, a3) -> RamificationTriplet:
     """
     sets = []
     for idx, raw in enumerate((a1, a2, a3), start=1):
-        pts = _sorted_distinct(raw, f"branch set {idx}")
+        pts = sorted_distinct(raw, f"branch set {idx}")
         if len(pts) < 2:
             raise TooSmall(f"branch set {idx} has {len(pts)} < 2 points")
         if len(pts) % 2 != 0:
@@ -258,7 +258,7 @@ def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
 
 
 def _delta_pass(points):
-    pts = _sorted_distinct(points, "a branch set")
+    pts = sorted_distinct(points, "a branch set")
     images, ties = _least_pinnings(pts, (tuple(range(len(pts))),))
     canon = tuple(sorted((P1Point(n, d) for n, d in images), key=P1Point.sort_key))
     return pts, canon, ties

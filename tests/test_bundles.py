@@ -31,6 +31,7 @@ from cremona import (
 )
 from cremona import bundles, picard
 from cremona import intlinalg as la
+from cremona.bundles import RealizationCertificate
 from cremona.corpus import (
     FOUR_LINES,
     FOUR_LINES_CENTER,
@@ -46,6 +47,8 @@ from cremona.corpus import (
 from cremona.errors import (
     DegenerateConfiguration,
     DimensionMismatch,
+    DuplicatePoint,
+    InvalidCertificate,
     OddCardinality,
     OddDelta,
     QOnConfiguration,
@@ -312,6 +315,68 @@ class TestThreeLinesConic:
                 THREE_LINES, THREE_LINES_CONIC, THREE_LINES_D1, P2Point(1, 4, 1))
 
 
+def _recertify(model, sections, source=None):
+    """The model's triplet with a certificate on ``sections`` and a true matrix."""
+    lat = model.marking.lattice
+    matrix = tuple(tuple(intersect(lat, s, t) for t in sections) for s in sections)
+    return model.triplet, RealizationCertificate(
+        source or model.certificate.source, tuple(sections), matrix)
+
+
+def _not_a_minus_two_section():
+    model = four_lines_model()
+    sections = model.certificate.section_classes
+    return _recertify(model, (model.marking.lattice.line_class(),) + sections[1:])
+
+
+def _tampered_matrix():
+    model = four_lines_model()
+    cert = model.certificate
+    matrix = [list(row) for row in cert.intersection_matrix]
+    matrix[0][1] = 5
+    return model.triplet, RealizationCertificate(
+        cert.source, cert.section_classes, tuple(map(tuple, matrix)))
+
+
+def _foreign_section():
+    # another (-2)-section L - E_a - E_b - E_c, which the involutions move
+    # out of the set
+    model = four_lines_model()
+    sections = model.certificate.section_classes
+    lat = model.marking.lattice
+    for triple in itertools.combinations(range(1, model.k + 1), 3):
+        s = lat.line_class()
+        for j in triple:
+            s = s - model.marking.fiber_component(j)
+        if s not in sections:
+            return _recertify(model, (s,) + sections[1:])
+    raise AssertionError("every L - E_a - E_b - E_c is a certificate section")
+
+
+def _relabelled(build, source):
+    def case():
+        model = build()
+        return _recertify(model, model.certificate.section_classes, source)
+    return case
+
+
+class TestCertificateRejection:
+    @pytest.mark.parametrize("case, message", [
+        (_not_a_minus_two_section, "not a \\(-2\\)-section"),
+        (_tampered_matrix, "intersection matrix"),
+        (_foreign_section, "permute|orbit"),
+        (_relabelled(three_lines_conic_model, "four-lines"), "disjoint"),
+        (_relabelled(four_lines_model, "three-lines-conic"), "crossing pairs"),
+        (_relabelled(four_lines_model, "five-lines"), "unknown certificate source"),
+    ], ids=["not-minus-two", "tampered-matrix", "foreign-section",
+            "conic-sections-as-four-lines", "line-sections-as-three-lines-conic",
+            "unknown-source"])
+    def test_rejected_through_z22_from_triplet(self, case, message):
+        triplet, cert = case()
+        with pytest.raises(InvalidCertificate, match=message):
+            z22_from_triplet(triplet, cert)
+
+
 class TestJonquieres:
     def test_involution_and_invariant_rank(self):
         marking = FiberedMarking.standard(4)
@@ -367,7 +432,9 @@ class TestExceptionalBundles:
             exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2)))
 
     def test_duplicate_points_collapse_before_the_size_check(self):
-        with pytest.raises(OddDelta):
+        # a repeated branch point is rejected, not collapsed: in the square
+        # class reading a repeated root would cancel
+        with pytest.raises(DuplicatePoint):
             exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2)) + (p1(2),))
 
 

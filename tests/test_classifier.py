@@ -198,8 +198,24 @@ class TestCubicBranch:
         assert v.invariant["lambda_up_to_sign"] == "sqrt(2)"
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(InvalidDescriptor):
-            classify(minimal_cubic(CUBIC_S4_LAMBDA))
+        for family in (CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER):
+            with pytest.raises(InvalidDescriptor, match="needs its parameter"):
+                classify(minimal_cubic(family))
+
+    @pytest.mark.parametrize("family", [CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER])
+    def test_zero_denominator_is_not_a_parameter(self, family):
+        with pytest.raises(InvalidDescriptor, match="denominator zero"):
+            classify(minimal_cubic(family, parameter="1/0"))
+
+    @pytest.mark.parametrize("report", [ALL_ON_EXCEPTIONAL, OFF_EXCEPTIONAL])
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "not-minimal"])
+    def test_singular_triple_cover_rejected_on_every_branch(self, minimal, report):
+        # W^3 + X^3 + Y^3 + Z^3 - 3 XYZ is singular at (0:1:1:1)
+        action = cubic_coxeter_action() if minimal else non_minimal_cubic_action()
+        with pytest.raises(InvalidDescriptor, match="singular"):
+            classify(DelPezzoDescriptor(
+                3, action=action, fixed_point_report=report,
+                cubic_family=CUBIC_TRIPLE_COVER, parameter="-3"))
 
     def test_missing_action_or_report_rejected(self):
         with pytest.raises(InvalidDescriptor):

@@ -174,6 +174,12 @@ class TestClassifyCommand:
         code, report = run(tmp_path, ["classify"], doc)
         assert code == 1 and report is None
 
+    @pytest.mark.parametrize("delta", [[0, 1, 1, 2, 3], [0, "0/5", [0, 7], 1]])
+    def test_repeated_branch_point_is_invalid_input(self, tmp_path, caplog, delta):
+        code, report = run(tmp_path, ["classify"], {"kind": "exceptional", "delta": delta})
+        assert code == 1 and report is None
+        assert "DuplicatePoint: repeated point in the branch set" in caplog.text
+
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -242,6 +248,17 @@ class TestConstructCommand:
         assert model_doc["n"] == 2
         assert model_doc["k_squared"] == 4
         assert model_doc["aut"]["stabilizer_order"] == 4
+
+    def test_exceptional_repeated_branch_point(self, tmp_path, caplog):
+        code, report = run(
+            tmp_path, ["construct", "exceptional"], {"delta": [0, 1, 1, 2, 3]})
+        assert code == 1 and report is None
+        assert "DuplicatePoint: repeated point in the branch set" in caplog.text
+
+    def test_document_that_is_not_an_object(self, tmp_path, caplog):
+        path = write_doc(tmp_path, "in.json", [])
+        assert main(["construct", "four-lines", "--input", path]) == 1
+        assert "InvalidDescriptor: at $: expected an object" in caplog.text
 
 
 class TestLatticeCommand:
@@ -378,6 +395,19 @@ class TestExitCodes:
         proc = run_child(["-m", "cremona", "lattice", "genus", "--output", str(out)], text)
         assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--bogus"], [], ["lattice", "minus-one-count", "--r", "abc"]])
+    def test_usage_error_exits_1(self, argv):
+        # exit code 2 means an indeterminate verdict, not a usage error
+        proc = run_child(["-m", "cremona", *argv], "")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: cremona")
+        assert "Traceback" not in proc.stderr
+
+    def test_help_exits_0(self):
+        proc = run_child(["-m", "cremona", "--help"], "")
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: cremona")
 
 
 PUBLIC_NAMES = [

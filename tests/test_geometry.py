@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from cremona import (
     P2Point,
     mobius_from_triples,
 )
-from cremona import intlinalg as la
 from cremona.geometry import (
     intersect_line_conic,
     line_through,
@@ -106,6 +106,13 @@ class TestConic:
         assert PARABOLA.is_smooth()
         assert not Conic(0, 0, 0, 1, 0, 0).is_smooth()  # xy = 0, two lines
 
+    @given(st.tuples(*[st.integers(min_value=-3, max_value=3)] * 6).filter(any))
+    def test_smooth_iff_the_doubled_symmetric_matrix_is_invertible(self, coeffs):
+        conic = Conic(*coeffs)
+        xx, yy, zz, xy, xz, yz = conic.coeffs()
+        doubled = sympy.Matrix([[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]])
+        assert conic.is_smooth() == (doubled.det() != 0)
+
     def test_coefficient_reduction(self):
         assert Conic(2, 0, 0, 0, 0, -2) == PARABOLA
 
@@ -166,7 +173,7 @@ class TestProjection:
     def test_lines_through_center_collapse(self):
         center = P2Point(1, 1, 1)
         a, b = P2Point(3, 1, 2), P2Point(5, 1, 3)  # both on a line through center
-        assert la.det((center.coords(), a.coords(), b.coords())) == 0
+        assert line_through(center, a) == line_through(center, b)
         assert project_from(center, a) == project_from(center, b)
 
 
