@@ -46,7 +46,6 @@ three lines and a conic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import intlinalg as la
@@ -125,8 +124,7 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
     return validate_involution(marking.lattice, tuple(rows))
 
 
-@dataclass(frozen=True)
-class RealizationCertificate:
+class RealizationCertificate(NamedTuple):
     """Witness that a branch triplet is realized by an actual surface.
 
     Holds the classes of four (-2)-sections permuted transitively by the
@@ -147,8 +145,7 @@ class RealizationCertificate:
             for i in range(4) for j in range(4) if i != j)
 
 
-@dataclass(frozen=True)
-class Z22BundleModel:
+class Z22BundleModel(NamedTuple):
     """A conic bundle with a Klein four-group acting trivially on the base."""
 
     marking: FiberedMarking
@@ -268,8 +265,7 @@ def fixed_curve_class(model: Z22BundleModel, i: int) -> FixedCurve:
 # del Pezzo decision
 
 
-@dataclass(frozen=True)
-class DelPezzoVerdict:
+class DelPezzoVerdict(NamedTuple):
     kind: str  # "yes" | "no" | "indeterminate"
     reason: str
 
@@ -324,6 +320,21 @@ def _distinct(values, error: str) -> None:
         seen.add(v)
 
 
+def _certificate(source: str, triplet: RamificationTriplet, sections) -> RealizationCertificate:
+    """The certificate of sections given as (degree, E_0 coefficient, base
+    points of the fibers met in E_j), in the marking ``z22_from_triplet``
+    builds: E_j lies over the j-th support point."""
+    column = {p: j for j, p in enumerate(triplet.support, start=2)}
+    classes = []
+    for degree, e0, through in sections:
+        coeffs = [degree, e0] + [0] * len(column)
+        for p in through:
+            coeffs[column[p]] = -1
+        classes.append(DivisorClass(tuple(coeffs)))
+    lattice = BlowupLattice(len(column) + 1)
+    return RealizationCertificate(source, tuple(classes), _intersection_matrix(lattice, classes))
+
+
 def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
     """The Klein-four conic bundle over the pencil through ``center``.
 
@@ -363,18 +374,8 @@ def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
         branch_sets.append(tuple(others))
     triplet = validate_triplet(*branch_sets)
 
-    support = triplet.support
-    marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
-    sections = []
-    for i in range(4):
-        coeffs = [1] + [0] * marking.lattice.r
-        for pair, pt in double_points.items():
-            if i in pair:
-                coeffs[1 + marking.fiber_index_of(proj[pair])] = -1
-        sections.append(DivisorClass(tuple(coeffs)))
-    cert = RealizationCertificate(
-        "four-lines", tuple(sections), _intersection_matrix(marking.lattice, sections))
-    return z22_from_triplet(triplet, cert)
+    sections = [(1, 0, [proj[pair] for pair in double_points if i in pair]) for i in range(4)]
+    return z22_from_triplet(triplet, _certificate("four-lines", triplet, sections))
 
 
 def build_from_three_lines_conic(
@@ -463,25 +464,12 @@ def build_from_three_lines_conic(
     branch_c = (proj[a1], proj[a2], proj[a3], proj[b1], proj[b2], proj[b3])
     triplet = validate_triplet(branch_a, branch_b, branch_c)
 
-    marking = FiberedMarking(BlowupLattice(8), triplet.support)
-
-    def section(mults: dict[P2Point, int], degree: int, through_center: bool) -> DivisorClass:
-        coeffs = [degree] + [0] * marking.lattice.r
-        if through_center:
-            coeffs[1] = -1
-        for pt, mult in mults.items():
-            coeffs[1 + marking.fiber_index_of(proj[pt])] = -mult
-        return DivisorClass(tuple(coeffs))
-
-    sections = (
-        section({a1: 1, a2: 1, a3: 1}, 1, False),
-        section({b1: 1, b2: 1, b3: 1}, 1, False),
-        section({a3: 1, b3: 1, c: 1}, 1, False),
-        section({a1: 1, a2: 1, b1: 1, b2: 1, c: 1}, 2, True),
-    )
-    cert = RealizationCertificate(
-        "three-lines-conic", sections, _intersection_matrix(marking.lattice, sections))
-    return z22_from_triplet(triplet, cert)
+    sections = [
+        (degree, e0, [proj[pt] for pt in through])
+        for degree, e0, through in ((1, 0, (a1, a2, a3)), (1, 0, (b1, b2, b3)),
+                                    (1, 0, (a3, b3, c)), (2, -1, (a1, a2, b1, b2, c)))
+    ]
+    return z22_from_triplet(triplet, _certificate("three-lines-conic", triplet, sections))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +496,7 @@ def jonquieres_involution_matrix(marking: FiberedMarking) -> JonquieresInvolutio
 # exceptional bundles
 
 
-@dataclass(frozen=True)
-class ExceptionalBundleModel:
+class ExceptionalBundleModel(NamedTuple):
     """The minimal bundle with two (-n)-sections swapped by an involution.
 
     Its automorphism group is an extension of the stabilizer of the branch
@@ -651,8 +638,7 @@ def second_fibration_solver(k_squared: int):
 # Halphen: the K^2 = 0 boundary profile
 
 
-@dataclass(frozen=True)
-class HalphenReport:
+class HalphenReport(NamedTuple):
     """The (2, 2, 4) boundary case: elliptic fixed curves, K^2 = 0.
 
     Here the full automorphism group of the surface is not an algebraic

@@ -17,7 +17,6 @@ do not rule the link out, not that a link exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ _DEGREE2_LABELS = frozenset(DEGREE2_TABLE.values())
 # descriptors ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelPezzoDescriptor:
+class DelPezzoDescriptor(NamedTuple):
     """A del Pezzo surface of the given degree with optional refinements.
 
     ``action`` is required for degree 3 (minimality is decided from it).
@@ -93,18 +91,15 @@ class DelPezzoDescriptor:
     parameter: str | None = None
 
 
-@dataclass(frozen=True)
-class HirzebruchDescriptor:
+class HirzebruchDescriptor(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class ExceptionalDescriptor:
+class ExceptionalDescriptor(NamedTuple):
     model: ExceptionalBundleModel
 
 
-@dataclass(frozen=True)
-class Z22Descriptor:
+class Z22Descriptor(NamedTuple):
     model: Z22BundleModel
 
 
@@ -128,8 +123,7 @@ class ChainStep(NamedTuple):
     k_squared: int | None = None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: str  # "maximal" | "not_maximal" | "indeterminate"
     family: int | None = None
     subfamily: str | None = None
@@ -369,8 +363,7 @@ class LinkEntry(NamedTuple):
     witness: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class LinkReport:
+class LinkReport(NamedTuple):
     family: int
     k_squared: int
     entries: tuple[LinkEntry, LinkEntry, LinkEntry, LinkEntry]

@@ -5,13 +5,14 @@ bad descriptor, unreadable file, an integer too long to convert to or from
 text), 2 an indeterminate classification, 3 a violated internal invariant.
 Logs go to standard error at the level named by the ``CREMONA_LOG``
 environment variable; reports go to the output path (default stdout).
+``logging`` is imported and set up on the first log record, or at start
+when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 
@@ -26,8 +27,6 @@ from .picard import (
     invariant_sublattice,
 )
 from .square_class import delta_canonical_form, triplet_canonical_form
-
-log = logging.getLogger("cremona")
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -71,7 +70,7 @@ def _cmd_classify(args) -> int:
         doc["links"] = jsonio.link_report_json(link_feasibility(descriptor))
     _write_report(args.output, doc)
     if verdict.outcome == "indeterminate":
-        log.info("indeterminate verdict: %s", verdict.reason)
+        _log("info", "indeterminate verdict: %s", verdict.reason)
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -125,7 +124,8 @@ def _cmd_verify(args) -> int:
     from . import suites
 
     if args.suite not in suites.suite_names():
-        log.error("unknown suite %r; choose from %s", args.suite, ", ".join(suites.suite_names()))
+        _log("error", "unknown suite %r; choose from %s", args.suite,
+             ", ".join(suites.suite_names()))
         return EXIT_INVALID_INPUT
     results = suites.run_suite(args.suite)
     checks = [
@@ -136,7 +136,7 @@ def _cmd_verify(args) -> int:
     _write_report(args.output, {"suite": args.suite, "checks": checks,
                                 "failures": len(failed)})
     for c in failed:
-        log.error("check %s failed: %s", c["name"], c["error"])
+        _log("error", "check %s failed: %s", c["name"], c["error"])
     return EXIT_INVARIANT_VIOLATION if failed else EXIT_OK
 
 
@@ -188,17 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("CREMONA_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
+def _configure_logging():
+    """Set up logging unless it already is, and return the ``cremona`` logger."""
+    import logging
+
+    level = getattr(logging, os.environ.get("CREMONA_LOG", "warning").upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
+    return logging.getLogger("cremona")
+
+
+def _log(level: str, message: str, *args) -> None:
+    getattr(_configure_logging(), level)(message, *args)
 
 
 def main(argv=None) -> int:
-    _configure_logging()
+    if "CREMONA_LOG" in os.environ:
+        _configure_logging()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -210,16 +218,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
-        log.error("malformed JSON at line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
+        _log("error", "malformed JSON at line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
         return EXIT_INVALID_INPUT
     except OSError as exc:
-        log.error("cannot read or write: %s", exc)
+        _log("error", "cannot read or write: %s", exc)
         return EXIT_INVALID_INPUT
     except InvariantViolation as exc:
-        log.error("internal invariant violation: %s", exc)
+        _log("error", "internal invariant violation: %s", exc)
         return EXIT_INVARIANT_VIOLATION
     except CremonaError as exc:
-        log.error("%s: %s", type(exc).__name__, exc)
+        _log("error", "%s: %s", type(exc).__name__, exc)
         return EXIT_INVALID_INPUT
 
 

@@ -80,10 +80,6 @@ class NotInvolution(CremonaError):
     """A matrix that must be an involution does not square to the identity."""
 
 
-class UnmarkedPoint(CremonaError):
-    """A point of P^1 is not a base point of the fibered marking."""
-
-
 class NotClosedUnderAction(CremonaError):
     """An orbit computation escaped the supplied set of classes."""
 

@@ -20,7 +20,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,27 +35,72 @@ from .intlinalg import Mat, freeze
 
 
 def _reduced(coords: tuple[int, ...], what: str) -> tuple[int, ...]:
-    if all(c == 0 for c in coords):
-        raise DegenerateConfiguration(f"all coordinates of a {what} are zero")
     g = math.gcd(*coords)
-    coords = tuple(c // g for c in coords)
-    first = next(c for c in coords if c != 0)
-    if first < 0:
-        coords = tuple(-c for c in coords)
-    return coords
+    if g == 0:
+        raise DegenerateConfiguration(f"all coordinates of a {what} are zero")
+    # divide by the gcd, signed so that the first nonzero coordinate is positive
+    if next(c for c in coords if c) < 0:
+        g = -g
+    return tuple([c // g for c in coords])
 
 
-@dataclass(frozen=True, order=False)
-class P1Point:
+class _Frozen:
+    """Base of the package's validated value types.
+
+    A subclass keeps its fields in ``__slots__``, names them in order in
+    ``__match_args__`` and sets them once on construction.  Equality and
+    hashing work on the tuple of the fields, as for a frozen dataclass:
+    records of two types never compare equal, and a hash is the hash of
+    the field tuple.  (``P1Point`` and ``DivisorClass``, which sit in the
+    kernel loops, write the two out.)  Assignment and deletion raise
+    AttributeError; the default repr is the dataclass one.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class P1Point(_Frozen):
     """A rational point ``(a : b)`` of the projective line."""
 
-    a: int
-    b: int
+    __slots__ = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        a, b = _reduced((int(self.a), int(self.b)), "P1 point")
+    def __init__(self, a: int, b: int) -> None:
+        a, b = _reduced((int(a), int(b)), "P1 point")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @classmethod
     def from_value(cls, value: int | Fraction) -> "P1Point":
@@ -66,10 +110,6 @@ class P1Point:
     @classmethod
     def infinity(cls) -> "P1Point":
         return cls(1, 0)
-
-    def value(self) -> Fraction | None:
-        """The affine value ``a/b``, or None for the point at infinity."""
-        return None if self.b == 0 else Fraction(self.a, self.b)
 
     def sort_key(self) -> tuple:
         # Finite points in increasing value, then infinity last.
@@ -82,16 +122,13 @@ class P1Point:
         return f"({self.a}:{self.b})"
 
 
-@dataclass(frozen=True, order=False)
-class P2Point:
+class P2Point(_Frozen):
     """A rational point ``(a : b : c)`` of the projective plane."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = __match_args__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        a, b, c = _reduced((int(self.a), int(self.b), int(self.c)), "P2 point")
+    def __init__(self, a: int, b: int, c: int) -> None:
+        a, b, c = _reduced((int(a), int(b), int(c)), "P2 point")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -115,16 +152,13 @@ class P2Point:
         return f"({self.a}:{self.b}:{self.c})"
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(_Frozen):
     """The line ``u x + v y + w z = 0``, coefficients reduced like a point."""
 
-    u: int
-    v: int
-    w: int
+    __slots__ = __match_args__ = ("u", "v", "w")
 
-    def __post_init__(self) -> None:
-        u, v, w = _reduced((int(self.u), int(self.v), int(self.w)), "line")
+    def __init__(self, u: int, v: int, w: int) -> None:
+        u, v, w = _reduced((int(u), int(v), int(w)), "line")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
@@ -162,24 +196,15 @@ def lines_meet(l1: Line, l2: Line) -> P2Point:
 
 # conics ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(_Frozen):
     """A plane conic with integer coefficients ``(xx, yy, zz, xy, xz, yz)``."""
 
-    xx: int
-    yy: int
-    zz: int
-    xy: int
-    xz: int
-    yz: int
+    __slots__ = __match_args__ = ("xx", "yy", "zz", "xy", "xz", "yz")
 
-    def __post_init__(self) -> None:
+    def __init__(self, xx: int, yy: int, zz: int, xy: int, xz: int, yz: int) -> None:
         reduced = _reduced(
-            (int(self.xx), int(self.yy), int(self.zz),
-             int(self.xy), int(self.xz), int(self.yz)),
-            "conic",
-        )
-        for name, val in zip(("xx", "yy", "zz", "xy", "xz", "yz"), reduced):
+            (int(xx), int(yy), int(zz), int(xy), int(xz), int(yz)), "conic")
+        for name, val in zip(self.__match_args__, reduced):
             object.__setattr__(self, name, val)
 
     def coeffs(self) -> tuple[int, int, int, int, int, int]:
@@ -204,18 +229,17 @@ class Conic:
 
 # Moebius transformations ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(_Frozen):
     """An element of PGL(2, Q) as a reduced integer 2 x 2 matrix.
 
     Acts on column coordinates: ``(a : b) -> (m00 a + m01 b : m10 a + m11 b)``,
     i.e. on affine values as ``t -> (m00 t + m01) / (m10 t + m11)``.
     """
 
-    matrix: Mat
+    __slots__ = __match_args__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        rows = freeze(self.matrix)
+    def __init__(self, matrix: Mat) -> None:
+        rows = freeze(matrix)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise DimensionMismatch("a Moebius map needs a 2 x 2 matrix")
         flat = _reduced(rows[0] + rows[1], "Moebius map")

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from . import intlinalg as la
 from .errors import (
@@ -44,27 +43,29 @@ from .errors import (
     NotClosedUnderAction,
     NotInvolution,
     NotIsometry,
-    UnmarkedPoint,
     UnsupportedRank,
 )
-from .geometry import P1Point
+from .geometry import P1Point, _Frozen
 from .intlinalg import Mat, Vec
 
 MAX_BLOWUPS = 13
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Frozen):
     """An integer divisor class; ``coeffs[0]`` is the L coefficient."""
 
-    coeffs: Vec
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, coeffs: Vec) -> None:
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
-    @classmethod
-    def of(cls, *coeffs: int) -> "DivisorClass":
-        return cls(tuple(coeffs))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
@@ -85,24 +86,19 @@ class DivisorClass:
         return f"D{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class BlowupLattice:
+class BlowupLattice(_Frozen):
     """The Picard lattice of P^2 blown up at ``r`` distinct points."""
 
-    r: int
+    __slots__ = __match_args__ = ("r",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.r <= MAX_BLOWUPS:
-            raise UnsupportedRank(f"blowups of the plane at up to {MAX_BLOWUPS} points only, got r={self.r}")
+    def __init__(self, r: int) -> None:
+        if not 0 <= r <= MAX_BLOWUPS:
+            raise UnsupportedRank(f"blowups of the plane at up to {MAX_BLOWUPS} points only, got r={r}")
+        object.__setattr__(self, "r", r)
 
     @property
     def rank(self) -> int:
         return self.r + 1
-
-    @property
-    def degree(self) -> int:
-        """K^2 = 9 - r."""
-        return 9 - self.r
 
     @property
     def canonical_class(self) -> DivisorClass:
@@ -118,9 +114,6 @@ class BlowupLattice:
         coeffs = [0] * self.rank
         coeffs[i] = 1
         return DivisorClass(tuple(coeffs))
-
-    def zero(self) -> DivisorClass:
-        return DivisorClass((0,) * self.rank)
 
 
 def _check_vector(lattice: BlowupLattice, d: DivisorClass) -> Vec:
@@ -258,20 +251,14 @@ def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
     return validate_action(lattice, la.transpose(la.freeze(cols)))
 
 
-@dataclass(frozen=True)
-class LatticeAction:
+class LatticeAction(_Frozen):
     """A finite group of validated isometries, given by generators."""
 
-    lattice: BlowupLattice
-    generators: tuple[Mat, ...]
+    __slots__ = __match_args__ = ("lattice", "generators")
 
-    def __post_init__(self) -> None:
-        gens = tuple(validate_action(self.lattice, g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-
-    @classmethod
-    def trivial(cls, lattice: BlowupLattice) -> "LatticeAction":
-        return cls(lattice, ())
+    def __init__(self, lattice: BlowupLattice, generators: tuple[Mat, ...]) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "generators", tuple(validate_action(lattice, g) for g in generators))
 
     def apply(self, matrix: Mat, d: DivisorClass) -> DivisorClass:
         return DivisorClass(la.mat_vec(matrix, _check_vector(self.lattice, d)))
@@ -362,8 +349,7 @@ def is_pair_minimal(
     return True, None
 
 
-@dataclass(frozen=True)
-class FiberedMarking:
+class FiberedMarking(_Frozen):
     """A blowup lattice marked as a conic bundle over P^1.
 
     ``lattice.r == k + 1``: the class ``E_0`` is the blown-up projection
@@ -371,17 +357,17 @@ class FiberedMarking:
     in ``base_points``.  The fiber class is ``f = L - E_0``.
     """
 
-    lattice: BlowupLattice
-    base_points: tuple[P1Point, ...]
+    __slots__ = __match_args__ = ("lattice", "base_points")
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.base_points)
+    def __init__(self, lattice: BlowupLattice, base_points: tuple[P1Point, ...]) -> None:
+        pts = tuple(base_points)
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "base_points", pts)
         if len(set(pts)) != len(pts):
             raise DuplicatePoint("base points of the singular fibers must be distinct")
-        if self.lattice.r != len(pts) + 1:
+        if lattice.r != len(pts) + 1:
             raise DimensionMismatch(
-                f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {self.lattice.r}")
+                f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {lattice.r}")
 
     @classmethod
     def standard(cls, k: int) -> "FiberedMarking":
@@ -409,12 +395,6 @@ class FiberedMarking:
         if not 1 <= j <= self.k:
             raise DimensionMismatch(f"fiber index {j} out of range 1..{self.k}")
         return self.lattice.exceptional_class(j + 1)
-
-    def fiber_index_of(self, point: P1Point) -> int:
-        try:
-            return self.base_points.index(point) + 1
-        except ValueError:
-            raise UnmarkedPoint(f"{point} is not a marked base point") from None
 
 
 def is_conic_bundle(marking: FiberedMarking, generators: tuple[Mat, ...]) -> bool:

@@ -25,9 +25,7 @@ before any candidate is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     CoverageViolation,
@@ -38,7 +36,7 @@ from .errors import (
     TooManyPoints,
     TooSmall,
 )
-from .geometry import Mobius, P1Point, mobius_from_triples
+from .geometry import Mobius, P1Point, _Frozen, mobius_from_triples
 
 
 def sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
@@ -52,43 +50,34 @@ def _set_key(pts: tuple[P1Point, ...]) -> tuple:
     return (len(pts),) + tuple(p.sort_key() for p in pts)
 
 
-@dataclass(frozen=True)
-class RamificationTriplet:
+class RamificationTriplet(_Frozen):
     """Three even branch sets covering every point exactly twice.
 
     The sets are stored sorted (each internally, and among themselves by
-    size then lexicographic order), so equal triplets compare equal.
+    size then lexicographic order), so equal triplets compare equal.  The
+    sorted union of the sets, ``support``, is computed with them.
     """
 
-    sets: tuple[tuple[P1Point, ...], tuple[P1Point, ...], tuple[P1Point, ...]]
+    __slots__ = ("sets", "support")
+    __match_args__ = ("sets",)
 
-    def __post_init__(self) -> None:
-        canon = tuple(sorted(
-            (sorted_distinct(s, "a branch set") for s in self.sets),
-            key=_set_key,
-        ))
-        object.__setattr__(self, "sets", canon)
+    def __new__(cls, sets: tuple[tuple[P1Point, ...], ...]) -> "RamificationTriplet":
+        return cls._of_sorted(sorted_distinct(s, "a branch set") for s in sets)
+
+    @classmethod
+    def _of_sorted(cls, sets) -> "RamificationTriplet":
+        """The triplet of sets that ``sorted_distinct`` already returned."""
+        t = object.__new__(cls)
+        sets = tuple(sorted(sets, key=_set_key))
+        object.__setattr__(t, "sets", sets)
+        object.__setattr__(t, "support", tuple(sorted(
+            {p for s in sets for p in s}, key=P1Point.sort_key)))
+        return t
 
     @property
     def profile(self) -> tuple[int, int, int]:
         """The half-sizes (a_1 <= a_2 <= a_3)."""
         return tuple(len(s) // 2 for s in self.sets)
-
-    @property
-    def k(self) -> int:
-        """Number of singular fibers: a_1 + a_2 + a_3 = |union|."""
-        return sum(self.profile)
-
-    @cached_property
-    def support(self) -> tuple[P1Point, ...]:
-        """The union of the sets, sorted; computed once per triplet."""
-        seen = set()
-        for s in self.sets:
-            seen.update(s)
-        return tuple(sorted(seen, key=P1Point.sort_key))
-
-    def sort_key(self) -> tuple:
-        return tuple(_set_key(s) for s in self.sets)
 
     def transformed(self, m: Mobius) -> "RamificationTriplet":
         return RamificationTriplet(tuple(
@@ -119,7 +108,7 @@ def validate_triplet(a1, a2, a3) -> RamificationTriplet:
     if bad:
         raise CoverageViolation(
             f"points covered a number of times other than twice: {bad}")
-    return RamificationTriplet(tuple(tuple(s) for s in sets))
+    return RamificationTriplet._of_sorted(sets)
 
 
 def realizable_profiles(max_k: int) -> tuple[tuple[int, int, int], ...]:

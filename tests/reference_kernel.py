@@ -7,13 +7,31 @@ dense Gram matrix, the Hermite form on two separate arrays, the
 fiberwise involution assembled with ``DivisorClass`` arithmetic, and the
 invariant sublattice from every stacked row of ``M - I``.  The group order
 of an action comes from a breadth-first closure under the generators.
+
+The records of the package are kept here as the frozen dataclasses they
+were, under their own names (so that default reprs read the same), for
+``tests/test_records.py`` to compare with the lighter records.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+
 from cremona import intlinalg as la
-from cremona.picard import DivisorClass
-from cremona.errors import DimensionMismatch, MovesCanonicalClass, NotIsometry
+from cremona import picard
+from cremona.errors import (
+    DegenerateConfiguration,
+    DimensionMismatch,
+    DuplicatePoint,
+    MovesCanonicalClass,
+    NotIsometry,
+    UnsupportedRank,
+)
+from cremona.picard import MAX_BLOWUPS, validate_action
+from cremona.square_class import sorted_distinct
 
 
 def reference_mat_mul(a, b):
@@ -99,7 +117,7 @@ def reference_involution_matrix(marking, swapped):
     lat = marking.lattice
     ell = lat.line_class()
     e0 = lat.exceptional_class(1)
-    swapped_sum = lat.zero()
+    swapped_sum = picard.DivisorClass((0,) * lat.rank)
     for j in idx:
         swapped_sum = swapped_sum + marking.fiber_component(j)
 
@@ -121,13 +139,13 @@ def reference_invariant_sublattice(action):
     n = action.lattice.rank
     if not action.generators:
         basis = la.identity(n)
-        return n, tuple(DivisorClass(row) for row in basis)
+        return n, tuple(picard.DivisorClass(row) for row in basis)
     rows = []
     for g in action.generators:
         for i in range(n):
             rows.append(tuple(g[i][j] - (1 if i == j else 0) for j in range(n)))
     kernel = la.kernel_basis(la.freeze(rows))
-    return len(kernel), tuple(DivisorClass(row) for row in kernel)
+    return len(kernel), tuple(picard.DivisorClass(row) for row in kernel)
 
 
 def reference_group_order(action):
@@ -140,3 +158,352 @@ def reference_group_order(action):
                     if p not in seen]
         seen.update(frontier)
     return len(seen)
+
+
+# the records as frozen dataclasses --------------------------------------------
+
+
+def _reduced(coords, what):
+    if all(c == 0 for c in coords):
+        raise DegenerateConfiguration(f"all coordinates of a {what} are zero")
+    g = math.gcd(*coords)
+    coords = tuple(c // g for c in coords)
+    first = next(c for c in coords if c != 0)
+    if first < 0:
+        coords = tuple(-c for c in coords)
+    return coords
+
+
+@dataclass(frozen=True, order=False)
+class P1Point:
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        a, b = _reduced((int(self.a), int(self.b)), "P1 point")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @classmethod
+    def from_value(cls, value):
+        f = Fraction(value)
+        return cls(f.numerator, f.denominator)
+
+    @classmethod
+    def infinity(cls):
+        return cls(1, 0)
+
+    def value(self):
+        return None if self.b == 0 else Fraction(self.a, self.b)
+
+    def sort_key(self):
+        return (1,) if self.b == 0 else (0, Fraction(self.a, self.b))
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __repr__(self):
+        return f"({self.a}:{self.b})"
+
+
+@dataclass(frozen=True, order=False)
+class P2Point:
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self) -> None:
+        a, b, c = _reduced((int(self.a), int(self.b), int(self.c)), "P2 point")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def coords(self):
+        return (self.a, self.b, self.c)
+
+    def sort_key(self):
+        return self.coords()
+
+    def __lt__(self, other):
+        return self.coords() < other.coords()
+
+    def __repr__(self):
+        return f"({self.a}:{self.b}:{self.c})"
+
+
+@dataclass(frozen=True)
+class Line:
+    u: int
+    v: int
+    w: int
+
+    def __post_init__(self) -> None:
+        u, v, w = _reduced((int(self.u), int(self.v), int(self.w)), "line")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+
+    def coeffs(self):
+        return (self.u, self.v, self.w)
+
+    def __repr__(self):
+        return f"Line({self.u},{self.v},{self.w})"
+
+
+@dataclass(frozen=True)
+class Conic:
+    xx: int
+    yy: int
+    zz: int
+    xy: int
+    xz: int
+    yz: int
+
+    def __post_init__(self) -> None:
+        reduced = _reduced(
+            (int(self.xx), int(self.yy), int(self.zz),
+             int(self.xy), int(self.xz), int(self.yz)),
+            "conic",
+        )
+        for name, val in zip(("xx", "yy", "zz", "xy", "xz", "yz"), reduced):
+            object.__setattr__(self, name, val)
+
+
+@dataclass(frozen=True)
+class Mobius:
+    matrix: tuple
+
+    def __post_init__(self) -> None:
+        rows = la.freeze(self.matrix)
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise DimensionMismatch("a Moebius map needs a 2 x 2 matrix")
+        flat = _reduced(rows[0] + rows[1], "Moebius map")
+        m = ((flat[0], flat[1]), (flat[2], flat[3]))
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+            raise DegenerateConfiguration("singular matrix does not define a Moebius map")
+        object.__setattr__(self, "matrix", m)
+
+    def apply(self, p):
+        (m00, m01), (m10, m11) = self.matrix
+        return P1Point(m00 * p.a + m01 * p.b, m10 * p.a + m11 * p.b)
+
+    def __repr__(self):
+        (a, b), (c, d) = self.matrix
+        return f"Mobius[{a},{b};{c},{d}]"
+
+
+@dataclass(frozen=True)
+class DivisorClass:
+    coeffs: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+
+    @classmethod
+    def of(cls, *coeffs):
+        return cls(tuple(coeffs))
+
+    def __add__(self, other):
+        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+
+    def __sub__(self, other):
+        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+
+    def __neg__(self):
+        return DivisorClass(tuple(-a for a in self.coeffs))
+
+    def __rmul__(self, n):
+        return DivisorClass(tuple(n * a for a in self.coeffs))
+
+    def __lt__(self, other):
+        return self.coeffs < other.coeffs
+
+    def __repr__(self):
+        return f"D{self.coeffs}"
+
+
+@dataclass(frozen=True)
+class BlowupLattice:
+    r: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.r <= MAX_BLOWUPS:
+            raise UnsupportedRank(f"blowups of the plane at up to {MAX_BLOWUPS} points only, got r={self.r}")
+
+    @property
+    def rank(self):
+        return self.r + 1
+
+    @property
+    def degree(self):
+        return 9 - self.r
+
+    @property
+    def canonical_class(self):
+        return DivisorClass((-3,) + (1,) * self.r)
+
+    def zero(self):
+        return DivisorClass((0,) * self.rank)
+
+
+@dataclass(frozen=True)
+class LatticeAction:
+    lattice: BlowupLattice
+    generators: tuple
+
+    def __post_init__(self) -> None:
+        gens = tuple(validate_action(self.lattice, g) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+
+    @classmethod
+    def trivial(cls, lattice):
+        return cls(lattice, ())
+
+
+@dataclass(frozen=True)
+class FiberedMarking:
+    lattice: BlowupLattice
+    base_points: tuple
+
+    def __post_init__(self) -> None:
+        pts = tuple(self.base_points)
+        object.__setattr__(self, "base_points", pts)
+        if len(set(pts)) != len(pts):
+            raise DuplicatePoint("base points of the singular fibers must be distinct")
+        if self.lattice.r != len(pts) + 1:
+            raise DimensionMismatch(
+                f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {self.lattice.r}")
+
+    @property
+    def k(self):
+        return len(self.base_points)
+
+
+def _set_key(pts):
+    return (len(pts),) + tuple(p.sort_key() for p in pts)
+
+
+@dataclass(frozen=True)
+class RamificationTriplet:
+    sets: tuple
+
+    def __post_init__(self) -> None:
+        canon = tuple(sorted(
+            (sorted_distinct(s, "a branch set") for s in self.sets),
+            key=_set_key,
+        ))
+        object.__setattr__(self, "sets", canon)
+
+    @property
+    def profile(self):
+        return tuple(len(s) // 2 for s in self.sets)
+
+    @property
+    def k(self):
+        return sum(self.profile)
+
+    @cached_property
+    def support(self):
+        seen = set()
+        for s in self.sets:
+            seen.update(s)
+        return tuple(sorted(seen, key=lambda p: p.sort_key()))
+
+    def sort_key(self):
+        return tuple(_set_key(s) for s in self.sets)
+
+
+@dataclass(frozen=True)
+class RealizationCertificate:
+    source: str
+    section_classes: tuple
+    intersection_matrix: tuple
+
+    @property
+    def pairwise_disjoint(self):
+        return all(
+            self.intersection_matrix[i][j] == 0
+            for i in range(4) for j in range(4) if i != j)
+
+
+@dataclass(frozen=True)
+class Z22BundleModel:
+    marking: object
+    triplet: object
+    generators: tuple
+    certificate: object = None
+
+
+@dataclass(frozen=True)
+class DelPezzoVerdict:
+    kind: str
+    reason: str
+
+
+@dataclass(frozen=True)
+class ExceptionalBundleModel:
+    KERNEL_TAG = "C^* : Z/2"
+
+    marking: object
+    delta: tuple
+    swap: tuple
+    section_classes: tuple
+    canonical_delta: object
+    stabilizer: object
+
+    @property
+    def n(self):
+        return len(self.delta) // 2
+
+
+@dataclass(frozen=True)
+class HalphenReport:
+    k_squared: int
+    fixed_curve: object
+    genus: int
+    note: str
+
+
+@dataclass(frozen=True)
+class DelPezzoDescriptor:
+    degree: int
+    p1xp1: bool = False
+    action: object = None
+    fixed_point_report: object = None
+    cubic_family: object = None
+    quartic_row: object = None
+    restrictions_satisfied: bool = True
+    iso_class_tag: object = None
+    parameter: object = None
+
+
+@dataclass(frozen=True)
+class HirzebruchDescriptor:
+    n: int
+
+
+@dataclass(frozen=True)
+class ExceptionalDescriptor:
+    model: object
+
+
+@dataclass(frozen=True)
+class Z22Descriptor:
+    model: object
+
+
+@dataclass(frozen=True)
+class Verdict:
+    outcome: str
+    family: object = None
+    subfamily: object = None
+    invariant: object = None
+    chain: object = None
+    reason: object = None
+
+
+@dataclass(frozen=True)
+class LinkReport:
+    family: int
+    k_squared: int
+    entries: tuple

@@ -188,6 +188,21 @@ class TestWorkCount:
         assert counts["validate_action"] == 0
         assert model.action().generators == (model.swap,)
 
+    @pytest.mark.parametrize("build", [four_lines_model, three_lines_conic_model])
+    def test_plane_model_builds_one_marking(self, monkeypatch, build):
+        # the certificate's sections are written in the marking of the model
+        markings = []
+        real_init = picard.FiberedMarking.__init__
+
+        def init(self, lattice, base_points):
+            markings.append(base_points)
+            real_init(self, lattice, base_points)
+
+        monkeypatch.setattr(picard.FiberedMarking, "__init__", init)
+        model = build()
+        assert markings == [model.marking.base_points]
+        assert model.certificate is not None
+
 
 class TestFixedCurves:
     @pytest.mark.parametrize("profile", [(1, 1, 2), (1, 2, 2), (2, 2, 3), (2, 2, 4)])

@@ -321,11 +321,14 @@ class TestCanonicalCommand:
         assert code == 0 and len(report["delta"]) == n
 
 
-def run_child(args, stdin):
-    """Run ``python <args>`` with the package on the path; returns the process."""
+def run_child(args, stdin, log=None):
+    """Run ``python <args>`` with the package on the path, and ``CREMONA_LOG``
+    set to ``log`` or unset; returns the process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CREMONA_LOG", None)
+    if log is not None:
+        env["CREMONA_LOG"] = log
     return subprocess.run(
         [sys.executable, *args], input=stdin,
         capture_output=True, text=True, env=env, timeout=60)
@@ -410,6 +413,42 @@ class TestExitCodes:
         assert proc.returncode == 0 and proc.stdout.startswith("usage: cremona")
 
 
+FOUR_LINES = FOUR_LINES_DOC["lines"]
+
+
+class TestRecordsInMessages:
+    """Error messages render records; these logged lines are fixed byte for byte."""
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [2, 7, 2]},
+         "QOnConfiguration: center (2:7:2) lies on Line(1,0,-1)"),
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [1, 1, 0]},
+         "QOnConfiguration: center (1:1:0) lies on Line(1,-1,-2)"),
+        (["construct", "four-lines"],
+         {"lines": [[1, 0, -1], [0, 1, -1], [2, 0, -2], [1, -1, -2]], "center": [0, 0, 1]},
+         "DegenerateConfiguration: the four lines must be distinct (repeated: Line(1,0,-1))"),
+        (["construct", "four-lines"],
+         {"lines": [[1, 0, -1], [0, 1, -1], [1, 1, -2], [1, -1, -2]], "center": [0, 0, 1]},
+         "DegenerateConfiguration: three of the lines are concurrent (repeated: (1:1:1))"),
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [7, -1, 1]},
+         "DegenerateConfiguration: the center sees two double points in the same "
+         "direction (repeated: (2:-1))"),
+        (["canonical", "triplet"], {"triplet": [[0, 1], [0, 2], [1, "1/3"]]},
+         "CoverageViolation: points covered a number of times other than twice: "
+         "[(1:3), (2:1)]"),
+        (["classify"],
+         {"kind": "z22", "triplet": [[0, 1], [0, 2], [1, 2]],
+          "certificate": {"source": "four-lines", "sections": [[1, 0, 0, 0, 0]] * 4,
+                          "matrix": [[1]]}},
+         "InvalidCertificate: D(1, 0, 0, 0, 0) is not a (-2)-section"),
+    ])
+    def test_logged_line(self, tmp_path, caplog, argv, doc, message):
+        code, report = run(tmp_path, argv, doc)
+        assert code == 1 and report is None
+        logged = [r.getMessage() for r in caplog.records if r.name == "cremona"]
+        assert logged == [message]
+
+
 PUBLIC_NAMES = [
     "BlowupLattice", "Conic", "CremonaError", "DelPezzoDescriptor", "DivisorClass",
     "ExceptionalBundleModel", "ExceptionalDescriptor", "FiberedMarking",
@@ -464,6 +503,41 @@ def test_cli_import_leaves_the_suites_and_corpus_unloaded():
                             "print(sorted(m for m in sys.modules "
                             "if m in ('cremona.suites', 'cremona.corpus')))"], "")
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_logging():
+    proc = run_child(["-c", "import sys; before = set(sys.modules); import cremona.cli; "
+                            "print(sorted(set(sys.modules) - before))"], "")
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "cremona.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "logging", "traceback", "string"}
+
+
+class TestLoggingSetUp:
+    """``logging`` is loaded on the first log record, or at start with CREMONA_LOG."""
+
+    SCRIPT = ("import sys\n"
+              "from cremona.cli import main\n"
+              "code = main(['classify'])\n"
+              "print(code, 'logging' in sys.modules)\n")
+
+    def test_a_run_that_logs_nothing_never_loads_it(self):
+        proc = run_child(["-c", self.SCRIPT], '{"kind": "hirzebruch", "n": 2}')
+        assert proc.stdout.splitlines()[-1] == "0 False" and proc.stderr == ""
+
+    def test_cremona_log_sets_it_up_at_start(self):
+        proc = run_child(["-c", self.SCRIPT], '{"kind": "hirzebruch", "n": 2}', log="debug")
+        assert proc.stdout.splitlines()[-1] == "0 True" and proc.stderr == ""
+
+    def test_debug_level_logs_the_indeterminate_verdict(self):
+        doc = json.dumps({"kind": "z22", "triplet": [[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]]})
+        proc = run_child(["-m", "cremona", "classify"], doc, log="debug")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("INFO cremona: indeterminate verdict: profile (2, 2, 2)")
+        assert len(proc.stderr.splitlines()) == 1
+        quiet = run_child(["-m", "cremona", "classify"], doc)
+        assert quiet.returncode == 2 and quiet.stderr == ""
+        assert quiet.stdout == proc.stdout
 
 
 class TestVerifyCommand:

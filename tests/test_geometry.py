@@ -63,8 +63,9 @@ class TestP1Point:
 
     def test_values_and_infinity(self):
         assert P1Point.from_value(Fraction(3, 4)) == P1Point(3, 4)
-        assert P1Point.infinity().value() is None
-        assert P1Point(7, 2).value() == Fraction(7, 2)
+        assert P1Point.infinity() == P1Point(1, 0) == P1Point(-5, 0)
+        assert P1Point.from_value(Fraction(7, 2)) == P1Point(7, 2)
+        assert P1Point.from_value(-3) == P1Point(3, -1)
 
     def test_infinity_sorts_last(self):
         pts = [P1Point.infinity(), P1Point(5, 1), P1Point(-2, 1), P1Point(1, 2)]

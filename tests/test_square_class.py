@@ -17,7 +17,7 @@ from cremona import (
     triplet_from_profile,
     validate_triplet,
 )
-from cremona import square_class
+from cremona import jsonio, square_class
 from cremona.errors import (
     CoverageViolation,
     InvariantViolation,
@@ -39,11 +39,26 @@ def pts(*values) -> tuple[P1Point, ...]:
 
 
 class TestValidateTriplet:
+    def test_each_branch_set_is_sorted_and_checked_once(self, monkeypatch):
+        calls = []
+        real = square_class.sorted_distinct
+
+        def counted(points, what):
+            calls.append(what)
+            return real(points, what)
+
+        monkeypatch.setattr(square_class, "sorted_distinct", counted)
+        t = jsonio.parse_triplet([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]], "$.triplet")
+        assert calls == ["branch set 1", "branch set 2", "branch set 3"]
+        # a Moebius image is sorted again
+        t.transformed(Mobius.from_coeffs(0, 1, 1, 0))
+        assert calls[3:] == ["a branch set"] * 3
+
     def test_profile_and_support(self):
         t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
         assert t.profile == (1, 1, 1)
-        assert t.k == 3
         assert t.support == pts(0, 1, 2)
+        assert len(t.support) == sum(t.profile)
 
     def test_third_set_is_symmetric_difference(self):
         t = validate_triplet(pts(0, 1), pts(2, 3), pts(0, 1, 2, 3))
@@ -88,7 +103,7 @@ class TestProfiles:
         for profile in realizable_profiles(10):
             t = triplet_from_profile(profile)
             assert t.profile == profile
-            assert t.k == sum(profile)
+            assert len(t.support) == sum(profile)
 
     def test_unrealizable_profile_rejected(self):
         with pytest.raises(CoverageViolation):
@@ -174,11 +189,15 @@ class TestTransformed:
 _PINNED = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
 
 
+def _triplet_key(t):
+    return tuple((len(s),) + tuple(p.sort_key() for p in s) for s in t.sets)
+
+
 def reference_triplet_canonical_form(t):
     best = None
     for triple in itertools.permutations(t.support, 3):
         cand = t.transformed(mobius_from_triples(triple, _PINNED))
-        if best is None or cand.sort_key() < best.sort_key():
+        if best is None or _triplet_key(cand) < _triplet_key(best):
             best = cand
     return best
 
