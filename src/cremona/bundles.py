@@ -50,14 +50,11 @@ from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
-    AlignmentViolation,
     DegenerateConfiguration,
     DimensionMismatch,
     InvalidCertificate,
     OddCardinality,
-    OddDelta,
     QOnConfiguration,
-    TooFew,
     TooSmall,
     require,
 )
@@ -67,7 +64,6 @@ from .geometry import (
     Mobius,
     P1Point,
     P2Point,
-    SamePoint,
     intersect_line_conic,
     line_through,
     lines_meet,
@@ -86,8 +82,8 @@ from .picard import (
 )
 from .square_class import (
     RamificationTriplet,
+    branch_set,
     canonical_delta_and_stabilizer,
-    sorted_distinct,
     validate_triplet,
 )
 
@@ -427,37 +423,26 @@ def build_from_three_lines_conic(
 
     a1, a2 = conic_chord(la_, "the first line through d1")
     b1, b2 = conic_chord(lb_, "the second line through d1")
-    c_pts = conic_chord(lc_, "the third line")
-    if d2 not in c_pts:
-        raise DegenerateConfiguration("d2 is not where the third line meets the conic")
-    c = next(p for p in c_pts if p != d2)
+    # d2 lies on the third line and on the conic, so it is one of c_pts
+    c = next(p for p in conic_chord(lc_, "the third line") if p != d2)
 
     blown = (a1, a2, a3, b1, b2, b3, c)
     _distinct(blown + (d1, d2), "the configuration points must be distinct")
 
-    try:
-        axis = line_through(d1, d2)
-    except SamePoint:
-        raise DegenerateConfiguration("d1 and d2 coincide") from None
+    # d1 is off the conic and d2 on it, so they differ
+    axis = line_through(d1, d2)
     q_pts = intersect_line_conic(axis, conic)
     if len(q_pts) != 2:
         raise DegenerateConfiguration("the line d1 d2 is tangent to the conic")
     center = next(p for p in q_pts if p != d2)
-    if center in blown or center == d1:
-        raise DegenerateConfiguration(
-            "the projection center collides with a configuration point")
-    for l in ls:
-        if l.contains(center):
-            raise DegenerateConfiguration(
-                "the projection center lies on one of the lines")
-
+    # The center is on the conic and on d1 d2, and is neither d2 nor d1 (off
+    # the conic).  d1 d2 meets the first two lines only at d1 (d2 on either
+    # would be a3 or b3, off the conic) and the third only at d2.  So the center
+    # is on no line, and no blown-up point (not d1, not d2) is on d1 d2.
     proj = {pt: project_from(center, pt) for pt in blown}
-    fiber_of_d = project_from(center, d1)
-    require(fiber_of_d == project_from(center, d2),
+    require(project_from(center, d1) == project_from(center, d2),
             "d1 and d2 project to different fibers")
-    if len(set(proj.values())) != 7 or fiber_of_d in proj.values():
-        raise AlignmentViolation(
-            "blown-up points must project to seven fibers distinct from the d1 d2 fiber")
+    _distinct(proj.values(), "the center sees two blown-up points in the same direction")
 
     branch_a = (proj[a1], proj[a2], proj[b3], proj[c])
     branch_b = (proj[b1], proj[b2], proj[a3], proj[c])
@@ -542,11 +527,7 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     classes ``f - 2 E_j``; the two sections ``L - E_1 - ... - E_{n+1}`` and
     ``E_0 - E_{n+2} - ... - E_{2n}`` are disjoint of square -n and swapped.
     """
-    pts = sorted_distinct(delta, "the branch set")
-    if len(pts) < 2:
-        raise TooFew(f"an exceptional bundle needs at least two branch points, got {len(pts)}")
-    if len(pts) % 2 != 0:
-        raise OddDelta(f"branch set must have even size, got {len(pts)}")
+    pts = branch_set(delta, "the branch set")
     n = len(pts) // 2
     marking = FiberedMarking(BlowupLattice(2 * n + 1), pts)
     swap = involution_matrix(marking, tuple(range(1, 2 * n + 1)))

@@ -1,8 +1,9 @@
 """Command-line front end: JSON in, JSON out, exit codes for batch use.
 
 Exit status: 0 success, 1 invalid input (a usage error, malformed JSON,
-bad descriptor, unreadable file, an integer too long to convert to or from
-text), 2 an indeterminate classification, 3 a violated internal invariant.
+JSON nested too deeply, bad descriptor, an unreadable or non-UTF-8 file,
+an integer too long to convert to or from text), 2 an indeterminate
+classification, 3 a violated internal invariant.
 Logs go to standard error at the level named by the ``CREMONA_LOG``
 environment variable; reports go to the output path (default stdout).
 ``logging`` is imported and set up on the first log record, or at start
@@ -18,7 +19,7 @@ import sys
 
 from . import jsonio
 from .classifier import classify, link_feasibility
-from .errors import CremonaError, IntegerTooLong, InvariantViolation
+from .errors import CremonaError, IntegerTooLong, InvalidDescriptor, InvariantViolation
 from .picard import (
     BlowupLattice,
     adjunction_genus,
@@ -47,6 +48,8 @@ def _read_json(path: str):
     except ValueError:
         raise IntegerTooLong(
             "an input integer has more digits than int() converts from text") from None
+    except RecursionError:
+        raise InvalidDescriptor("at $: arrays and objects nest too deeply to read") from None
 
 
 def _write_report(path: str, doc) -> None:
@@ -220,7 +223,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _log("error", "malformed JSON at line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
         return EXIT_INVALID_INPUT
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _log("error", "cannot read or write: %s", exc)
         return EXIT_INVALID_INPUT
     except InvariantViolation as exc:

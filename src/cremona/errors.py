@@ -1,8 +1,10 @@
 """Exception taxonomy shared by every module of the package.
 
-Each failure mode gets its own class so callers can match precisely
-instead of parsing messages.  Constructors are the plain Exception
-ones; messages carry the offending data when that helps debugging.
+Each input rule is checked in one place and raises one class; the class
+docstrings below name the rules.  Points that must differ raise
+DuplicatePoint, a branch set too small or of odd size TooSmall or
+OddCardinality, and degenerate plane input DegenerateConfiguration.
+Messages carry the offending data.
 """
 
 
@@ -35,15 +37,7 @@ class TooManyPoints(CremonaError):
 
 
 class DuplicatePoint(CremonaError):
-    """A point list that must consist of distinct points repeats one."""
-
-
-class SamePoint(CremonaError):
-    """Two arguments that must be distinct points coincide."""
-
-
-class DegenerateTriple(CremonaError):
-    """A triple meant to pin down a Moebius map contains a repeat."""
+    """Points that must be distinct coincide, in a list or as two arguments."""
 
 
 class NonRationalIntersection(CremonaError):
@@ -58,10 +52,6 @@ class LineInConic(CremonaError):
 
 class DimensionMismatch(CremonaError):
     """A vector, matrix or index does not fit the lattice, map or range it is for."""
-
-
-class NonIntegralGenus(CremonaError):
-    """Adjunction gives a half-integer, i.e. the class is not honest."""
 
 
 class UnsupportedRank(CremonaError):
@@ -95,7 +85,7 @@ class CoverageViolation(CremonaError):
 
 
 class TooSmall(CremonaError):
-    """A branch set has fewer than two points."""
+    """A branch set has fewer than two points, or a profile a half-size below one."""
 
 
 class TooFewPoints(CremonaError):
@@ -104,25 +94,14 @@ class TooFewPoints(CremonaError):
 
 # bundle constructions -------------------------------------------------------
 
-class OddDelta(CremonaError):
-    """An exceptional-bundle branch set has odd cardinality."""
-
-
-class TooFew(CremonaError):
-    """An exceptional-bundle branch set has fewer than two points."""
-
-
 class DegenerateConfiguration(CremonaError):
     """Input geometry is degenerate: all-zero coordinates, a singular Moebius
-    matrix, or curves that violate the transversality a construction needs."""
+    matrix, curves that violate the transversality a construction needs, or
+    two blown-up points in one fiber."""
 
 
 class QOnConfiguration(CremonaError):
     """The projection center sits on one of the configuration curves."""
-
-
-class AlignmentViolation(CremonaError):
-    """Two blown-up points project to the same fiber, or to the reference fiber."""
 
 
 # classifier -----------------------------------------------------------------

@@ -24,12 +24,11 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateConfiguration,
-    DegenerateTriple,
     DimensionMismatch,
+    DuplicatePoint,
     InvariantViolation,
     LineInConic,
     NonRationalIntersection,
-    SamePoint,
 )
 from .intlinalg import Mat, freeze
 
@@ -142,9 +141,6 @@ class P2Point(_Frozen):
     def coords(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return self.coords()
-
     def __lt__(self, other: "P2Point") -> bool:
         return self.coords() < other.coords()
 
@@ -183,7 +179,7 @@ def _cross(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, 
 def line_through(p: P2Point, q: P2Point) -> Line:
     """The unique line through two distinct points (cross product)."""
     if p == q:
-        raise SamePoint(f"no unique line through {p} twice")
+        raise DuplicatePoint(f"no unique line through {p} twice")
     return Line(*_cross(p.coords(), q.coords()))
 
 
@@ -296,7 +292,7 @@ def mobius_from_triples(
     """The unique Moebius map sending the first ordered triple to the second."""
     for name, triple in (("source", src), ("destination", dst)):
         if len(set(triple)) != 3:
-            raise DegenerateTriple(f"{name} triple {triple} has a repeated point")
+            raise DuplicatePoint(f"{name} triple {triple} has a repeated point")
     bs = _basis_to_triple(src)
     bd = _basis_to_triple(dst)
     (a, b), (c, d) = bs
@@ -321,7 +317,7 @@ def project_from(q: P2Point, p: P2Point) -> P1Point:
     center ``(0 : 0 : 1)`` this is ``(x : y : z) -> (x : y)``.
     """
     if p == q:
-        raise SamePoint("cannot project the center from itself")
+        raise DuplicatePoint("cannot project the center from itself")
     qc, pc = q.coords(), p.coords()
     i = max(k for k in range(3) if qc[k] != 0)
     j1, j2 = (k for k in range(3) if k != i)
@@ -376,4 +372,4 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[P2Point, ...]:
         P2Point(*(s * x + t * y for x, y in zip(v1, v2)))
         for s, t in roots
     }
-    return tuple(sorted(points, key=P2Point.sort_key))
+    return tuple(sorted(points))

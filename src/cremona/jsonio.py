@@ -75,6 +75,14 @@ def expect_obj(v, where: str) -> dict:
     return v
 
 
+def _flag(obj: dict, key: str, default: bool) -> bool:
+    """``obj[key]`` as a boolean, ``default`` when absent."""
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise _fail(f"$.{key}", f"expected a boolean, got {v!r}")
+    return v
+
+
 def _optional(obj: dict, key: str, parse):
     """``obj[key]`` read by ``parse``, or None when absent or null."""
     v = obj.get(key)
@@ -82,6 +90,15 @@ def _optional(obj: dict, key: str, parse):
 
 
 # points, lines, conics, maps -------------------------------------------------
+
+
+def _nonzero(cls, length: int, v, where: str, zero: str):
+    """``cls`` of an array of ``length`` integers, not all zero."""
+    items = expect_list(v, where, length)
+    coords = [expect_int(x, f"{where}[{i}]") for i, x in enumerate(items)]
+    if not any(coords):
+        raise _fail(where, zero)
+    return cls(*coords)
 
 
 def parse_p1_point(v, where: str) -> P1Point:
@@ -97,12 +114,7 @@ def parse_p1_point(v, where: str) -> P1Point:
             return P1Point.from_value(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(where, f"cannot read {v!r} as an exact rational") from exc
-    pair = expect_list(v, where, 2)
-    a = expect_int(pair[0], f"{where}[0]")
-    b = expect_int(pair[1], f"{where}[1]")
-    if a == 0 and b == 0:
-        raise _fail(where, "[0, 0] is not a point of the line")
-    return P1Point(a, b)
+    return _nonzero(P1Point, 2, v, where, "[0, 0] is not a point of the line")
 
 
 def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
@@ -111,19 +123,11 @@ def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
 
 
 def parse_p2_point(v, where: str) -> P2Point:
-    triple = expect_list(v, where, 3)
-    a, b, c = (expect_int(x, f"{where}[{i}]") for i, x in enumerate(triple))
-    if a == 0 and b == 0 and c == 0:
-        raise _fail(where, "[0, 0, 0] is not a point of the plane")
-    return P2Point(a, b, c)
+    return _nonzero(P2Point, 3, v, where, "[0, 0, 0] is not a point of the plane")
 
 
 def parse_line(v, where: str) -> Line:
-    triple = expect_list(v, where, 3)
-    u, vv, w = (expect_int(x, f"{where}[{i}]") for i, x in enumerate(triple))
-    if u == 0 and vv == 0 and w == 0:
-        raise _fail(where, "the zero form is not a line")
-    return Line(u, vv, w)
+    return _nonzero(Line, 3, v, where, "the zero form is not a line")
 
 
 _CONIC_KEYS = ("xx", "yy", "zz", "xy", "xz", "yz")
@@ -280,9 +284,7 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
 
 def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
     degree = expect_int(obj.get("degree"), "$.degree")
-    p1xp1 = obj.get("p1xp1", False)
-    if not isinstance(p1xp1, bool):
-        raise _fail("$.p1xp1", f"expected a boolean, got {p1xp1!r}")
+    p1xp1 = _flag(obj, "p1xp1", False)
     action = _optional(obj, "action", parse_action)
     report = _optional(obj, "fixed_point_report", expect_str)
     cubic = _optional(obj, "cubic_family", expect_str)
@@ -291,12 +293,10 @@ def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
         pair = expect_list(row, "$.quartic_row", 2)
         row = (expect_int(pair[0], "$.quartic_row[0]"),
                expect_str(pair[1], "$.quartic_row[1]"))
-    restrictions = obj.get("restrictions_satisfied", True)
-    if not isinstance(restrictions, bool):
-        raise _fail("$.restrictions_satisfied", f"expected a boolean, got {restrictions!r}")
     return DelPezzoDescriptor(
         degree=degree, p1xp1=p1xp1, action=action, fixed_point_report=report,
-        cubic_family=cubic, quartic_row=row, restrictions_satisfied=restrictions,
+        cubic_family=cubic, quartic_row=row,
+        restrictions_satisfied=_flag(obj, "restrictions_satisfied", True),
         iso_class_tag=_optional(obj, "iso_class_tag", expect_str),
         parameter=_optional(obj, "parameter", expect_str))
 

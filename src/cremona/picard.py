@@ -39,7 +39,6 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     MovesCanonicalClass,
-    NonIntegralGenus,
     NotClosedUnderAction,
     NotInvolution,
     NotIsometry,
@@ -131,11 +130,13 @@ def intersect(lattice: BlowupLattice, d1: DivisorClass, d2: DivisorClass) -> int
 
 
 def adjunction_genus(lattice: BlowupLattice, d: DivisorClass) -> int:
-    """The arithmetic genus ``1 + (D^2 + D.K) / 2``."""
+    """The arithmetic genus ``1 + (D^2 + D.K) / 2``.
+
+    For ``D = d L + sum c_i E_i``, ``D^2 + D.K = d (d - 3) - sum c_i (c_i + 1)``
+    is a sum of products of consecutive integers, so always even.
+    """
     self_int = intersect(lattice, d, d)
     with_k = intersect(lattice, d, lattice.canonical_class)
-    if (self_int + with_k) % 2 != 0:
-        raise NonIntegralGenus(f"D^2 + D.K = {self_int + with_k} is odd for {d}")
     return 1 + (self_int + with_k) // 2
 
 

@@ -46,6 +46,16 @@ def sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
     return tuple(sorted(pts, key=P1Point.sort_key))
 
 
+def branch_set(points, what: str) -> tuple[P1Point, ...]:
+    """The points of a branch set, sorted: distinct, at least two, even in number."""
+    pts = sorted_distinct(points, what)
+    if len(pts) < 2:
+        raise TooSmall(f"{what} has {len(pts)} < 2 points")
+    if len(pts) % 2 != 0:
+        raise OddCardinality(f"{what} has odd size {len(pts)}")
+    return pts
+
+
 def _set_key(pts: tuple[P1Point, ...]) -> tuple:
     return (len(pts),) + tuple(p.sort_key() for p in pts)
 
@@ -92,14 +102,7 @@ def validate_triplet(a1, a2, a3) -> RamificationTriplet:
     the union must lie in exactly two of the sets (equivalently the third
     set is the symmetric difference of the other two).
     """
-    sets = []
-    for idx, raw in enumerate((a1, a2, a3), start=1):
-        pts = sorted_distinct(raw, f"branch set {idx}")
-        if len(pts) < 2:
-            raise TooSmall(f"branch set {idx} has {len(pts)} < 2 points")
-        if len(pts) % 2 != 0:
-            raise OddCardinality(f"branch set {idx} has odd size {len(pts)}")
-        sets.append(pts)
+    sets = [branch_set(raw, f"branch set {idx}") for idx, raw in enumerate((a1, a2, a3), start=1)]
     counts: dict[P1Point, int] = {}
     for s in sets:
         for p in s:

@@ -11,6 +11,11 @@ of an action comes from a breadth-first closure under the generators.
 The records of the package are kept here as the frozen dataclasses they
 were, under their own names (so that default reprs read the same), for
 ``tests/test_records.py`` to compare with the lighter records.
+
+``reference_build_from_three_lines_conic`` is the three-lines-and-conic
+builder with every check it had before the unreachable ones were deleted.
+It raises ``AlignmentViolation``, a class of its own, where the builder
+now raises DegenerateConfiguration for two blown-up points in one fiber.
 """
 
 from __future__ import annotations
@@ -22,16 +27,20 @@ from functools import cached_property
 
 from cremona import intlinalg as la
 from cremona import picard
+from cremona.bundles import _certificate, _distinct, z22_from_triplet
 from cremona.errors import (
+    CremonaError,
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicatePoint,
     MovesCanonicalClass,
     NotIsometry,
     UnsupportedRank,
+    require,
 )
+from cremona.geometry import intersect_line_conic, line_through, lines_meet, project_from
 from cremona.picard import MAX_BLOWUPS, validate_action
-from cremona.square_class import sorted_distinct
+from cremona.square_class import sorted_distinct, validate_triplet
 
 
 def reference_mat_mul(a, b):
@@ -158,6 +167,96 @@ def reference_group_order(action):
                     if p not in seen]
         seen.update(frontier)
     return len(seen)
+
+
+# the three-lines-and-conic builder with every check it had ---------------------
+
+
+class AlignmentViolation(CremonaError):
+    """Two blown-up points project to the same fiber, or to the d1 d2 fiber."""
+
+
+def reference_build_from_three_lines_conic(lines, conic, d1, d2):
+    ls = tuple(lines)
+    if len(ls) != 3:
+        raise DegenerateConfiguration(f"need exactly three lines, got {len(ls)}")
+    _distinct(ls, "the three lines must be distinct")
+    if not conic.is_smooth():
+        raise DegenerateConfiguration("the conic must be smooth")
+
+    on = [l.contains(d1) for l in ls]
+    if sum(on) != 2:
+        raise DegenerateConfiguration(
+            f"d1 = {d1} must lie on exactly two of the lines, lies on {sum(on)}")
+    ia, ib = (i for i in range(3) if on[i])
+    ic = next(i for i in range(3) if not on[i])
+    la_, lb_, lc_ = ls[ia], ls[ib], ls[ic]
+    if conic.contains(d1):
+        raise DegenerateConfiguration("d1 must be off the conic")
+    if not lc_.contains(d2):
+        raise DegenerateConfiguration("d2 must lie on the third line")
+    if not conic.contains(d2):
+        raise DegenerateConfiguration("d2 must lie on the conic")
+
+    a3 = lines_meet(la_, lc_)
+    b3 = lines_meet(lb_, lc_)
+    _distinct((d1, a3, b3), "the three lines are concurrent")
+    for name, pt in (("La.Lc", a3), ("Lb.Lc", b3)):
+        if conic.contains(pt):
+            raise DegenerateConfiguration(
+                f"the double point {name} = {pt} lies on the conic")
+
+    def conic_chord(line, label):
+        pts = intersect_line_conic(line, conic)
+        if len(pts) != 2:
+            raise DegenerateConfiguration(f"{label} is tangent to the conic")
+        return pts
+
+    a1, a2 = conic_chord(la_, "the first line through d1")
+    b1, b2 = conic_chord(lb_, "the second line through d1")
+    c_pts = conic_chord(lc_, "the third line")
+    if d2 not in c_pts:
+        raise DegenerateConfiguration("d2 is not where the third line meets the conic")
+    c = next(p for p in c_pts if p != d2)
+
+    blown = (a1, a2, a3, b1, b2, b3, c)
+    _distinct(blown + (d1, d2), "the configuration points must be distinct")
+
+    try:
+        axis = line_through(d1, d2)
+    except DuplicatePoint:
+        raise DegenerateConfiguration("d1 and d2 coincide") from None
+    q_pts = intersect_line_conic(axis, conic)
+    if len(q_pts) != 2:
+        raise DegenerateConfiguration("the line d1 d2 is tangent to the conic")
+    center = next(p for p in q_pts if p != d2)
+    if center in blown or center == d1:
+        raise DegenerateConfiguration(
+            "the projection center collides with a configuration point")
+    for l in ls:
+        if l.contains(center):
+            raise DegenerateConfiguration(
+                "the projection center lies on one of the lines")
+
+    proj = {pt: project_from(center, pt) for pt in blown}
+    fiber_of_d = project_from(center, d1)
+    require(fiber_of_d == project_from(center, d2),
+            "d1 and d2 project to different fibers")
+    if len(set(proj.values())) != 7 or fiber_of_d in proj.values():
+        raise AlignmentViolation(
+            "blown-up points must project to seven fibers distinct from the d1 d2 fiber")
+
+    branch_a = (proj[a1], proj[a2], proj[b3], proj[c])
+    branch_b = (proj[b1], proj[b2], proj[a3], proj[c])
+    branch_c = (proj[a1], proj[a2], proj[a3], proj[b1], proj[b2], proj[b3])
+    triplet = validate_triplet(branch_a, branch_b, branch_c)
+
+    sections = [
+        (degree, e0, [proj[pt] for pt in through])
+        for degree, e0, through in ((1, 0, (a1, a2, a3)), (1, 0, (b1, b2, b3)),
+                                    (1, 0, (a3, b3, c)), (2, -1, (a1, a2, b1, b2, c)))
+    ]
+    return z22_from_triplet(triplet, _certificate("three-lines-conic", triplet, sections))
 
 
 # the records as frozen dataclasses --------------------------------------------

@@ -2,6 +2,8 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cremona import (
     BlowupLattice,
@@ -45,17 +47,22 @@ from cremona.corpus import (
     p1,
 )
 from cremona.errors import (
+    CremonaError,
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicatePoint,
     InvalidCertificate,
     OddCardinality,
-    OddDelta,
     QOnConfiguration,
-    TooFew,
     TooSmall,
 )
-from reference_kernel import reference_group_order, reference_involution_matrix
+from cremona.geometry import line_through, lines_meet
+from reference_kernel import (
+    AlignmentViolation,
+    reference_build_from_three_lines_conic,
+    reference_group_order,
+    reference_involution_matrix,
+)
 
 
 class TestInvolutionMatrix:
@@ -330,6 +337,106 @@ class TestThreeLinesConic:
                 THREE_LINES, THREE_LINES_CONIC, THREE_LINES_D1, P2Point(1, 4, 1))
 
 
+PARABOLA = Conic(1, 0, 0, 0, 0, -1)  # x^2 = y z
+
+small = st.integers(min_value=-6, max_value=6)
+plane_points = st.tuples(small, small, small).filter(any).map(lambda c: P2Point(*c))
+lines3 = st.tuples(small, small, small).filter(any).map(lambda c: Line(*c))
+# (a : b) -> (a b : a^2 : b^2) parametrizes the parabola
+parabola_points = st.tuples(small, small).filter(any).map(
+    lambda ab: P2Point(ab[0] * ab[1], ab[0] ** 2, ab[1] ** 2))
+conics = st.one_of(
+    st.just(PARABOLA), st.tuples(*[small] * 6).filter(any).map(lambda c: Conic(*c)))
+
+
+def _outcome(build, args):
+    """("model", the model built), or the class and message of the error."""
+    try:
+        return "model", build(*args)
+    except CremonaError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def incident_configurations(draw):
+    """Lines from d1 through two points of the parabola and a line from d2
+    through a third, in any order.  The four points are distinct in half of
+    the draws, and d1 lies on the tangent at d2 in a quarter of them; a draw
+    that degenerates before that is discarded."""
+    a1, b1, d2, c = draw(
+        st.lists(parabola_points, min_size=4, max_size=4, unique=draw(st.booleans())))
+    try:
+        if draw(st.integers(0, 3)) == 0:
+            # the gradient (2x, -z, -y) of x^2 - y z at d2 is its tangent line
+            tangent = Line(2 * d2.a, -d2.c, -d2.b)
+            d1 = lines_meet(tangent, draw(lines3))
+        else:
+            d1 = draw(plane_points)
+        lines = [line_through(d1, a1), line_through(d1, b1), line_through(d2, c)]
+    except CremonaError:
+        lines = None
+    assume(lines is not None)
+    return draw(st.permutations(lines)), PARABOLA, d1, d2
+
+
+@st.composite
+def perturbed_configurations(draw):
+    """An incident configuration with one of its data drawn at random."""
+    lines, conic, d1, d2 = draw(incident_configurations())
+    which = draw(st.sampled_from(("line", "conic", "d1", "d2")))
+    if which == "line":
+        lines[draw(st.integers(0, 2))] = draw(lines3)
+    elif which == "conic":
+        conic = draw(conics)
+    elif which == "d1":
+        d1 = draw(st.one_of(plane_points, parabola_points))
+    else:
+        d2 = draw(st.one_of(plane_points, parabola_points))
+    return lines, conic, d1, d2
+
+
+random_configurations = st.tuples(
+    st.lists(lines3, min_size=3, max_size=3, unique=True), conics, plane_points, parabola_points)
+
+
+class TestThreeLinesConicAgainstReference:
+    """The builder without its unreachable checks agrees with the builder that
+    had them: the same model or the same error, except that two blown-up
+    points in one fiber raise DegenerateConfiguration, not AlignmentViolation."""
+
+    def _agree(self, args):
+        expected = _outcome(reference_build_from_three_lines_conic, args)
+        got = _outcome(build_from_three_lines_conic, args)
+        if expected[0] is AlignmentViolation:
+            assert got[0] is DegenerateConfiguration
+            assert got[1].startswith(
+                "the center sees two blown-up points in the same direction (repeated: ")
+        else:
+            assert got == expected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(incident_configurations())
+    def test_incident(self, args):
+        self._agree(args)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(perturbed_configurations())
+    def test_perturbed(self, args):
+        self._agree(args)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(random_configurations)
+    def test_random(self, args):
+        self._agree(args)
+
+    def test_two_blown_up_points_in_one_fiber(self):
+        # the one rejection whose class changed, rare among the drawn examples
+        args = ([Line(0, 4, -1), Line(1, 12, -1), Line(9, 4, 2)], PARABOLA,
+                P2Point(8, -1, -4), P2Point(2, -4, -1))
+        assert _outcome(reference_build_from_three_lines_conic, args)[0] is AlignmentViolation
+        self._agree(args)
+
+
 def _recertify(model, sections, source=None):
     """The model's triplet with a certificate on ``sections`` and a true matrix."""
     lat = model.marking.lattice
@@ -441,9 +548,9 @@ class TestExceptionalBundles:
         assert model.stabilizer is None
 
     def test_branch_set_guards(self):
-        with pytest.raises(TooFew):
+        with pytest.raises(TooSmall):
             exceptional_from_delta((p1(0),))
-        with pytest.raises(OddDelta):
+        with pytest.raises(OddCardinality):
             exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2)))
 
     def test_duplicate_points_collapse_before_the_size_check(self):

@@ -160,6 +160,26 @@ class TestClassifyCommand:
         assert code == 2
         assert report["outcome"] == "indeterminate"
 
+    def test_family_5_links_report(self, tmp_path):
+        # the exceptional bundle over four points: 2n = 4 singular fibers, K^2 = 4
+        doc = {"kind": "exceptional", "delta": [0, 1, 2, 3]}
+        code, report = run(tmp_path, ["classify", "--links"], doc)
+        assert code == 0
+        excluded = [
+            "a type I link starts from a point case, not a fibration",
+            "the group acts without fixed point on every smooth fiber",
+            "K^2 = 4 is not in {3, 5, 6}",
+            "the surface carries two sections of self-intersection <= -2, "
+            "so it is not del Pezzo and has no second fibration",
+        ]
+        assert report == {
+            "outcome": "maximal", "family": 5,
+            "invariant": {"delta": [[3, -1], [0, 1], [1, 1], [1, 0]]},
+            "links": {"family": 5, "k_squared": 4, "links": [
+                {"link_type": t, "status": "excluded", "reason": reason, "witness": None}
+                for t, reason in enumerate(excluded, start=1)]},
+        }
+
     def test_invalid_descriptor_exit_code(self, tmp_path):
         code, _ = run(tmp_path, ["classify"], {"kind": "del-pezzo", "degree": 17})
         assert code == 1
@@ -399,6 +419,18 @@ class TestExitCodes:
         assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
         assert not out.exists()
 
+    def test_non_utf8_input_file_is_one_logged_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        proc = run_child(["-m", "cremona", "classify", "--input", str(path)], "")
+        assert_one_logged_line(
+            proc, 1, "ERROR cremona: cannot read or write: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deeply_nested_json_is_one_logged_line(self):
+        proc = run_child(["-m", "cremona", "classify"], "[" * 200000 + "]" * 200000)
+        assert_one_logged_line(
+            proc, 1, "ERROR cremona: InvalidDescriptor: at $: arrays and objects nest too deeply")
+
     @pytest.mark.parametrize("argv", [
         ["classify", "--bogus"], [], ["lattice", "minus-one-count", "--r", "abc"]])
     def test_usage_error_exits_1(self, argv):
@@ -416,8 +448,12 @@ class TestExitCodes:
 FOUR_LINES = FOUR_LINES_DOC["lines"]
 
 
+PARABOLA = {"xx": 1, "yz": -1}  # x^2 = y z
+
+
 class TestRecordsInMessages:
-    """Error messages render records; these logged lines are fixed byte for byte."""
+    """The logged lines of rejected inputs, fixed byte for byte; most render
+    records."""
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [2, 7, 2]},
@@ -441,6 +477,31 @@ class TestRecordsInMessages:
           "certificate": {"source": "four-lines", "sections": [[1, 0, 0, 0, 0]] * 4,
                           "matrix": [[1]]}},
          "InvalidCertificate: D(1, 0, 0, 0, 0) is not a (-2)-section"),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "quartic"},
+         "InvalidDescriptor: unknown cubic family tag 'quartic'"),
+        (["classify"], {"kind": "del-pezzo", "degree": 4, "restrictions_satisfied": "yes"},
+         "InvalidDescriptor: at $.restrictions_satisfied: expected a boolean, got 'yes'"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, 0, -1], [1, 4, -3], [4, 3, 1]], "conic": PARABOLA,
+          "d1": [1, -1, -1], "d2": [1, 1, 1]},
+         "DegenerateConfiguration: d1 must be off the conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[0, 16, -1], [7, -6, -2], [3, -4, 1]], "conic": PARABOLA,
+          "d1": [38, 7, 112], "d2": [4, -1, -16]},
+         "DegenerateConfiguration: the double point La.Lc = (4:-1:-16) lies on the conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [0, 1, 0]], "conic": PARABOLA,
+          "d1": [1, 7, 3], "d2": [0, 0, 1]},
+         "DegenerateConfiguration: the third line is tangent to the conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -4, 0], [4, 0, -3], [1, -4, 3]], "conic": PARABOLA,
+          "d1": [4, 1, 0], "d2": [0, 1, 0]},
+         "DegenerateConfiguration: the line d1 d2 is tangent to the conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[0, 4, -1], [1, 12, -1], [9, 4, 2]], "conic": PARABOLA,
+          "d1": [8, -1, -4], "d2": [2, -4, -1]},
+         "DegenerateConfiguration: the center sees two blown-up points in the same "
+         "direction (repeated: (1:-3))"),
     ])
     def test_logged_line(self, tmp_path, caplog, argv, doc, message):
         code, report = run(tmp_path, argv, doc)

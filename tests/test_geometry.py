@@ -21,12 +21,11 @@ from cremona.geometry import (
 )
 from cremona.errors import (
     DegenerateConfiguration,
-    DegenerateTriple,
     DimensionMismatch,
+    DuplicatePoint,
     InvariantViolation,
     LineInConic,
     NonRationalIntersection,
-    SamePoint,
 )
 
 PARABOLA = Conic(1, 0, 0, 0, 0, -1)  # x^2 = y z
@@ -89,7 +88,7 @@ class TestLines:
         assert ln == Line(1, 1, -1)
 
     def test_line_through_same_point(self):
-        with pytest.raises(SamePoint):
+        with pytest.raises(DuplicatePoint):
             line_through(P2Point(1, 2, 3), P2Point(2, 4, 6))
 
     def test_lines_meet(self):
@@ -136,7 +135,7 @@ class TestMobius:
         assert [m.apply(p) for p in src] == list(dst)
 
     def test_from_triples_rejects_repeats(self):
-        with pytest.raises(DegenerateTriple):
+        with pytest.raises(DuplicatePoint):
             mobius_from_triples(
                 (P1Point(0, 1), P1Point(0, 1), P1Point(1, 0)),
                 (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0)),
@@ -168,7 +167,7 @@ class TestProjection:
         assert project_from(P2Point(0, 0, 1), P2Point(3, 6, 11)) == P1Point(1, 2)
 
     def test_center_itself_rejected(self):
-        with pytest.raises(SamePoint):
+        with pytest.raises(DuplicatePoint):
             project_from(P2Point(1, 2, 3), P2Point(1, 2, 3))
 
     def test_lines_through_center_collapse(self):

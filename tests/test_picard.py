@@ -136,6 +136,17 @@ class TestAdjunctionGenus:
             d = DivisorClass(coeffs)
             assert adjunction_genus(lat, d) == oracles.genus_oracle(coeffs)
 
+    @settings(max_examples=200)
+    @given(st.integers(min_value=0, max_value=13).flatmap(
+        lambda r: st.lists(st.integers(-60, 60), min_size=r + 1, max_size=r + 1)))
+    def test_d_squared_plus_d_k_is_even(self, coeffs):
+        # D^2 + D.K = d (d - 3) - sum c_i (c_i + 1) is even, so the genus
+        # is an integer with no parity check
+        lat = BlowupLattice(len(coeffs) - 1)
+        d = DivisorClass(tuple(coeffs))
+        assert (intersect(lat, d, d) + intersect(lat, d, lat.canonical_class)) % 2 == 0
+        assert adjunction_genus(lat, d) == oracles.genus_oracle(tuple(coeffs))
+
 
 class TestMinusOneClasses:
     FROZEN_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27}
