@@ -56,6 +56,7 @@ from .errors import (
     OddCardinality,
     QOnConfiguration,
     TooSmall,
+    excerpt,
     require,
 )
 from .geometry import (
@@ -224,7 +225,7 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
         raise InvalidCertificate(
             "the certificate sections are not one orbit of four under the Klein four-group")
     if cert.source not in _SECTION_PATTERNS:
-        raise InvalidCertificate(f"unknown certificate source {cert.source!r}")
+        raise InvalidCertificate(f"unknown certificate source {excerpt(cert.source)}")
     pattern, message = _SECTION_PATTERNS[cert.source]
     if any(tuple(sorted(row[:i] + row[i + 1:])) != pattern for i, row in enumerate(matrix)):
         raise InvalidCertificate(message)

@@ -26,7 +26,7 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import InvalidDescriptor, NotAMoriFibration, require
+from .errors import InvalidDescriptor, NotAMoriFibration, excerpt, require
 from .geometry import P1Point
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import RamificationTriplet, triplet_canonical_form
@@ -174,15 +174,15 @@ def _cubic_parameter(family: str, raw: str) -> str:
     except ValueError:
         return raw
     except ZeroDivisionError:
-        raise InvalidDescriptor(f"parameter {raw} has denominator zero") from None
+        raise InvalidDescriptor(f"parameter {excerpt(raw, str)} has denominator zero") from None
     if family == CUBIC_TRIPLE_COVER:
         if value == -3:
-            raise InvalidDescriptor(
-                f"parameter {raw} makes the triple-cover cubic singular (alpha^3 = -27)")
+            raise InvalidDescriptor(f"parameter {excerpt(raw, str)} makes the triple-cover "
+                                    "cubic singular (alpha^3 = -27)")
         return raw
     if value == 0 or 8 * value**3 == -1:
         raise InvalidDescriptor(
-            f"parameter {raw} violates the S_4 cubic restrictions "
+            f"parameter {excerpt(raw, str)} violates the S_4 cubic restrictions "
             "(9 l^3 != 8 l and 8 l^3 != -1)")
     return str(abs(value))
 
@@ -258,13 +258,13 @@ def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
         raise InvalidDescriptor("the p1xp1 flag only applies to degree 8")
     if d.fixed_point_report is not None and d.fixed_point_report not in _FIXED_POINT_REPORTS:
         raise InvalidDescriptor(
-            f"unknown fixed point report {d.fixed_point_report!r}; "
+            f"unknown fixed point report {excerpt(d.fixed_point_report)}; "
             f"expected one of {_FIXED_POINT_REPORTS}")
     if d.cubic_family is not None:
         if d.degree != 3:
             raise InvalidDescriptor("cubic family tags only apply to degree 3")
         if d.cubic_family not in _CUBIC_TAGS:
-            raise InvalidDescriptor(f"unknown cubic family tag {d.cubic_family!r}")
+            raise InvalidDescriptor(f"unknown cubic family tag {excerpt(d.cubic_family)}")
         if d.cubic_family in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA) and d.parameter is not None:
             # the restrictions hold whichever branch is taken below
             _cubic_parameter(d.cubic_family, d.parameter)
@@ -331,10 +331,10 @@ def _classify_quartic_cover(d: DelPezzoDescriptor) -> Verdict:
     if d.quartic_row is not None:
         order, label = d.quartic_row
         if label not in _DEGREE2_LABELS:
-            raise InvalidDescriptor(f"unknown degree-2 structure label {label!r}")
+            raise InvalidDescriptor(f"unknown degree-2 structure label {excerpt(label)}")
         if DEGREE2_TABLE.get(order) != label:
             raise InvalidDescriptor(
-                f"({order}, {label!r}) is not a row of the degree-2 table")
+                f"({excerpt(order)}, {excerpt(label)}) is not a row of the degree-2 table")
         if d.restrictions_satisfied:
             return _maximal(9, {"order": order, "structure": label})
     return _not_maximal(*_blow_down_chain_from(2))

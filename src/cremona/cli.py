@@ -85,27 +85,29 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lattice(args) -> int:
-    if args.lattice_cmd == "minus-one-count":
-        classes = enumerate_minus_one_classes(BlowupLattice(args.r))
-        report = {"r": args.r, "count": len(classes)}
-        if args.list:
-            report["classes"] = [jsonio.divisor_json(d) for d in classes]
-    elif args.lattice_cmd == "invariant-rank":
-        action = jsonio.parse_action(_read_json(args.input), "$")
-        rank, basis = invariant_sublattice(action)
-        report = {"r": action.lattice.r, "rank": rank,
-                  "basis": [jsonio.divisor_json(d) for d in basis]}
-    else:
-        doc = _read_json(args.input)
-        obj = jsonio.expect_obj(doc, "$")
-        lattice = BlowupLattice(jsonio.expect_int(obj.get("r"), "$.r"))
-        divisor = jsonio.parse_divisor(obj.get("divisor"), "$.divisor")
-        report = {
-            "genus": adjunction_genus(lattice, divisor),
-            "self_intersection": intersect(lattice, divisor, divisor),
-        }
+def _cmd_minus_one_count(args) -> int:
+    classes = enumerate_minus_one_classes(BlowupLattice(args.r))
+    report = {"r": args.r, "count": len(classes)}
+    if args.list:
+        report["classes"] = [jsonio.divisor_json(d) for d in classes]
     _write_report(args.output, report)
+    return EXIT_OK
+
+
+def _cmd_invariant_rank(args) -> int:
+    action = jsonio.parse_action(_read_json(args.input), "$")
+    rank, basis = invariant_sublattice(action)
+    _write_report(args.output, {"r": action.lattice.r, "rank": rank,
+                                "basis": [jsonio.divisor_json(d) for d in basis]})
+    return EXIT_OK
+
+
+def _cmd_genus(args) -> int:
+    obj = jsonio.expect_obj(_read_json(args.input), "$")
+    lattice = BlowupLattice(jsonio.expect_int(obj.get("r"), "$.r"))
+    divisor = jsonio.parse_divisor(obj.get("divisor"), "$.divisor")
+    _write_report(args.output, {"genus": adjunction_genus(lattice, divisor),
+                                "self_intersection": intersect(lattice, divisor, divisor)})
     return EXIT_OK
 
 
@@ -170,13 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--r", type=int, required=True, help="number of blown-up points")
     q.add_argument("--list", action="store_true", help="include the classes themselves")
     q.add_argument("--output", "-o", default="-")
-    q.set_defaults(func=_cmd_lattice)
+    q.set_defaults(func=_cmd_minus_one_count)
     q = lsub.add_parser("invariant-rank", help="rank and basis of the fixed sublattice")
     io_flags(q)
-    q.set_defaults(func=_cmd_lattice)
+    q.set_defaults(func=_cmd_invariant_rank)
     q = lsub.add_parser("genus", help="adjunction genus of a divisor class")
     io_flags(q)
-    q.set_defaults(func=_cmd_lattice)
+    q.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("canonical", help="canonical forms modulo Moebius maps")
     p.add_argument("shape", choices=("triplet", "delta"))

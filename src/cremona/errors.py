@@ -4,12 +4,24 @@ Each input rule is checked in one place and raises one class; the class
 docstrings below name the rules.  Points that must differ raise
 DuplicatePoint, a branch set too small or of odd size TooSmall or
 OddCardinality, and degenerate plane input DegenerateConfiguration.
-Messages carry the offending data.
+Messages carry the offending data; a string, array or object read from the
+input is quoted through ``excerpt``, so it cannot make a message long.
 """
 
 
 class CremonaError(Exception):
     """Base class for all errors raised by this package."""
+
+
+_EXCERPT_CHARS = 200
+
+
+def excerpt(value, render=repr) -> str:
+    """``render(value)``, cut to its first 200 characters when it is longer."""
+    text = render(value)
+    if len(text) <= _EXCERPT_CHARS:
+        return text
+    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class InvariantViolation(CremonaError):

@@ -31,7 +31,7 @@ from .classifier import (
     Verdict,
     Z22Descriptor,
 )
-from .errors import InvalidDescriptor
+from .errors import InvalidDescriptor, excerpt
 from .geometry import Conic, Line, P1Point, P2Point
 from .picard import BlowupLattice, DivisorClass, LatticeAction
 from .square_class import RamificationTriplet, validate_triplet
@@ -51,19 +51,19 @@ def _fail(where: str, message: str) -> InvalidDescriptor:
 
 def expect_int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise _fail(where, f"expected an integer, got {v!r}")
+        raise _fail(where, f"expected an integer, got {excerpt(v)}")
     return v
 
 
 def expect_str(v, where: str) -> str:
     if not isinstance(v, str):
-        raise _fail(where, f"expected a string, got {v!r}")
+        raise _fail(where, f"expected a string, got {excerpt(v)}")
     return v
 
 
 def expect_list(v, where: str, length: int | None = None) -> list:
     if not isinstance(v, list):
-        raise _fail(where, f"expected an array, got {v!r}")
+        raise _fail(where, f"expected an array, got {excerpt(v)}")
     if length is not None and len(v) != length:
         raise _fail(where, f"expected {length} entries, got {len(v)}")
     return v
@@ -71,7 +71,7 @@ def expect_list(v, where: str, length: int | None = None) -> list:
 
 def expect_obj(v, where: str) -> dict:
     if not isinstance(v, dict):
-        raise _fail(where, f"expected an object, got {v!r}")
+        raise _fail(where, f"expected an object, got {excerpt(v)}")
     return v
 
 
@@ -79,7 +79,7 @@ def _flag(obj: dict, key: str, default: bool) -> bool:
     """``obj[key]`` as a boolean, ``default`` when absent."""
     v = obj.get(key, default)
     if not isinstance(v, bool):
-        raise _fail(f"$.{key}", f"expected a boolean, got {v!r}")
+        raise _fail(f"$.{key}", f"expected a boolean, got {excerpt(v)}")
     return v
 
 
@@ -113,7 +113,7 @@ def parse_p1_point(v, where: str) -> P1Point:
         try:
             return P1Point.from_value(Fraction(v))
         except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(where, f"cannot read {v!r} as an exact rational") from exc
+            raise _fail(where, f"cannot read {excerpt(v)} as an exact rational") from exc
     return _nonzero(P1Point, 2, v, where, "[0, 0] is not a point of the line")
 
 
@@ -137,7 +137,7 @@ def parse_conic(v, where: str) -> Conic:
     obj = expect_obj(v, where)
     unknown = sorted(set(obj) - set(_CONIC_KEYS))
     if unknown:
-        raise _fail(where, f"unknown conic keys {unknown}")
+        raise _fail(where, f"unknown conic keys {excerpt(unknown)}")
     coeffs = tuple(expect_int(obj.get(k, 0), f"{where}.{k}") for k in _CONIC_KEYS)
     if not any(coeffs):
         raise _fail(where, "the zero form is not a conic")
@@ -279,7 +279,7 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
         return ExceptionalDescriptor(parse_model(obj, kind))
     if kind == "z22":
         return Z22Descriptor(parse_model(obj, kind))
-    raise _fail("$.kind", f"unknown descriptor kind {kind!r}")
+    raise _fail("$.kind", f"unknown descriptor kind {excerpt(kind)}")
 
 
 def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:

@@ -35,6 +35,7 @@ from .errors import (
     TooFewPoints,
     TooManyPoints,
     TooSmall,
+    excerpt,
 )
 from .geometry import Mobius, P1Point, _Frozen, mobius_from_triples
 
@@ -110,7 +111,7 @@ def validate_triplet(a1, a2, a3) -> RamificationTriplet:
     bad = sorted((p for p, c in counts.items() if c != 2), key=P1Point.sort_key)
     if bad:
         raise CoverageViolation(
-            f"points covered a number of times other than twice: {bad}")
+            f"points covered a number of times other than twice: {excerpt(bad)}")
     return RamificationTriplet._of_sorted(sets)
 
 

@@ -498,6 +498,16 @@ class TestCertificateRejection:
         with pytest.raises(InvalidCertificate, match=message):
             z22_from_triplet(triplet, cert)
 
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_section_count(self, count):
+        # jsonio reads exactly four sections, but a certificate built in
+        # Python reaches z22_from_triplet directly; with no sections the later
+        # checks would fail on an IndexError
+        model = four_lines_model()
+        triplet, cert = _recertify(model, (model.certificate.section_classes * 2)[:count])
+        with pytest.raises(InvalidCertificate, match="exactly four sections"):
+            z22_from_triplet(triplet, cert)
+
 
 class TestJonquieres:
     def test_involution_and_invariant_rank(self):

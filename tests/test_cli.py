@@ -15,7 +15,7 @@ from cremona import jsonio, square_class, suites
 from cremona.classifier import classify
 from cremona.cli import main
 from cremona.corpus import cubic_coxeter_matrix, four_lines_model
-from cremona.errors import InvalidDescriptor
+from cremona.errors import InvalidDescriptor, excerpt
 
 FOUR_LINES_DOC = {
     "lines": [[1, 0, -1], [0, 1, -1], [1, 1, -3], [1, -1, -2]],
@@ -311,6 +311,11 @@ class TestLatticeCommand:
         code, _ = run(tmp_path, ["lattice", "minus-one-count", "--r", "12"])
         assert code == 1
 
+    def test_missing_subcommand_is_a_usage_error(self, capsys):
+        assert main(["lattice"]) == 1
+        err = capsys.readouterr().err
+        assert "error: the following arguments are required: lattice_cmd" in err
+
 
 class TestCanonicalCommand:
     def test_triplet_accepts_unreduced_points(self, tmp_path):
@@ -510,6 +515,69 @@ class TestRecordsInMessages:
         assert logged == [message]
 
 
+def _with_certificate_source(source):
+    doc = jsonio.z22_model_json(four_lines_model())
+    doc["certificate"]["source"] = source
+    return doc
+
+
+LONG = 5000  # characters of an oversized input value
+
+
+class TestLongValuesInMessages:
+    """A message quotes at most a bounded prefix of an input value, so one
+    logged line stays small however large the input is."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["classify"], {"kind": "del-pezzo", "degree": list(range(LONG))}),
+        (["classify"], {"kind": ["x"] * LONG}),
+        (["classify"], {"kind": "z22", "triplet": "x" * LONG}),
+        (["classify"], "x" * LONG),
+        (["classify"], {"kind": "del-pezzo", "degree": 4, "p1xp1": "y" * LONG}),
+        (["canonical", "delta"], {"delta": ["z" * LONG, 0, 1, 2]}),
+        (["classify"], {"kind": "k" * LONG}),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]],
+          "conic": {f"k{i}": 1 for i in range(LONG)}, "d1": [1, 7, 3], "d2": [0, 0, 1]}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "fixed_point_report": "r" * LONG}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "c" * LONG}),
+        (["classify"], {"kind": "del-pezzo", "degree": 2, "quartic_row": [2, "l" * LONG]}),
+        (["classify"], {"kind": "del-pezzo", "degree": 2, "quartic_row": [10**4000, "2xL2(7)"]}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "s4-lambda",
+                        "parameter": "1/" + "0" * 4000}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "triple-cover",
+                        "parameter": "-3." + "0" * 4000}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "s4-lambda",
+                        "parameter": "0." + "0" * 4000}),
+        (["canonical", "triplet"],
+         {"triplet": [list(range(1000)), [1000, 1001], [1000, 1002]]}),
+        (["classify"], _with_certificate_source("s" * LONG)),
+    ], ids=["expect-int", "expect-str", "expect-list", "expect-obj", "flag", "p1-point",
+            "descriptor-kind", "conic-keys", "fixed-point-report", "cubic-family",
+            "degree-2-label", "degree-2-row", "parameter-denominator",
+            "parameter-singular", "parameter-restrictions", "coverage",
+            "certificate-source"])
+    def test_logged_line_is_bounded(self, tmp_path, caplog, argv, doc):
+        code, report = run(tmp_path, argv, doc)
+        assert code == 1 and report is None
+        [logged] = [r.getMessage() for r in caplog.records if r.name == "cremona"]
+        assert len(logged.encode()) <= 1024
+        assert " characters)" in logged
+
+    def test_a_value_within_the_bound_is_quoted_whole(self):
+        assert excerpt("x" * 198) == repr("x" * 198)
+        assert excerpt("x" * 199) == "'" + "x" * 199 + "... (201 characters)"
+        assert excerpt("x" * 200, str) == "x" * 200
+
+    def test_oversized_degree_is_one_short_logged_line(self):
+        doc = json.dumps({"kind": "del-pezzo", "degree": list(range(100000))})
+        proc = run_child(["-m", "cremona", "classify"], doc)
+        assert_one_logged_line(
+            proc, 1, "ERROR cremona: InvalidDescriptor: at $.degree: expected an integer, "
+                     "got [0, 1, 2,")
+        assert len(proc.stderr.encode()) <= 1024
+
+
 PUBLIC_NAMES = [
     "BlowupLattice", "Conic", "CremonaError", "DelPezzoDescriptor", "DivisorClass",
     "ExceptionalBundleModel", "ExceptionalDescriptor", "FiberedMarking",
@@ -564,6 +632,33 @@ def test_cli_import_leaves_the_suites_and_corpus_unloaded():
                             "print(sorted(m for m in sys.modules "
                             "if m in ('cremona.suites', 'cremona.corpus')))"], "")
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+LAZY_PACKAGE_CHECK = """
+import sys
+import cremona
+loaded = sorted(m for m in sys.modules if m.startswith("cremona."))
+strays = []
+for name in cremona.__all__:
+    obj = getattr(cremona, name)
+    if not (obj.__module__.startswith("cremona.")
+            and getattr(sys.modules[obj.__module__], name) is obj):
+        strays.append(name)
+try:
+    cremona.no_such_name
+    missing_name = "no error"
+except AttributeError:
+    missing_name = "AttributeError"
+print(loaded, len(cremona.__all__), strays, missing_name)
+"""
+
+
+def test_package_loads_each_module_on_first_use():
+    # a fresh import loads no submodule; each public name is the object of
+    # the module that defines it; an unknown name is an AttributeError
+    proc = run_child(["-c", LAZY_PACKAGE_CHECK], "")
+    assert proc.returncode == 0
+    assert proc.stdout == "[] 45 [] AttributeError\n"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_logging():
