@@ -215,7 +215,7 @@ def _check_certificate(model: Z22BundleModel, cert: RealizationCertificate) -> N
         raise InvalidCertificate("a realization certificate lists exactly four sections")
     for s in secs:
         if intersect(lat, s, s) != -2 or intersect(lat, s, f) != 1:
-            raise InvalidCertificate(f"{s} is not a (-2)-section")
+            raise InvalidCertificate(f"{excerpt(s)} is not a (-2)-section")
     matrix = _intersection_matrix(lat, secs)
     if matrix != cert.intersection_matrix:
         raise InvalidCertificate("stored intersection matrix does not match the classes")
@@ -313,7 +313,7 @@ def _distinct(values, error: str) -> None:
     seen = set()
     for v in values:
         if v in seen:
-            raise DegenerateConfiguration(error + f" (repeated: {v})")
+            raise DegenerateConfiguration(error + f" (repeated: {excerpt(v)})")
         seen.add(v)
 
 
@@ -348,7 +348,7 @@ def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
     _distinct(ls, "the four lines must be distinct")
     for l in ls:
         if l.contains(center):
-            raise QOnConfiguration(f"center {center} lies on {l}")
+            raise QOnConfiguration(f"center {excerpt(center)} lies on {excerpt(l)}")
 
     double_points: dict[tuple[int, int], P2Point] = {}
     for i, j in itertools.combinations(range(4), 2):
@@ -397,7 +397,7 @@ def build_from_three_lines_conic(
     on = [l.contains(d1) for l in ls]
     if sum(on) != 2:
         raise DegenerateConfiguration(
-            f"d1 = {d1} must lie on exactly two of the lines, lies on {sum(on)}")
+            f"d1 = {excerpt(d1)} must lie on exactly two of the lines, lies on {sum(on)}")
     ia, ib = (i for i in range(3) if on[i])
     ic = next(i for i in range(3) if not on[i])
     la_, lb_, lc_ = ls[ia], ls[ib], ls[ic]
@@ -414,7 +414,7 @@ def build_from_three_lines_conic(
     for name, pt in (("La.Lc", a3), ("Lb.Lc", b3)):
         if conic.contains(pt):
             raise DegenerateConfiguration(
-                f"the double point {name} = {pt} lies on the conic")
+                f"the double point {name} = {excerpt(pt)} lies on the conic")
 
     def conic_chord(line: Line, label: str) -> tuple[P2Point, P2Point]:
         pts = intersect_line_conic(line, conic)

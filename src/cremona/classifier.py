@@ -26,7 +26,7 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import InvalidDescriptor, NotAMoriFibration, excerpt, require
+from .errors import IntegerTooLong, InvalidDescriptor, NotAMoriFibration, excerpt, require
 from .geometry import P1Point
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import RamificationTriplet, triplet_canonical_form
@@ -167,12 +167,19 @@ def _cubic_parameter(family: str, raw: str) -> str:
     8 lambda^3 = -1, and the two signs give isomorphic surfaces, so it is
     folded to its absolute value.  A parameter that is not rational is kept
     verbatim (canonicalization over extensions is out of scope); one with
-    denominator zero is no number.
+    denominator zero is no number, and one with more digits than ``int``
+    converts from text cannot be checked.
     """
     try:
         value = Fraction(raw)
-    except ValueError:
-        return raw
+    except ValueError as exc:
+        # Fraction says "Invalid literal" for text that is no rational; any
+        # other ValueError is int()'s limit on a rational literal's digits
+        if str(exc).startswith("Invalid literal"):
+            return raw
+        raise IntegerTooLong(
+            f"parameter {excerpt(raw, str)} has more digits than int() converts "
+            "from text") from None
     except ZeroDivisionError:
         raise InvalidDescriptor(f"parameter {excerpt(raw, str)} has denominator zero") from None
     if family == CUBIC_TRIPLE_COVER:
@@ -192,7 +199,7 @@ def _cubic_parameter(family: str, raw: str) -> str:
 
 def _classify_hirzebruch(d: HirzebruchDescriptor) -> Verdict:
     if d.n < 0:
-        raise InvalidDescriptor(f"Hirzebruch index must be >= 0, got {d.n}")
+        raise InvalidDescriptor(f"Hirzebruch index must be >= 0, got {excerpt(d.n)}")
     if d.n >= 2:
         return _maximal(4, {"n": d.n})
     if d.n == 1:
@@ -253,7 +260,7 @@ def _blow_down_chain_from(degree: int) -> tuple[ChainStep, ...]:
 
 def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
     if not 1 <= d.degree <= 9:
-        raise InvalidDescriptor(f"del Pezzo degree must be 1..9, got {d.degree}")
+        raise InvalidDescriptor(f"del Pezzo degree must be 1..9, got {excerpt(d.degree)}")
     if d.p1xp1 and d.degree != 8:
         raise InvalidDescriptor("the p1xp1 flag only applies to degree 8")
     if d.fixed_point_report is not None and d.fixed_point_report not in _FIXED_POINT_REPORTS:

@@ -8,26 +8,20 @@ Logs go to standard error at the level named by the ``CREMONA_LOG``
 environment variable; reports go to the output path (default stdout).
 ``logging`` is imported and set up on the first log record, or at start
 when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it.
+Each command imports the modules it needs when it runs, so importing this
+module loads no computational module; a process builds its parser once,
+on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
-from . import jsonio
-from .classifier import classify, link_feasibility
 from .errors import CremonaError, IntegerTooLong, InvalidDescriptor, InvariantViolation
-from .picard import (
-    BlowupLattice,
-    adjunction_genus,
-    enumerate_minus_one_classes,
-    intersect,
-    invariant_sublattice,
-)
-from .square_class import delta_canonical_form, triplet_canonical_form
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -53,6 +47,8 @@ def _read_json(path: str):
 
 
 def _write_report(path: str, doc) -> None:
+    from . import jsonio
+
     try:
         payload = jsonio.dumps(doc)
     except ValueError:
@@ -66,6 +62,9 @@ def _write_report(path: str, doc) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from . import jsonio
+    from .classifier import classify, link_feasibility
+
     descriptor = jsonio.parse_descriptor(_read_json(args.input))
     verdict = classify(descriptor)
     doc = jsonio.verdict_json(verdict)
@@ -79,6 +78,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import jsonio
+
     model = jsonio.parse_model(jsonio.expect_obj(_read_json(args.input), "$"), args.kind)
     emit = jsonio.exceptional_model_json if args.kind == "exceptional" else jsonio.z22_model_json
     _write_report(args.output, emit(model))
@@ -86,6 +87,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_minus_one_count(args) -> int:
+    from . import jsonio
+    from .picard import BlowupLattice, enumerate_minus_one_classes
+
     classes = enumerate_minus_one_classes(BlowupLattice(args.r))
     report = {"r": args.r, "count": len(classes)}
     if args.list:
@@ -95,6 +99,9 @@ def _cmd_minus_one_count(args) -> int:
 
 
 def _cmd_invariant_rank(args) -> int:
+    from . import jsonio
+    from .picard import invariant_sublattice
+
     action = jsonio.parse_action(_read_json(args.input), "$")
     rank, basis = invariant_sublattice(action)
     _write_report(args.output, {"r": action.lattice.r, "rank": rank,
@@ -103,6 +110,9 @@ def _cmd_invariant_rank(args) -> int:
 
 
 def _cmd_genus(args) -> int:
+    from . import jsonio
+    from .picard import BlowupLattice, adjunction_genus, intersect
+
     obj = jsonio.expect_obj(_read_json(args.input), "$")
     lattice = BlowupLattice(jsonio.expect_int(obj.get("r"), "$.r"))
     divisor = jsonio.parse_divisor(obj.get("divisor"), "$.divisor")
@@ -112,6 +122,9 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
+    from . import jsonio
+    from .square_class import delta_canonical_form, triplet_canonical_form
+
     doc = _read_json(args.input)
     obj = jsonio.expect_obj(doc, "$")
     if args.shape == "triplet":
@@ -125,7 +138,6 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # only verify needs the suites and the worked corpus they run on
     from . import suites
 
     if args.suite not in suites.suite_names():
@@ -145,7 +157,9 @@ def _cmd_verify(args) -> int:
     return EXIT_INVARIANT_VIOLATION if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="cremona",
         description="Classify algebraic subgroup models of the plane Cremona group.")

@@ -29,6 +29,7 @@ from .errors import (
     InvariantViolation,
     LineInConic,
     NonRationalIntersection,
+    excerpt,
 )
 from .intlinalg import Mat, freeze
 
@@ -348,7 +349,7 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[P2Point, ...]:
     b = conic.evaluate_raw(*both) - a - c
 
     if a == 0 and b == 0 and c == 0:
-        raise LineInConic(f"{line} is a component of the conic")
+        raise LineInConic(f"{excerpt(line)} is a component of the conic")
 
     roots: list[tuple[int, int]]
     if a == 0 and b == 0:
@@ -358,11 +359,11 @@ def intersect_line_conic(line: Line, conic: Conic) -> tuple[P2Point, ...]:
     else:
         disc = b * b - 4 * a * c
         if disc < 0:
-            raise NonRationalIntersection(f"{line} misses the conic over Q")
+            raise NonRationalIntersection(f"{excerpt(line)} misses the conic over Q")
         s = math.isqrt(disc)
         if s * s != disc:
             raise NonRationalIntersection(
-                f"{line} meets the conic at conjugate irrational points")
+                f"{excerpt(line)} meets the conic at conjugate irrational points")
         if disc == 0:
             roots = [(-b, 2 * a)]
         else:

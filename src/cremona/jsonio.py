@@ -13,28 +13,14 @@ import json
 from fractions import Fraction
 
 from . import intlinalg as la
-from .bundles import (
-    ExceptionalBundleModel,
-    RealizationCertificate,
-    Z22BundleModel,
-    build_from_four_lines,
-    build_from_three_lines_conic,
-    exceptional_from_delta,
-    z22_from_triplet,
-)
-from .classifier import (
-    DelPezzoDescriptor,
-    ExceptionalDescriptor,
-    GSurfaceDescriptor,
-    HirzebruchDescriptor,
-    LinkReport,
-    Verdict,
-    Z22Descriptor,
-)
 from .errors import InvalidDescriptor, excerpt
 from .geometry import Conic, Line, P1Point, P2Point
 from .picard import BlowupLattice, DivisorClass, LatticeAction
 from .square_class import RamificationTriplet, validate_triplet
+
+# bundles and classifier are imported by the functions that use them, so
+# that commands needing neither (canonical, lattice) do not load them; the
+# annotations naming their types are never evaluated
 
 
 def dumps(obj) -> str:
@@ -195,6 +181,8 @@ def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:
 
 
 def parse_certificate(v, where: str) -> RealizationCertificate:
+    from .bundles import RealizationCertificate
+
     obj = expect_obj(v, where)
     source = expect_str(obj.get("source"), f"{where}.source")
     secs = expect_list(obj.get("sections"), f"{where}.sections", 4)
@@ -249,6 +237,9 @@ def _parse_lines(obj: dict, count: int) -> tuple[Line, ...]:
 def parse_model(obj: dict, kind: str) -> Z22BundleModel | ExceptionalBundleModel:
     """Build the model of a document's top-level object for one ``construct``
     kind: ``four-lines``, ``three-lines-conic``, ``z22`` or ``exceptional``."""
+    from .bundles import (build_from_four_lines, build_from_three_lines_conic,
+                          exceptional_from_delta, z22_from_triplet)
+
     if kind == "four-lines":
         return build_from_four_lines(
             _parse_lines(obj, 4), parse_p2_point(obj.get("center"), "$.center"))
@@ -269,6 +260,8 @@ def parse_model(obj: dict, kind: str) -> Z22BundleModel | ExceptionalBundleModel
 
 def parse_descriptor(doc) -> GSurfaceDescriptor:
     """Read a classify input; extra informational keys are ignored."""
+    from .classifier import ExceptionalDescriptor, HirzebruchDescriptor, Z22Descriptor
+
     obj = expect_obj(doc, "$")
     kind = expect_str(obj.get("kind"), "$.kind")
     if kind == "del-pezzo":
@@ -283,6 +276,8 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
 
 
 def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
+    from .classifier import DelPezzoDescriptor
+
     degree = expect_int(obj.get("degree"), "$.degree")
     p1xp1 = _flag(obj, "p1xp1", False)
     action = _optional(obj, "action", parse_action)

@@ -43,6 +43,7 @@ from .errors import (
     NotInvolution,
     NotIsometry,
     UnsupportedRank,
+    excerpt,
 )
 from .geometry import P1Point, _Frozen
 from .intlinalg import Mat, Vec
@@ -92,7 +93,8 @@ class BlowupLattice(_Frozen):
 
     def __init__(self, r: int) -> None:
         if not 0 <= r <= MAX_BLOWUPS:
-            raise UnsupportedRank(f"blowups of the plane at up to {MAX_BLOWUPS} points only, got r={r}")
+            raise UnsupportedRank(
+                f"blowups of the plane at up to {MAX_BLOWUPS} points only, got r={excerpt(r)}")
         object.__setattr__(self, "r", r)
 
     @property

@@ -30,7 +30,7 @@ from cremona.corpus import (
     golden_reduction_descriptors,
     p1,
 )
-from cremona.errors import InvalidDescriptor, NotAMoriFibration
+from cremona.errors import IntegerTooLong, InvalidDescriptor, NotAMoriFibration
 
 
 def non_minimal_cubic_action() -> LatticeAction:
@@ -206,6 +206,15 @@ class TestCubicBranch:
     def test_zero_denominator_is_not_a_parameter(self, family):
         with pytest.raises(InvalidDescriptor, match="denominator zero"):
             classify(minimal_cubic(family, parameter="1/0"))
+
+    @pytest.mark.parametrize("raw", ["1/" + "0" * 5000, "0." + "0" * 4400, "7" * 4301],
+                             ids=["denominator", "decimal", "integer"])
+    @pytest.mark.parametrize("family", [CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER])
+    def test_rational_literal_past_the_digit_limit_is_rejected(self, family, raw):
+        # int() refuses more than 4300 digits from text; such a literal is
+        # still a rational, not a tag to keep verbatim
+        with pytest.raises(IntegerTooLong, match="more digits than int"):
+            classify(minimal_cubic(family, parameter=raw))
 
     @pytest.mark.parametrize("report", [ALL_ON_EXCEPTIONAL, OFF_EXCEPTIONAL])
     @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "not-minimal"])

@@ -11,7 +11,7 @@ import pytest
 
 import cremona
 from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
-from cremona import jsonio, square_class, suites
+from cremona import cli, jsonio, square_class, suites
 from cremona.classifier import classify
 from cremona.cli import main
 from cremona.corpus import cubic_coxeter_matrix, four_lines_model
@@ -522,6 +522,25 @@ def _with_certificate_source(source):
 
 
 LONG = 5000  # characters of an oversized input value
+BIG = 10**4299 - 1  # 4299 digits: the longest integer Python reads from text
+
+
+def _with_certificate_section_entry(value):
+    doc = jsonio.z22_model_json(four_lines_model())
+    doc["certificate"]["sections"][0][-1] = value
+    return doc
+
+
+def _cross(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
+def _double_point_on_the_conic(t):
+    # La and Lc meet at (t : t^2 : 1) on the parabola x^2 = y z; d1 = (1:7:3)
+    # is off it, d2 = (0:0:1) on it and on Lc
+    d1, d2, pt = [1, 7, 3], [0, 0, 1], [t, t * t, 1]
+    return {"lines": [_cross(d1, pt), _cross(d1, [1, 0, 0]), _cross(d2, pt)],
+            "conic": PARABOLA, "d1": d1, "d2": d2}
 
 
 class TestLongValuesInMessages:
@@ -549,14 +568,32 @@ class TestLongValuesInMessages:
                         "parameter": "-3." + "0" * 4000}),
         (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "s4-lambda",
                         "parameter": "0." + "0" * 4000}),
+        (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "s4-lambda",
+                        "parameter": "0." + "0" * 4400}),
         (["canonical", "triplet"],
          {"triplet": [list(range(1000)), [1000, 1001], [1000, 1002]]}),
         (["classify"], _with_certificate_source("s" * LONG)),
+        (["classify"], {"kind": "hirzebruch", "n": -BIG}),
+        (["classify"], {"kind": "del-pezzo", "degree": BIG}),
+        (["lattice", "genus"], {"r": BIG, "divisor": [1]}),
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [BIG, 7, BIG]}),
+        (["construct", "four-lines"],
+         {"lines": [[BIG, 1, 0], [BIG, 1, 0], [1, 1, -3], [1, -1, -2]], "center": [0, 0, 1]}),
+        (["classify"], _with_certificate_section_entry(BIG)),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": PARABOLA,
+          "d1": [1, BIG, 3], "d2": [0, 0, 1]}),
+        (["construct", "three-lines-conic"], _double_point_on_the_conic(10**600)),
+        (["construct", "three-lines-conic"],
+         {"lines": [[-7 * BIG - 3, BIG, 1], [2, 1, -3], [4, -1, 0]], "conic": PARABOLA,
+          "d1": [1, 7, 3], "d2": [0, 0, 1]}),
     ], ids=["expect-int", "expect-str", "expect-list", "expect-obj", "flag", "p1-point",
             "descriptor-kind", "conic-keys", "fixed-point-report", "cubic-family",
             "degree-2-label", "degree-2-row", "parameter-denominator",
-            "parameter-singular", "parameter-restrictions", "coverage",
-            "certificate-source"])
+            "parameter-singular", "parameter-restrictions", "parameter-digits", "coverage",
+            "certificate-source", "hirzebruch-index", "del-pezzo-degree", "blowup-rank",
+            "center-on-a-line", "repeated-line", "certificate-section", "d1-off-the-lines",
+            "double-point-on-the-conic", "line-misses-the-conic"])
     def test_logged_line_is_bounded(self, tmp_path, caplog, argv, doc):
         code, report = run(tmp_path, argv, doc)
         assert code == 1 and report is None
@@ -575,6 +612,28 @@ class TestLongValuesInMessages:
         assert_one_logged_line(
             proc, 1, "ERROR cremona: InvalidDescriptor: at $.degree: expected an integer, "
                      "got [0, 1, 2,")
+        assert len(proc.stderr.encode()) <= 1024
+
+    @pytest.mark.parametrize("argv, doc, prefix", [
+        (["classify"], {"kind": "hirzebruch", "n": -BIG},
+         "ERROR cremona: InvalidDescriptor: Hirzebruch index must be >= 0, got -999"),
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "center": [BIG, 7, BIG]},
+         "ERROR cremona: QOnConfiguration: center (999"),
+    ], ids=["hirzebruch-index", "center-on-a-line"])
+    def test_oversized_integer_is_one_short_logged_line(self, argv, doc, prefix):
+        proc = run_child(["-m", "cremona", *argv], json.dumps(doc))
+        assert_one_logged_line(proc, 1, prefix)
+        assert len(proc.stderr.encode()) <= 1024
+
+    def test_overlong_cubic_parameter_is_one_short_logged_line(self):
+        # past int()'s 4300 digits a rational literal cannot be checked, so
+        # it is refused, not kept verbatim like a non-rational tag
+        doc = {"kind": "del-pezzo", "degree": 3,
+               "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
+               "fixed_point_report": "all-on-exceptional",
+               "cubic_family": "s4-lambda", "parameter": "1/" + "0" * 5000}
+        proc = run_child(["-m", "cremona", "classify"], json.dumps(doc))
+        assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: parameter 1/000")
         assert len(proc.stderr.encode()) <= 1024
 
 
@@ -659,6 +718,55 @@ def test_package_loads_each_module_on_first_use():
     proc = run_child(["-c", LAZY_PACKAGE_CHECK], "")
     assert proc.returncode == 0
     assert proc.stdout == "[] 45 [] AttributeError\n"
+
+
+def test_cli_import_loads_only_cli_and_errors():
+    proc = run_child(["-c", "import sys, cremona.cli; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m.split('.')[0] == 'cremona'))"], "")
+    assert proc.returncode == 0
+    assert proc.stdout == "['cremona', 'cremona.cli', 'cremona.errors']\n"
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["canonical", "delta"], {"delta": [0, 1, 2, 3]}),
+    (["lattice", "genus"], {"r": 1, "divisor": [1, 0]}),
+], ids=["canonical-delta", "lattice-genus"])
+def test_command_loads_only_what_it_needs(argv, doc):
+    script = ("import sys\n"
+              "from cremona.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, sorted(m for m in ('cremona.bundles', 'cremona.classifier') "
+              "if m in sys.modules))\n")
+    proc = run_child(["-c", script], json.dumps(doc))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # a usage error and --help leave the parser reusable; every call prints
+    # and returns what a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        (["classify"], {"kind": "hirzebruch", "n": 4}),
+        (["classify", "--bogus"], None),
+        (["--help"], None),
+        (["lattice", "minus-one-count", "--r", "3"], None),
+        (["construct", "four-lines"], FOUR_LINES_DOC),
+        (["classify"], {"kind": "del-pezzo", "degree": 6}),
+    ]
+    cli.build_parser.cache_clear()
+    for argv, doc in calls:
+        stdin = "" if doc is None else json.dumps(doc)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = run_child(["-m", "cremona", *argv], stdin)
+        assert (capsys.readouterr().out, code) == (fresh.stdout, fresh.returncode), argv
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_logging():
