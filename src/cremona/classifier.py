@@ -17,7 +17,6 @@ do not rule the link out, not that a link exists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .bundles import (
@@ -26,8 +25,8 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import IntegerTooLong, InvalidDescriptor, NotAMoriFibration, excerpt, require
-from .geometry import P1Point
+from .errors import InvalidDescriptor, NotAMoriFibration, excerpt, require
+from .geometry import P1Point, _rational
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import RamificationTriplet, triplet_canonical_form
 
@@ -168,18 +167,12 @@ def _cubic_parameter(family: str, raw: str) -> str:
     folded to its absolute value.  A parameter that is not rational is kept
     verbatim (canonicalization over extensions is out of scope); one with
     denominator zero is no number, and one with more digits than ``int``
-    converts from text cannot be checked.
+    converts from text (see ``geometry._rational``) cannot be checked.
     """
     try:
-        value = Fraction(raw)
-    except ValueError as exc:
-        # Fraction says "Invalid literal" for text that is no rational; any
-        # other ValueError is int()'s limit on a rational literal's digits
-        if str(exc).startswith("Invalid literal"):
-            return raw
-        raise IntegerTooLong(
-            f"parameter {excerpt(raw, str)} has more digits than int() converts "
-            "from text") from None
+        value = _rational(raw, "parameter")
+    except ValueError:
+        return raw
     except ZeroDivisionError:
         raise InvalidDescriptor(f"parameter {excerpt(raw, str)} has denominator zero") from None
     if family == CUBIC_TRIPLE_COVER:

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .errors import CremonaError, IntegerTooLong, InvalidDescriptor, InvariantViolation
+from .errors import CremonaError, IntegerTooLong, InvalidDescriptor, InvariantViolation, excerpt
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -157,6 +157,13 @@ def _cmd_verify(args) -> int:
     return EXIT_INVARIANT_VIOLATION if failed else EXIT_OK
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would quote all of a long value
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by later ones."""
@@ -183,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="lattice computations")
     lsub = p.add_subparsers(dest="lattice_cmd", required=True)
     q = lsub.add_parser("minus-one-count", help="count (-1)-classes of a blowup lattice")
-    q.add_argument("--r", type=int, required=True, help="number of blown-up points")
+    q.add_argument("--r", type=_int_arg, required=True, help="number of blown-up points")
     q.add_argument("--list", action="store_true", help="include the classes themselves")
     q.add_argument("--output", "-o", default="-")
     q.set_defaults(func=_cmd_minus_one_count)

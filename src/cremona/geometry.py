@@ -20,12 +20,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicatePoint,
+    IntegerTooLong,
     InvariantViolation,
     LineInConic,
     NonRationalIntersection,
@@ -42,6 +45,28 @@ def _reduced(coords: tuple[int, ...], what: str) -> tuple[int, ...]:
     if next(c for c in coords if c) < 0:
         g = -g
     return tuple([c // g for c in coords])
+
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(text: str, what: str) -> Fraction:
+    """``Fraction(text)`` with at most as many digits as int() reads from text
+    (4300 by default), or IntegerTooLong naming ``what``.  An exponent beyond
+    that limit, which Fraction would expand (``"1e1000000"``), is refused first."""
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent:  # Fraction checks the text with its exponent set to 0 first
+            Fraction(text[:exponent.start(1)] + "0" + text[exponent.end(1):])
+        if not (exponent and 0 < sys.get_int_max_str_digits() < abs(int(exponent[1]))):
+            value = Fraction(text)
+            str(value)  # "9" * 4300 + ".9" reads, but its value has 4301 digits
+            return value
+    except ValueError as exc:
+        if str(exc).startswith("Invalid literal"):  # no rational at all
+            raise
+    raise IntegerTooLong(f"{what} {excerpt(text, str)} has more digits than int() "
+                         "converts from text")
 
 
 class _Frozen:
@@ -111,12 +136,12 @@ class P1Point(_Frozen):
     def infinity(cls) -> "P1Point":
         return cls(1, 0)
 
-    def sort_key(self) -> tuple:
-        # Finite points in increasing value, then infinity last.
-        return (1,) if self.b == 0 else (0, Fraction(self.a, self.b))
-
     def __lt__(self, other: "P1Point") -> bool:
-        return self.sort_key() < other.sort_key()
+        # infinity last; a/b < c/d exactly when (ad - cb) bd < 0, for b, d of any sign
+        b, d = self.b, other.b
+        if b and d:
+            return (self.a * d - other.a * b) * b * d < 0
+        return d == 0 != b
 
     def __repr__(self) -> str:
         return f"({self.a}:{self.b})"
@@ -273,37 +298,26 @@ class Mobius(_Frozen):
         return f"Mobius[{a},{b};{c},{d}]"
 
 
-def _det2(p: P1Point, q: P1Point) -> int:
-    return p.a * q.b - p.b * q.a
-
-
-def _basis_to_triple(triple: tuple[P1Point, P1Point, P1Point]) -> Mat:
-    """A matrix sending (0 : 1), (1 : 1), (1 : 0) to the given triple."""
-    p1, p2, p3 = triple
-    lam = _det2(p2, p1)
-    mu = _det2(p3, p2)
-    # columns: lam * p3 and mu * p1
-    return ((lam * p3.a, mu * p1.a), (lam * p3.b, mu * p1.b))
+def _pinning(triple: tuple[P1Point, P1Point, P1Point]) -> Mat:
+    """The matrix sending (p, q, r) to (0 : 1), (1 : 1), (1 : 0): t goes to
+    ``(det(t,p) det(q,r) : det(t,r) det(q,p))``, as in the canonical-form kernel."""
+    p, q, r = triple
+    qr, qp = q.a * r.b - q.b * r.a, q.a * p.b - q.b * p.a
+    return ((qr * p.b, -qr * p.a), (qp * r.b, -qp * r.a))
 
 
 def mobius_from_triples(
     src: tuple[P1Point, P1Point, P1Point],
     dst: tuple[P1Point, P1Point, P1Point],
 ) -> Mobius:
-    """The unique Moebius map sending the first ordered triple to the second."""
+    """The unique Moebius map sending the first ordered triple to the second:
+    the source's pinning, then the adjugate (inverse) of the destination's."""
     for name, triple in (("source", src), ("destination", dst)):
         if len(set(triple)) != 3:
             raise DuplicatePoint(f"{name} triple {triple} has a repeated point")
-    bs = _basis_to_triple(src)
-    bd = _basis_to_triple(dst)
-    (a, b), (c, d) = bs
-    adj = ((d, -b), (-c, a))
-    m = Mobius((
-        (bd[0][0] * adj[0][0] + bd[0][1] * adj[1][0],
-         bd[0][0] * adj[0][1] + bd[0][1] * adj[1][1]),
-        (bd[1][0] * adj[0][0] + bd[1][1] * adj[1][0],
-         bd[1][0] * adj[0][1] + bd[1][1] * adj[1][1]),
-    ))
+    (a, b), (c, d) = _pinning(dst)
+    (e, f), (g, h) = _pinning(src)
+    m = Mobius(((d * e - b * g, d * f - b * h), (a * g - c * e, a * h - c * f)))
     if any(m.apply(s) != t for s, t in zip(src, dst)):
         raise InvariantViolation(f"{m} does not send {src} to {dst}")
     return m

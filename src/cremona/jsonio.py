@@ -10,11 +10,10 @@ document ends with a newline.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import intlinalg as la
 from .errors import InvalidDescriptor, excerpt
-from .geometry import Conic, Line, P1Point, P2Point
+from .geometry import Conic, Line, P1Point, P2Point, _rational
 from .picard import BlowupLattice, DivisorClass, LatticeAction
 from .square_class import RamificationTriplet, validate_triplet
 
@@ -97,7 +96,7 @@ def parse_p1_point(v, where: str) -> P1Point:
         if v in ("inf", "oo", "infinity"):
             return P1Point.infinity()
         try:
-            return P1Point.from_value(Fraction(v))
+            return P1Point.from_value(_rational(v, f"at {where}: point"))
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(where, f"cannot read {excerpt(v)} as an exact rational") from exc
     return _nonzero(P1Point, 2, v, where, "[0, 0] is not a point of the line")

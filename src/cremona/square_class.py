@@ -17,15 +17,16 @@ integer coordinates of the support: the image of each point under each of
 the k(k-1)(k-2) pinning maps is a pair of products of 2 x 2 determinants,
 candidates are first compared on the least image of the smallest sets
 with exact integer cross-multiplication, and only those that reach the
-minimum build Fraction sort keys.  The candidates that tie with the least
-image give the stabilizer of a point set in the same pass.  Supports of
-more than ``MAX_CANONICAL_POINTS`` points are refused with TooManyPoints
-before any candidate is enumerated.
+minimum build their images as points.  The least candidate's sorted sets
+are the canonical form, and the candidates that tie with it give the
+stabilizer of a point set in the same pass.  Supports of more than
+``MAX_CANONICAL_POINTS`` points are refused with TooManyPoints before any
+candidate is enumerated.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 
 from .errors import (
     CoverageViolation,
@@ -44,7 +45,7 @@ def sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
     pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise DuplicatePoint(f"repeated point in {what}")
-    return tuple(sorted(pts, key=P1Point.sort_key))
+    return tuple(sorted(pts))
 
 
 def branch_set(points, what: str) -> tuple[P1Point, ...]:
@@ -58,7 +59,7 @@ def branch_set(points, what: str) -> tuple[P1Point, ...]:
 
 
 def _set_key(pts: tuple[P1Point, ...]) -> tuple:
-    return (len(pts),) + tuple(p.sort_key() for p in pts)
+    return (len(pts),) + pts
 
 
 class RamificationTriplet(_Frozen):
@@ -81,8 +82,7 @@ class RamificationTriplet(_Frozen):
         t = object.__new__(cls)
         sets = tuple(sorted(sets, key=_set_key))
         object.__setattr__(t, "sets", sets)
-        object.__setattr__(t, "support", tuple(sorted(
-            {p for s in sets for p in s}, key=P1Point.sort_key)))
+        object.__setattr__(t, "support", tuple(sorted({p for s in sets for p in s})))
         return t
 
     @property
@@ -91,9 +91,7 @@ class RamificationTriplet(_Frozen):
         return tuple(len(s) // 2 for s in self.sets)
 
     def transformed(self, m: Mobius) -> "RamificationTriplet":
-        return RamificationTriplet(tuple(
-            tuple(m.apply(p) for p in s) for s in self.sets
-        ))
+        return RamificationTriplet(tuple(tuple(m.apply(p) for p in s) for s in self.sets))
 
 
 def validate_triplet(a1, a2, a3) -> RamificationTriplet:
@@ -104,11 +102,7 @@ def validate_triplet(a1, a2, a3) -> RamificationTriplet:
     set is the symmetric difference of the other two).
     """
     sets = [branch_set(raw, f"branch set {idx}") for idx, raw in enumerate((a1, a2, a3), start=1)]
-    counts: dict[P1Point, int] = {}
-    for s in sets:
-        for p in s:
-            counts[p] = counts.get(p, 0) + 1
-    bad = sorted((p for p, c in counts.items() if c != 2), key=P1Point.sort_key)
+    bad = sorted(p for p, c in Counter(p for s in sets for p in s).items() if c != 2)
     if bad:
         raise CoverageViolation(
             f"points covered a number of times other than twice: {excerpt(bad)}")
@@ -122,12 +116,9 @@ def realizable_profiles(max_k: int) -> tuple[tuple[int, int, int], ...]:
     third set is the symmetric difference of the first two, so the pairwise
     overlaps a1+a2-a3, a1+a3-a2 and a2+a3-a1 must all be nonnegative.
     """
-    found = []
-    for a1 in range(1, max_k + 1):
-        for a2 in range(a1, max_k + 1):
-            for a3 in range(a2, min(a1 + a2, max_k - a1 - a2) + 1):
-                found.append((a1, a2, a3))
-    return tuple(sorted(found))
+    # generated in lexicographic order
+    return tuple((a1, a2, a3) for a1 in range(1, max_k + 1) for a2 in range(a1, max_k + 1)
+                 for a3 in range(a2, min(a1 + a2, max_k - a1 - a2) + 1))
 
 
 def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
@@ -142,10 +133,8 @@ def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
     if min(m12, m13, m23) < 0 or min(profile) < 1:
         raise CoverageViolation(f"profile {profile} is not realizable")
     support = [P1Point(i, 1) for i in range(a1 + a2 + a3)]
-    block12 = support[:m12]
-    block13 = support[m12:m12 + m13]
-    block23 = support[m12 + m13:]
-    return validate_triplet(block12 + block13, block12 + block23, block13 + block23)
+    b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
+    return validate_triplet(b12 + b13, b12 + b23, b13 + b23)
 
 
 # canonical forms and stabilizers ----------------------------------------------
@@ -160,20 +149,20 @@ MAX_CANONICAL_POINTS = 64
 def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], ...]):
     """The least image of index sets over the maps pinning three support points.
 
-    The map sending the ordered triple (p, q, r) to (0, 1, oo) sends t to
+    The map pinning the ordered triple (p, q, r) to (0, 1, oo) sends t to
     ``(det(t,p) det(q,r) : det(t,r) det(q,p))``, so each candidate is read
     off a table of 2 x 2 determinants and no object is built per candidate.
-    The sort key of an image starts with the sets of least size, so its
-    first value is the least image of a point of those sets.  A first pass
+    The key of an image starts with the sets of least size, so its first
+    value is the least image of a point of those sets.  A first pass
     computes that value for every candidate with exact integer comparisons
     (for fixed p and r it is the least or greatest of det(t,p)/det(t,r),
-    divided by the value at q) and keeps only the candidates that reach
-    the minimum; just those build full Fraction keys.
+    divided by the value at q) and keeps only the candidates that reach the
+    minimum; just those build their images as points and full keys.
 
-    Returns the images ``(n, d)`` of the support points under the first
-    least candidate, and every ordered index triple whose image ties with
-    it.  For a single set the ties are the stabilizer: the map carrying
-    the first tied triple to another preserves the set.
+    Returns the least image, its sets sorted as in a RamificationTriplet,
+    and every ordered index triple whose image ties with it.  For a single
+    set the ties are the stabilizer: the map carrying the first tied triple
+    to another preserves the set.
     """
     k = len(support)
     if k < 3:
@@ -226,14 +215,13 @@ def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], .
     best = None
     for p, q, r in survivors:
         at_r, at_p = det[q][r], det[q][p]
-        images = [(row[p] * at_r, row[r] * at_p) for row in det]
-        keys = [(1,) if d == 0 else (0, Fraction(n, d)) for n, d in images]
-        key = sorted((len(s),) + tuple(sorted(keys[i] for i in s)) for s in sets)
+        image = [P1Point(row[p] * at_r, row[r] * at_p) for row in det]
+        key = sorted((len(s),) + tuple(sorted(image[i] for i in s)) for s in sets)
         if best is None or key < best:
-            best, best_images, ties = key, images, [(p, q, r)]
+            best, ties = key, [(p, q, r)]
         elif key == best:
             ties.append((p, q, r))
-    return best_images, ties
+    return tuple(s[1:] for s in best), ties
 
 
 def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
@@ -246,27 +234,13 @@ def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
     support = t.support
     index = {p: i for i, p in enumerate(support)}
     sets = tuple(tuple(index[p] for p in s) for s in t.sets)
-    images, _ = _least_pinnings(support, sets)
-    return RamificationTriplet(tuple(tuple(P1Point(*images[i]) for i in s) for s in sets))
+    return RamificationTriplet._of_sorted(_least_pinnings(support, sets)[0])
 
 
 def _delta_pass(points):
     pts = sorted_distinct(points, "a branch set")
-    images, ties = _least_pinnings(pts, (tuple(range(len(pts))),))
-    canon = tuple(sorted((P1Point(n, d) for n, d in images), key=P1Point.sort_key))
+    (canon,), ties = _least_pinnings(pts, (tuple(range(len(pts))),))
     return pts, canon, ties
-
-
-def _stabilizer_from_ties(pts: tuple[P1Point, ...], ties) -> tuple[Mobius, ...]:
-    first = tuple(pts[i] for i in ties[0])
-    pset = set(pts)
-    maps = []
-    for tie in ties:
-        g = mobius_from_triples(first, tuple(pts[i] for i in tie))
-        if {g.apply(p) for p in pts} != pset:
-            raise InvariantViolation(f"{g} ties with the least pinning but moves the set")
-        maps.append(g)
-    return tuple(sorted(maps, key=Mobius.sort_key))
 
 
 def delta_canonical_form(points) -> tuple[P1Point, ...]:
@@ -287,4 +261,12 @@ def stabilizer(points) -> tuple[Mobius, ...]:
 def canonical_delta_and_stabilizer(points) -> tuple[tuple[P1Point, ...], tuple[Mobius, ...]]:
     """`delta_canonical_form` and `stabilizer` of one point set from one pass."""
     pts, canon, ties = _delta_pass(points)
-    return canon, _stabilizer_from_ties(pts, ties)
+    first = tuple(pts[i] for i in ties[0])
+    pset = set(pts)
+    maps = []
+    for tie in ties:
+        g = mobius_from_triples(first, tuple(pts[i] for i in tie))
+        if {g.apply(p) for p in pts} != pset:
+            raise InvariantViolation(f"{g} ties with the least pinning but moves the set")
+        maps.append(g)
+    return canon, tuple(sorted(maps, key=Mobius.sort_key))

@@ -207,14 +207,37 @@ class TestCubicBranch:
         with pytest.raises(InvalidDescriptor, match="denominator zero"):
             classify(minimal_cubic(family, parameter="1/0"))
 
-    @pytest.mark.parametrize("raw", ["1/" + "0" * 5000, "0." + "0" * 4400, "7" * 4301],
-                             ids=["denominator", "decimal", "integer"])
+    @pytest.mark.parametrize("raw", ["1/" + "0" * 5000, "0." + "0" * 4400, "7" * 4301,
+                                     "1e1000000", "2.5E-4301", "1e" + "9" * 4400],
+                             ids=["denominator", "decimal", "integer", "exponent",
+                                  "negative-exponent", "exponent-literal"])
     @pytest.mark.parametrize("family", [CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER])
     def test_rational_literal_past_the_digit_limit_is_rejected(self, family, raw):
         # int() refuses more than 4300 digits from text; such a literal is
         # still a rational, not a tag to keep verbatim
         with pytest.raises(IntegerTooLong, match="more digits than int"):
             classify(minimal_cubic(family, parameter=raw))
+
+    @pytest.mark.parametrize("raw", ["1e4299", "-2.5e-4299", "1E+1_0", "9" * 4300 + ".0"])
+    def test_value_at_the_digit_limit_is_a_rational(self, raw):
+        v = classify(minimal_cubic(CUBIC_TRIPLE_COVER, parameter=raw))
+        assert v.invariant["alpha"] == raw
+        v = classify(minimal_cubic(CUBIC_S4_LAMBDA, parameter=raw))
+        assert not v.invariant["lambda_up_to_sign"].startswith("-")
+
+    @pytest.mark.parametrize("raw", ["1e4300", "9" * 4300 + ".9"], ids=["exponent", "decimal"])
+    @pytest.mark.parametrize("family", [CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER])
+    def test_value_past_the_digit_limit_is_rejected(self, family, raw):
+        # each integer of the text reads, but the value has 4301 digits, so
+        # lambda could not be written back as text
+        with pytest.raises(IntegerTooLong, match="more digits than int"):
+            classify(minimal_cubic(family, parameter=raw))
+
+    @pytest.mark.parametrize("raw", ["x1e99999", "1 e99999", "1/2e99999", "1e 99999"])
+    def test_text_ending_like_an_exponent_is_a_tag(self, raw):
+        # no rational, so kept verbatim however large its digits read
+        v = classify(minimal_cubic(CUBIC_S4_LAMBDA, parameter=raw))
+        assert v.invariant["lambda_up_to_sign"] == raw
 
     @pytest.mark.parametrize("report", [ALL_ON_EXCEPTIONAL, OFF_EXCEPTIONAL])
     @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "not-minimal"])

@@ -346,9 +346,10 @@ class TestCanonicalCommand:
         assert code == 0 and len(report["delta"]) == n
 
 
-def run_child(args, stdin, log=None):
+def run_child(args, stdin, log=None, timeout=60):
     """Run ``python <args>`` with the package on the path, and ``CREMONA_LOG``
-    set to ``log`` or unset; returns the process."""
+    set to ``log`` or unset; returns the process, or raises
+    ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CREMONA_LOG", None)
@@ -356,7 +357,7 @@ def run_child(args, stdin, log=None):
         env["CREMONA_LOG"] = log
     return subprocess.run(
         [sys.executable, *args], input=stdin,
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def assert_one_logged_line(proc, code, prefix):
@@ -416,6 +417,36 @@ class TestExitCodes:
         proc = run_child(["-m", "cremona", "canonical", "delta"], text)
         assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: ")
 
+    @pytest.mark.parametrize("point", ["1e1000000", "-3.5E-1000000", "1e99999999",
+                                       "1e" + "9" * 5000],
+                             ids=["exponent", "negative-exponent", "huge-exponent",
+                                  "exponent-literal"])
+    def test_point_exponent_is_refused_before_it_is_expanded(self, point):
+        # Fraction would build an integer of a million digits and the kernel
+        # would then compute for a minute; 10**99999999 alone takes minutes
+        # to build, so the exponent is checked before Fraction sees it
+        text = json.dumps({"delta": [0, 1, 2, point]})
+        proc = run_child(["-m", "cremona", "canonical", "delta"], text, timeout=10)
+        assert_one_logged_line(
+            proc, 1, f"ERROR cremona: IntegerTooLong: at $.delta[3]: point {point[:20]}")
+        assert len(proc.stderr.encode()) <= 1024
+
+    def test_overlong_point_literal_is_integer_too_long(self):
+        # the same refusal as for a JSON integer or a cubic parameter
+        text = json.dumps({"delta": [0, 1, 2, "1/" + "7" * 4301]})
+        proc = run_child(["-m", "cremona", "canonical", "delta"], text)
+        assert_one_logged_line(proc, 1, "ERROR cremona: IntegerTooLong: at $.delta[3]: point 1/777")
+        assert len(proc.stderr.encode()) <= 1024
+
+    @pytest.mark.parametrize("point, message", [
+        ("1/0", "cannot read '1/0' as an exact rational"),
+        ("x1e99999", "cannot read 'x1e99999' as an exact rational"),
+    ])
+    def test_point_string_that_is_no_number_keeps_its_message(self, point, message):
+        text = json.dumps({"delta": [0, 1, 2, point]})
+        proc = run_child(["-m", "cremona", "canonical", "delta"], text)
+        assert_one_logged_line(proc, 1, f"ERROR cremona: InvalidDescriptor: at $.delta[3]: {message}")
+
     def test_overlong_report_integer_is_one_logged_line(self, tmp_path):
         # a 2201-digit coefficient reads fine but its square has 4401 digits
         text = '{"r": 1, "divisor": [1' + "0" * 2200 + ", 0]}"
@@ -444,6 +475,20 @@ class TestExitCodes:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("usage: cremona")
         assert "Traceback" not in proc.stderr
+
+    def test_overlong_int_option_is_quoted_in_part(self):
+        proc = run_child(["-m", "cremona", "lattice", "minus-one-count", "--r", "9" * 5000], "")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith(
+            "cremona lattice minus-one-count: error: argument --r: invalid int value: '999")
+        assert "(5002 characters)" in proc.stderr
+        assert len(proc.stderr.encode()) <= 1024
+
+    def test_bad_int_option_message_is_argparse_own(self):
+        proc = run_child(["-m", "cremona", "lattice", "minus-one-count", "--r", "abc"], "")
+        assert proc.returncode == 1 and proc.stderr.startswith("usage: cremona lattice")
+        assert proc.stderr.splitlines()[-1] == (
+            "cremona lattice minus-one-count: error: argument --r: invalid int value: 'abc'")
 
     def test_help_exits_0(self):
         proc = run_child(["-m", "cremona", "--help"], "")

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cremona import (
@@ -38,6 +38,12 @@ def p1s():
     ).filter(lambda ab: ab != (0, 0)).map(lambda ab: P1Point(*ab))
 
 
+def long_p1s():
+    # coordinates of either sign, small or of up to 4000 digits, unreduced
+    coordinate = st.one_of(st.integers(-6, 6), st.integers(-10**4000, 10**4000))
+    return st.tuples(coordinate, coordinate).filter(lambda ab: ab != (0, 0))
+
+
 def mobius_maps():
     return st.tuples(
         st.integers(min_value=-5, max_value=5),
@@ -69,6 +75,23 @@ class TestP1Point:
     def test_infinity_sorts_last(self):
         pts = [P1Point.infinity(), P1Point(5, 1), P1Point(-2, 1), P1Point(1, 2)]
         assert sorted(pts) == [P1Point(-2, 1), P1Point(1, 2), P1Point(5, 1), P1Point.infinity()]
+
+    @given(long_p1s(), long_p1s())
+    @example((1, 0), (-5, 0))
+    @example((1, 0), (3, -7))
+    @example((3, -7), (1, 0))
+    @example((1, -2), (-1, 3))
+    @example((0, -1), (1, -10**4000))
+    @example((10**4000 + 1, 10**4000), (10**4000, 10**4000 - 1))
+    def test_order_agrees_with_fractions(self, ab, cd):
+        # infinity last, finite points by value, however signed or long
+        def key(pair):
+            a, b = pair
+            return (1,) if b == 0 else (0, Fraction(a, b))
+
+        p, q = P1Point(*ab), P1Point(*cd)
+        assert (p < q) == (key(ab) < key(cd))
+        assert (q < p) == (key(cd) < key(ab))
 
 
 class TestP2Point:
@@ -142,11 +165,11 @@ class TestMobius:
             )
 
     def test_from_triples_checks_its_result_without_assert(self, monkeypatch):
-        # a broken basis matrix must be caught by explicit code, which
+        # a broken pinning matrix must be caught by explicit code, which
         # `python -O` keeps
         from cremona import geometry
 
-        monkeypatch.setattr(geometry, "_basis_to_triple", lambda triple: ((1, 0), (0, 1)))
+        monkeypatch.setattr(geometry, "_pinning", lambda triple: ((1, 0), (0, 1)))
         with pytest.raises(InvariantViolation):
             mobius_from_triples(
                 (P1Point(0, 1), P1Point(1, 1), P1Point.infinity()),

@@ -184,13 +184,18 @@ class TestTransformed:
 
 # The enumeration the integer kernel replaced: one Moebius map, one moved
 # triplet or point tuple and one Fraction key per candidate.  Kept here as
-# the reference the kernel must agree with.
+# the reference the kernel must agree with, with its own order of points.
 
 _PINNED = (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0))
 
 
+def _point_key(p):
+    # finite points in increasing value, then infinity last
+    return (1,) if p.b == 0 else (0, Fraction(p.a, p.b))
+
+
 def _triplet_key(t):
-    return tuple((len(s),) + tuple(p.sort_key() for p in s) for s in t.sets)
+    return tuple((len(s),) + tuple(_point_key(p) for p in s) for s in t.sets)
 
 
 def reference_triplet_canonical_form(t):
@@ -203,19 +208,19 @@ def reference_triplet_canonical_form(t):
 
 
 def reference_delta_canonical_form(points):
-    support = tuple(sorted(points, key=P1Point.sort_key))
+    support = tuple(sorted(points, key=_point_key))
     best = None
     for triple in itertools.permutations(support, 3):
         m = mobius_from_triples(triple, _PINNED)
-        cand = tuple(sorted((m.apply(p) for p in support), key=P1Point.sort_key))
-        key = tuple(p.sort_key() for p in cand)
+        cand = tuple(sorted((m.apply(p) for p in support), key=_point_key))
+        key = tuple(_point_key(p) for p in cand)
         if best is None or key < best[0]:
             best = (key, cand)
     return best[1]
 
 
 def reference_stabilizer(points):
-    support = tuple(sorted(points, key=P1Point.sort_key))
+    support = tuple(sorted(points, key=_point_key))
     base = support[:3]
     kept = []
     for img in itertools.permutations(support, 3):
@@ -258,6 +263,15 @@ class TestKernelMatchesReference:
     @given(triplets())
     def test_triplet_canonical_form(self, t):
         assert triplet_canonical_form(t) == reference_triplet_canonical_form(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(triplets())
+    def test_triplet_canonical_form_is_a_valid_sorted_triplet(self, t):
+        # the kernel's least candidate is returned as it stands: validating
+        # and sorting its sets again changes nothing
+        canon = triplet_canonical_form(t)
+        assert canon == validate_triplet(*canon.sets)
+        assert canon.support == validate_triplet(*canon.sets).support
 
     @settings(max_examples=60, deadline=None)
     @given(value_sets(3, 8))
