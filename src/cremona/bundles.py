@@ -20,10 +20,10 @@ built, by ``picard.validate_involution``: it squares to the identity,
 G M is symmetric for the form G = diag(1, -1, ..., -1), which for an
 involution is the isometry condition (``M^T G M = (G M)^T M = G M M = G``),
 and it fixes K.  The Klein-four model then checks sigma_1 sigma_2 =
-sigma_3 with one product, and that the fixed lattice of the checked
-sigma_1, sigma_2 is exactly Z K + Z f (``picard.is_conic_bundle``), so the
-model is a conic bundle of invariant Picard rank two; ``action()`` still
-returns a validated ``LatticeAction`` to callers that ask for one.
+sigma_3 with one product, so {1, sigma_1, sigma_2, sigma_3} is a group,
+and, by traces over that group, that its fixed lattice is exactly Z K + Z f
+(``picard.is_conic_bundle``): a conic bundle of invariant Picard rank two.
+``action()`` still returns a validated ``LatticeAction`` when asked.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -174,10 +174,11 @@ def z22_from_triplet(
 
     The support points become the singular fibers (in canonical order) and
     each branch set yields the involution swapping exactly its fibers.
-    Each fact is checked once: ``involution_matrix`` checks each sigma_i
-    (involutive isometry fixing K), then sigma_1 sigma_2 = sigma_3 and the
-    invariant lattice of sigma_1, sigma_2 being Z K + Z f are checked on
-    the way out; a failure of these two raises InvariantViolation.
+    Each fact is checked once, in this order: ``involution_matrix`` checks
+    each sigma_i (involutive isometry fixing K); then sigma_1 sigma_2 =
+    sigma_3, which makes {1, sigma_1, sigma_2, sigma_3} a group; then, on
+    that whole group, that the invariant lattice is Z K + Z f.  A failure
+    of the last two raises InvariantViolation.
     """
     support = triplet.support
     index = {p: j for j, p in enumerate(support, start=1)}
@@ -188,7 +189,7 @@ def z22_from_triplet(
     )
     require(la.mat_mul(gens[0], gens[1]) == gens[2], "sigma_1 sigma_2 != sigma_3")
     model = Z22BundleModel(marking, triplet, gens, certificate)
-    require(is_conic_bundle(marking, gens[:2]),
+    require(is_conic_bundle(marking, gens),
             "the fixed lattice of the Klein four-group model is not Z K + Z f")
     if certificate is not None:
         _check_certificate(model, certificate)

@@ -9,9 +9,10 @@ preserving the intersection form and fixing K.
 The fibered variant used by the conic-bundle constructions relabels the
 first exceptional class as ``E_0`` (the blown-up projection center) and
 carries the fiber class ``f = L - E_0`` together with the base point of
-P^1 under each remaining ``E_j``.  ``is_conic_bundle`` checks that a
-group's fixed lattice on such a marking is exactly Z K + Z f, which makes
-the marked fibration a conic bundle of invariant Picard rank two.
+P^1 under each remaining ``E_j``.  ``is_conic_bundle`` checks, by traces
+and with no row reduction, that a group's fixed lattice on such a marking
+is exactly Z K + Z f, which makes the marked fibration a conic bundle of
+invariant Picard rank two.
 
 A matrix is checked when it enters: ``validate_action`` for a general
 isometry (column pairs against the diagonal form G), and
@@ -21,11 +22,11 @@ G M is symmetric, since then ``M^T G M = (G M)^T M = G M M = G``; so an
 involution costs a sparse square and n(n-1)/2 entry comparisons, not the
 column products.  Later computations trust the checked matrices.
 
-All sublattice computations run over Z with unimodular row reduction, so
-invariant sublattices come out saturated and bases are canonical (Hermite
-normal form).  The number of blowups is capped at 13, enough for an
-exceptional bundle with twelve singular fibers; the expensive operation,
-(-1)-class enumeration, has its own cap at r = 8.
+``invariant_sublattice`` runs over Z with unimodular row reduction, so the
+invariant sublattice comes out saturated, with a canonical Hermite basis.
+The number of blowups is capped at 13, enough for an exceptional bundle
+with twelve singular fibers; the expensive operation, (-1)-class
+enumeration, has its own cap at r = 8.
 """
 
 from __future__ import annotations
@@ -274,24 +275,17 @@ def invariant_sublattice(action: LatticeAction) -> tuple[int, tuple[DivisorClass
     generators is the full group-invariant sublattice (fixing the
     generators fixes the group), with a Hermite-form basis.
     """
-    return _fixed_sublattice(action.lattice.rank, action.generators)
-
-
-def _fixed_sublattice(
-    n: int, generators: tuple[Mat, ...]
-) -> tuple[int, tuple[DivisorClass, ...]]:
-    # Zero and repeated rows of the stacked M - I do not change the kernel,
-    # and the kernel's Hermite basis is canonical, so only the distinct
-    # nonzero rows are reduced (a fiberwise involution has a zero row for
-    # every fiber it leaves alone, and the swapped rows repeat between
-    # generators).
+    # zero and repeated rows of the stacked M - I change neither the kernel
+    # nor its Hermite basis, so only the distinct nonzero rows are reduced (a
+    # fiberwise involution has a zero row for every fiber it leaves alone,
+    # and the swapped rows repeat between generators)
     rows: dict[Vec, None] = {}
-    for g in generators:
+    for g in action.generators:
         for i, row in enumerate(g):
             moved = row[:i] + (row[i] - 1,) + row[i + 1:]
             if any(moved):
                 rows[moved] = None
-    kernel = la.kernel_basis(tuple(rows)) if rows else la.identity(n)
+    kernel = la.kernel_basis(tuple(rows)) if rows else la.identity(action.lattice.rank)
     return len(kernel), tuple(DivisorClass(row) for row in kernel)
 
 
@@ -400,14 +394,18 @@ class FiberedMarking(_Frozen):
         return self.lattice.exceptional_class(j + 1)
 
 
-def is_conic_bundle(marking: FiberedMarking, generators: tuple[Mat, ...]) -> bool:
-    """Whether the fixed lattice of the group is Z K + Z f on the nose.
+def is_conic_bundle(marking: FiberedMarking, elements: tuple[Mat, ...]) -> bool:
+    """Whether the fixed lattice F of a finite group G is Z K + Z f on the nose.
 
-    ``generators`` are trusted as already checked.  The kernel is saturated
-    and already in Hermite form, so the test is an equality of Hermite
-    bases that reduces only Z K + Z f.
+    ``elements`` are the non-identity elements of G, trusted as checked.
+    F is saturated, so it equals Z K + Z f exactly when every element fixes
+    K and f, Z K + Z f is saturated (its minor on the columns L, E_1 is -1;
+    with no fibers its index is 2), and F has rank 2.  Over Q that rank is
+    (1/|G|) sum of tr(g) over G (Serre, Linear Representations of Finite
+    Groups, 2.3), so the test is n + sum of tr(g) over the elements = 2 |G|.
     """
-    lattice = marking.lattice
-    _rank, basis = _fixed_sublattice(lattice.rank, generators)
-    target = (lattice.canonical_class.coeffs, marking.fiber_class.coeffs)
-    return tuple(d.coeffs for d in basis) == la.hnf_basis(target)
+    k, f = marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs
+    n = len(k)
+    return (n > 2 and k[0] * f[2] - k[2] * f[0] == -1
+            and all(la.mat_vec(g, k) == k and la.mat_vec(g, f) == f for g in elements)
+            and n + sum(g[i][i] for g in elements for i in range(n)) == 2 * (len(elements) + 1))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,14 @@ class TestFiberedMarking:
             FiberedMarking(BlowupLattice(3), (P1Point(0, 1),))
 
 
+def even_fiber_sets(k: int):
+    """Even sets of 1-based fiber indices on a marking with k fibers."""
+    if k == 0:
+        return st.just(())
+    return st.sets(st.integers(min_value=1, max_value=k)).map(
+        lambda s: tuple(sorted(s))[len(s) % 2:])
+
+
 class TestMoriFibration:
     def test_conic_bundle_case(self):
         from cremona import jonquieres_involution_matrix
@@ -363,6 +372,33 @@ class TestMoriFibration:
         # the trivial group fixes the whole rank-3 lattice
         marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
         assert not is_conic_bundle(marking, ())
+
+    def test_zero_fibers_is_not_saturated(self):
+        # rank 2 fixed by the trivial group, so the trace count alone would
+        # say yes; but Z K + Z f has index 2 in Z^2
+        assert not is_conic_bundle(FiberedMarking(BlowupLattice(1), ()), ())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=12).flatmap(lambda k: st.tuples(
+        st.just(k), even_fiber_sets(k), even_fiber_sets(k))))
+    def test_traces_agree_with_fixed_rank_oracle(self, drawn):
+        # {1, s_J1, s_J2, s_J1^J2} is a group: one Klein four-group, one
+        # involution (J1 = J2, or one set empty) or the trivial group
+        k, j1, j2 = drawn
+        marking = FiberedMarking.standard(k)
+        n = marking.lattice.rank
+        sigmas = [involution_matrix(marking, j) for j in (j1, j2, tuple(sorted(set(j1) ^ set(j2))))]
+        assert reference_mat_mul(sigmas[0], sigmas[1]) == sigmas[2]
+        elements = tuple({g for g in sigmas if g != la.identity(n)})
+        kf = (marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs)
+        fixed = all(tuple(sum(map(int.__mul__, row, v)) for row in g) == v
+                    for g in elements for v in kf)
+        minors = [kf[0][a] * kf[1][b] - kf[0][b] * kf[1][a]
+                  for a, b in itertools.combinations(range(n), 2)]
+        saturated = math.gcd(*minors) == 1
+        rank = (oracles.invariant_rank_oracle([list(map(list, g)) for g in elements])
+                if elements else n)
+        assert is_conic_bundle(marking, elements) == (rank == 2 and fixed and saturated)
 
 
 # the column Gram check against the dense M^T G M product it replaced
