@@ -536,10 +536,13 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     lat = marking.lattice
 
     f = marking.fiber_class
-    require(la.mat_vec(swap, f.coeffs) == f.coeffs, "the swap moves f")
+    swap_f = la.mat_vec(swap, f.coeffs)
+    require(swap_f == f.coeffs, "the swap moves f")
+    columns = la.transpose(swap)
     for j in range(1, 2 * n + 1):
+        # swap (f - 2 E_j) = swap f - 2 swap E_j, and E_j is basis vector j + 1
         v = f - 2 * marking.fiber_component(j)
-        require(la.mat_vec(swap, v.coeffs) == (-v).coeffs,
+        require(tuple([x - 2 * c for x, c in zip(swap_f, columns[j + 1])]) == (-v).coeffs,
                 f"f - 2 E_{j} is not a (-1)-eigenvector of the swap")
 
     s1 = lat.line_class()

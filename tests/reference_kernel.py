@@ -16,6 +16,10 @@ were, under their own names (so that default reprs read the same), for
 builder with every check it had before the unreachable ones were deleted.
 It raises ``AlignmentViolation``, a class of its own, where the builder
 now raises DegenerateConfiguration for two blown-up points in one fiber.
+
+``reference_least_pinnings`` is the canonical-form kernel's first pass as
+it was before it read each pair's candidates off the cyclic order of the
+support: it scans every pinned triple, k(k-1)(k-2) in all.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from cremona import geometry
 from cremona import intlinalg as la
 from cremona import picard
 from cremona.bundles import _certificate, _distinct, z22_from_triplet
@@ -35,12 +40,14 @@ from cremona.errors import (
     DuplicatePoint,
     MovesCanonicalClass,
     NotIsometry,
+    TooFewPoints,
+    TooManyPoints,
     UnsupportedRank,
     require,
 )
 from cremona.geometry import intersect_line_conic, line_through, lines_meet, project_from
 from cremona.picard import MAX_BLOWUPS, validate_action
-from cremona.square_class import sorted_distinct, validate_triplet
+from cremona.square_class import MAX_CANONICAL_POINTS, sorted_distinct, validate_triplet
 
 
 def reference_mat_mul(a, b):
@@ -257,6 +264,71 @@ def reference_build_from_three_lines_conic(lines, conic, d1, d2):
                                     (1, 0, (a3, b3, c)), (2, -1, (a1, a2, b1, b2, c)))
     ]
     return z22_from_triplet(triplet, _certificate("three-lines-conic", triplet, sections))
+
+
+# the canonical-form kernel with its cubic first pass ---------------------------
+
+
+def reference_least_pinnings(support, sets):
+    k = len(support)
+    if k < 3:
+        raise TooFewPoints(
+            f"canonical forms and stabilizers need at least 3 support points, got {k}")
+    if k > MAX_CANONICAL_POINTS:
+        raise TooManyPoints(
+            f"canonical forms and stabilizers accept at most {MAX_CANONICAL_POINTS} "
+            f"support points, got {k}")
+    coords = [(pt.a, pt.b) for pt in support]
+    det = [[ta * xb - tb * xa for xa, xb in coords] for ta, tb in coords]
+    smallest = min(len(s) for s in sets)
+    front = sorted({i for s in sets if len(s) == smallest for i in s})
+
+    least = None
+    survivors = []
+    for p in range(k):
+        for r in range(k):
+            if r == p:
+                continue
+            lo = hi = None
+            for t in front:
+                n, d = det[t][p], det[t][r]
+                if d == 0:  # t is r, sent to infinity
+                    continue
+                if d < 0:
+                    n, d = -n, -d
+                if lo is None or n * lo[1] < lo[0] * d:
+                    lo = (n, d)
+                if hi is None or n * hi[1] > hi[0] * d:
+                    hi = (n, d)
+            for q in range(k):
+                if q == p or q == r:
+                    continue
+                n, d = det[q][p], det[q][r]
+                if (n > 0) == (d > 0):
+                    first = (lo[0] * abs(d), lo[1] * abs(n))
+                else:
+                    first = (-hi[0] * abs(d), hi[1] * abs(n))
+                if least is not None:
+                    cmp = first[0] * least[1] - least[0] * first[1]
+                    if cmp > 0:
+                        continue
+                    if cmp == 0:
+                        survivors.append((p, q, r))
+                        continue
+                least = first
+                survivors = [(p, q, r)]
+
+    best = None
+    for p, q, r in survivors:
+        at_r, at_p = det[q][r], det[q][p]
+        # the package's point, not the dataclass of the same name below
+        image = [geometry.P1Point(row[p] * at_r, row[r] * at_p) for row in det]
+        key = sorted((len(s),) + tuple(sorted(image[i] for i in s)) for s in sets)
+        if best is None or key < best:
+            best, ties = key, [(p, q, r)]
+        elif key == best:
+            ties.append((p, q, r))
+    return tuple(s[1:] for s in best), ties
 
 
 # the records as frozen dataclasses --------------------------------------------

@@ -52,6 +52,7 @@ from cremona.errors import (
     DimensionMismatch,
     DuplicatePoint,
     InvalidCertificate,
+    InvariantViolation,
     OddCardinality,
     QOnConfiguration,
     TooSmall,
@@ -547,6 +548,22 @@ class TestExceptionalBundles:
         assert model.equals_full_automorphisms
         assert model.KERNEL_TAG == "C^* : Z/2"
         assert len(model.stabilizer) == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_swap_fixing_a_fiber_is_refused_at_that_fiber(self, monkeypatch, n):
+        # the last two fibers are not swapped, so f - 2 E_j is fixed for them
+        full = bundles.involution_matrix
+        monkeypatch.setattr(bundles, "involution_matrix",
+                            lambda marking, swapped: full(marking, swapped[:-2]))
+        with pytest.raises(InvariantViolation,
+                           match=rf"^f - 2 E_{2 * n - 1} is not a \(-1\)-eigenvector of the swap$"):
+            exceptional_from_delta(tuple(p1(i) for i in range(2 * n)))
+
+    def test_a_swap_moving_f_is_refused(self, monkeypatch):
+        monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: la.freeze(
+            [[int(i == (j + 1) % 6) for j in range(6)] for i in range(6)]))
+        with pytest.raises(InvariantViolation, match="^the swap moves f$"):
+            exceptional_from_delta(tuple(p1(i) for i in range(4)))
 
     def test_aut_descriptor_for_n_one(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1)))

@@ -29,6 +29,7 @@ from cremona.errors import (
 from cremona.square_class import canonical_delta_and_stabilizer
 
 import oracles
+from reference_kernel import reference_least_pinnings
 
 
 def pts(*values) -> tuple[P1Point, ...]:
@@ -230,20 +231,20 @@ def reference_stabilizer(points):
     return tuple(sorted(kept, key=Mobius.sort_key))
 
 
-def values():
-    finite = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+def values(span=8):
+    finite = st.builds(Fraction, st.integers(-span, span), st.integers(1, 4))
     return st.one_of(st.none(), finite)
 
 
-def value_sets(min_size, max_size):
-    return st.sets(values(), min_size=min_size, max_size=max_size)
+def value_sets(min_size, max_size, span=8):
+    return st.sets(values(span), min_size=min_size, max_size=max_size)
 
 
 @st.composite
-def triplets(draw, max_k=7):
-    a1, a2, a3 = draw(st.sampled_from(realizable_profiles(max_k)))
+def triplets(draw, profiles=realizable_profiles(7), span=8):
+    a1, a2, a3 = draw(st.sampled_from(profiles))
     k = a1 + a2 + a3
-    support = pts(*draw(st.lists(values(), min_size=k, max_size=k, unique=True)))
+    support = pts(*draw(st.lists(values(span), min_size=k, max_size=k, unique=True)))
     m12, m13 = a1 + a2 - a3, a1 + a3 - a2
     b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
     return validate_triplet(b12 + b13, b12 + b23, b13 + b23)
@@ -299,6 +300,64 @@ class TestKernelMatchesReference:
         as_values = [None if v is None else Fraction(v) for v in vals]
         assert len(stab) == oracles.stabilizer_order_oracle(as_values)
         assert len(stab) > 1
+
+
+def assert_pass_matches_reference(support, sets):
+    # the least form, and every tie in the order of the cubic scan
+    assert square_class._least_pinnings(support, sets) == reference_least_pinnings(support, sets)
+
+
+def assert_delta_pass_matches_reference(vals):
+    support = tuple(sorted(pts(*vals)))
+    assert_pass_matches_reference(support, (tuple(range(len(support))),))
+
+
+def assert_triplet_pass_matches_reference(t):
+    index = {p: i for i, p in enumerate(t.support)}
+    assert_pass_matches_reference(t.support, tuple(tuple(index[p] for p in s) for s in t.sets))
+
+
+class TestPinningPassMatchesCubicScan:
+    """The first pass reads two candidates per pinned pair off the cyclic
+    order of the support; the scan of every pinned triple is the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 16).flatmap(lambda k: value_sets(k, k, span=40)))
+    def test_point_sets(self, vals):
+        assert_delta_pass_matches_reference(vals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(-4, 4).map(lambda v: None if v == 4 else v), min_size=3, max_size=9))
+    def test_point_sets_of_close_integers(self, vals):
+        assert_delta_pass_matches_reference(vals)
+
+    @pytest.mark.parametrize("profile", realizable_profiles(16))
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_triplets_of_every_profile(self, profile, data):
+        assert_triplet_pass_matches_reference(data.draw(triplets((profile,), span=40)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(value_sets(3, 3))
+    def test_three_point_sets(self, vals):
+        # every pair of points is adjacent, so one end of each pair is zero
+        assert_delta_pass_matches_reference(vals)
+
+    @pytest.mark.parametrize("vals", SYMMETRIC_SETS)
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1), (1, -1, 0, 1), (-1, 0, 0, 1), (0, 1, 1, 0),
+                                        (2, 1, 1, 3)])
+    def test_sets_with_symmetries(self, vals, coeffs):
+        # a symmetry can tie both candidates of one pinned pair, so the
+        # moved copies also check the order in which ties are found
+        m = Mobius.from_coeffs(*coeffs)
+        support = tuple(sorted(m.apply(p) for p in pts(*vals)))
+        assert_pass_matches_reference(support, (tuple(range(len(support))),))
+
+    @pytest.mark.parametrize("profile", [(1, 2, 2), (1, 3, 3), (1, 4, 4), (1, 5, 5)])
+    def test_two_point_front(self, profile):
+        # the smallest set has two points, so for the pair pinning both to 0
+        # and infinity every q ties at 0
+        assert_triplet_pass_matches_reference(triplet_from_profile(profile))
 
 
 class TestKernelLimits:
