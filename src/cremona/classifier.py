@@ -25,7 +25,7 @@ from .bundles import (
     is_del_pezzo_bundle,
     second_fibration_solver,
 )
-from .errors import InvalidDescriptor, NotAMoriFibration, excerpt, require
+from .errors import InvalidDescriptor, NotAMoriFibration, excerpt
 from .geometry import P1Point, _rational
 from .picard import LatticeAction, is_pair_minimal
 from .square_class import RamificationTriplet, triplet_canonical_form
@@ -380,8 +380,6 @@ _NO_FINITE_ORBIT = {
 #: by anticanonical degree of the point-case surface
 _MIN_ORBIT = {1: 1, 2: 2, 3: 3, 4: 4, 5: 6}
 
-_POINT_CASE_DEGREE = {1: 9, 2: 8, 3: 6, 6: 5, 7: 4, 8: 3, 9: 2, 10: 1}
-
 
 def _point_case_entries(family: int, k2: int) -> tuple[LinkEntry, ...]:
     if family in _NO_FINITE_ORBIT:
@@ -451,17 +449,11 @@ def link_feasibility(d: GSurfaceDescriptor) -> LinkReport:
         raise NotAMoriFibration(
             f"descriptor classifies as {v.outcome}; link feasibility needs a "
             "maximal G-Mori fibration")
-    family = v.family
-    if family in _POINT_CASE_DEGREE:
-        k2 = _POINT_CASE_DEGREE[family]
-        return LinkReport(family, k2, _point_case_entries(family, k2))
-    if family == 4:
-        return LinkReport(4, 8, _fibration_entries(4, 8))
-    if family == 5:
-        require(isinstance(d, ExceptionalDescriptor), "family 5 from a non-exceptional descriptor")
+    if isinstance(d, DelPezzoDescriptor):
+        k2 = d.degree
+    elif isinstance(d, HirzebruchDescriptor):
+        k2 = 8
+    else:
         k2 = d.model.k_squared
-        return LinkReport(5, k2, _fibration_entries(5, k2))
-    require(family == 11 and isinstance(d, Z22Descriptor),
-            f"family {family} has no fibration link report")
-    k2 = d.model.k_squared
-    return LinkReport(11, k2, _fibration_entries(11, k2))
+    entries = _fibration_entries if v.family in (4, 5, 11) else _point_case_entries
+    return LinkReport(v.family, k2, entries(v.family, k2))

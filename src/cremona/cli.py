@@ -125,15 +125,12 @@ def _cmd_canonical(args) -> int:
     from . import jsonio
     from .square_class import delta_canonical_form, triplet_canonical_form
 
-    doc = _read_json(args.input)
-    obj = jsonio.expect_obj(doc, "$")
+    obj = jsonio.expect_obj(_read_json(args.input), "$")
     if args.shape == "triplet":
-        triplet = jsonio.parse_triplet(obj.get("triplet"), "$.triplet")
-        report = {"triplet": jsonio.triplet_json(triplet_canonical_form(triplet))}
+        canon = triplet_canonical_form(jsonio.parse_triplet(obj.get("triplet"), "$.triplet"))
     else:
-        delta = jsonio.parse_p1_points(obj.get("delta"), "$.delta")
-        report = {"delta": [jsonio.point_pair(p) for p in delta_canonical_form(delta)]}
-    _write_report(args.output, report)
+        canon = delta_canonical_form(jsonio.parse_p1_points(obj.get("delta"), "$.delta"))
+    _write_report(args.output, jsonio.invariant_json(canon))
     return EXIT_OK
 
 

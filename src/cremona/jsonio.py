@@ -298,7 +298,7 @@ def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
 # verdicts and reports ---------------------------------------------------------
 
 
-def _invariant_json(invariant):
+def invariant_json(invariant):
     if isinstance(invariant, RamificationTriplet):
         return {"triplet": triplet_json(invariant)}
     if isinstance(invariant, tuple):
@@ -309,7 +309,7 @@ def _invariant_json(invariant):
 def verdict_json(v: Verdict) -> dict:
     if v.outcome == "maximal":
         doc = {"outcome": "maximal", "family": v.family,
-               "invariant": _invariant_json(v.invariant)}
+               "invariant": invariant_json(v.invariant)}
         if v.subfamily is not None:
             doc["subfamily"] = v.subfamily
         return doc

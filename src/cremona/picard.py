@@ -9,10 +9,11 @@ preserving the intersection form and fixing K.
 The fibered variant used by the conic-bundle constructions relabels the
 first exceptional class as ``E_0`` (the blown-up projection center) and
 carries the fiber class ``f = L - E_0`` together with the base point of
-P^1 under each remaining ``E_j``.  ``is_conic_bundle`` checks, by traces
-and with no row reduction, that a group's fixed lattice on such a marking
-is exactly Z K + Z f, which makes the marked fibration a conic bundle of
-invariant Picard rank two.
+P^1 under each remaining ``E_j``.  ``is_conic_bundle``, the one
+conic-bundle test of the package, checks by traces and with no row
+reduction that a group's fixed lattice on such a marking is exactly
+Z K + Z f, a conic bundle of invariant Picard rank two; it trusts the
+checks below for K.
 
 A matrix is checked when it enters: ``validate_action`` for a general
 isometry (column pairs against the diagonal form G), and
@@ -20,7 +21,8 @@ isometry (column pairs against the diagonal form G), and
 For G = diag(1, -1, ..., -1) and M^2 = I, M is an isometry exactly when
 G M is symmetric, since then ``M^T G M = (G M)^T M = G M M = G``; so an
 involution costs a sparse square and n(n-1)/2 entry comparisons, not the
-column products.  Later computations trust the checked matrices.
+column products.  Later computations trust the checked matrices, and
+``orbits`` checks the length of each class once, for the whole pool.
 
 ``invariant_sublattice`` runs over Z with unimodular row reduction, so the
 invariant sublattice comes out saturated, with a canonical Hermite basis.
@@ -264,9 +266,6 @@ class LatticeAction(_Frozen):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "generators", tuple(validate_action(lattice, g) for g in generators))
 
-    def apply(self, matrix: Mat, d: DivisorClass) -> DivisorClass:
-        return DivisorClass(la.mat_vec(matrix, _check_vector(self.lattice, d)))
-
 
 def invariant_sublattice(action: LatticeAction) -> tuple[int, tuple[DivisorClass, ...]]:
     """Rank and canonical basis of the fixed sublattice of the action.
@@ -296,7 +295,8 @@ def orbits(
 
     Orbits are closed under the generators; stepping outside the supplied
     set raises NotClosedUnderAction.  Each orbit is sorted and the orbits
-    are listed by their smallest element.
+    are listed by their smallest element.  Lengths are checked once, for
+    the whole pool: an image outside the pool is refused anyway.
     """
     pool = {d for d in classes}
     for d in pool:
@@ -312,7 +312,7 @@ def orbits(
             nxt = []
             for d in frontier:
                 for g in action.generators:
-                    image = action.apply(g, d)
+                    image = DivisorClass(la.mat_vec(g, d.coeffs))
                     if image not in pool:
                         raise NotClosedUnderAction(
                             f"{g} maps {d} to {image}, outside the supplied classes")
@@ -397,15 +397,16 @@ class FiberedMarking(_Frozen):
 def is_conic_bundle(marking: FiberedMarking, elements: tuple[Mat, ...]) -> bool:
     """Whether the fixed lattice F of a finite group G is Z K + Z f on the nose.
 
-    ``elements`` are the non-identity elements of G, trusted as checked.
-    F is saturated, so it equals Z K + Z f exactly when every element fixes
-    K and f, Z K + Z f is saturated (its minor on the columns L, E_1 is -1;
-    with no fibers its index is 2), and F has rank 2.  Over Q that rank is
+    ``elements`` are the non-identity elements of G, each checked by
+    ``validate_involution`` or ``validate_action``, so each fixes K.  F is
+    saturated, so it equals Z K + Z f exactly when every element fixes f,
+    Z K + Z f is saturated (its minor on the columns L, E_1 is -1; with no
+    fibers its index is 2), and F has rank 2.  Over Q that rank is
     (1/|G|) sum of tr(g) over G (Serre, Linear Representations of Finite
     Groups, 2.3), so the test is n + sum of tr(g) over the elements = 2 |G|.
     """
     k, f = marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs
     n = len(k)
     return (n > 2 and k[0] * f[2] - k[2] * f[0] == -1
-            and all(la.mat_vec(g, k) == k and la.mat_vec(g, f) == f for g in elements)
+            and all(la.mat_vec(g, f) == f for g in elements)
             and n + sum(g[i][i] for g in elements for i in range(n)) == 2 * (len(elements) + 1))

@@ -20,6 +20,10 @@ now raises DegenerateConfiguration for two blown-up points in one fiber.
 ``reference_least_pinnings`` is the canonical-form kernel's first pass as
 it was before it read each pair's candidates off the cyclic order of the
 support: it scans every pinned triple, k(k-1)(k-2) in all.
+
+``reference_exceptional_split`` is the exceptional bundle's own proof
+that the swap splits the lattice, from before ``picard.is_conic_bundle``
+proved it: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
 """
 
 from __future__ import annotations
@@ -329,6 +333,22 @@ def reference_least_pinnings(support, sets):
         elif key == best:
             ties.append((p, q, r))
     return tuple(s[1:] for s in best), ties
+
+
+# the exceptional bundle's split, fiber by fiber --------------------------------
+
+
+def reference_exceptional_split(marking, swap):
+    """Raise InvariantViolation unless the swap fixes f and negates each f - 2 E_j."""
+    f = marking.fiber_class
+    swap_f = la.mat_vec(swap, f.coeffs)
+    require(swap_f == f.coeffs, "the swap moves f")
+    columns = la.transpose(swap)
+    for j in range(1, marking.k + 1):
+        # swap (f - 2 E_j) = swap f - 2 swap E_j, and E_j is basis vector j + 1
+        v = f - 2 * marking.fiber_component(j)
+        require(tuple([x - 2 * c for x, c in zip(swap_f, columns[j + 1])]) == (-v).coeffs,
+                f"f - 2 E_{j} is not a (-1)-eigenvector of the swap")
 
 
 # the records as frozen dataclasses --------------------------------------------

@@ -61,6 +61,7 @@ from cremona.geometry import line_through, lines_meet
 from reference_kernel import (
     AlignmentViolation,
     reference_build_from_three_lines_conic,
+    reference_exceptional_split,
     reference_group_order,
     reference_involution_matrix,
 )
@@ -184,12 +185,20 @@ class TestWorkCount:
         assert kernels == []
         assert model.action().generators == model.generators[:2]
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_exceptional_model(self, work, n):
-        counts, _ = work
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exceptional_model(self, work, monkeypatch, n):
+        counts, kernels = work
+        real = bundles.is_conic_bundle
+
+        def is_conic_bundle(marking, elements):
+            counts["is_conic_bundle"] += 1
+            return real(marking, elements)
+
+        monkeypatch.setattr(bundles, "is_conic_bundle", is_conic_bundle)
         model = exceptional_from_delta([p1(j) for j in range(2 * n)])
-        assert counts["validate_involution"] == 1
-        assert counts["validate_action"] == 0
+        # the swap is checked once, and its split once, by the one trace test
+        assert counts == {"validate_involution": 1, "is_conic_bundle": 1}
+        assert kernels == []
         assert model.action().generators == (model.swap,)
 
     @pytest.mark.parametrize("build", [four_lines_model, three_lines_conic_model])
@@ -521,6 +530,10 @@ class TestJonquieres:
             jonquieres_involution_matrix(FiberedMarking.standard(3))
 
 
+#: the one message for a swap whose fixed lattice is not Z K + Z f
+SPLIT_REFUSED = r"the fixed lattice of the swap is not Z K \+ Z f"
+
+
 class TestExceptionalBundles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_swap_eigenvalue_split(self, n):
@@ -555,15 +568,29 @@ class TestExceptionalBundles:
         full = bundles.involution_matrix
         monkeypatch.setattr(bundles, "involution_matrix",
                             lambda marking, swapped: full(marking, swapped[:-2]))
-        with pytest.raises(InvariantViolation,
-                           match=rf"^f - 2 E_{2 * n - 1} is not a \(-1\)-eigenvector of the swap$"):
+        with pytest.raises(InvariantViolation, match=f"^{SPLIT_REFUSED}$"):
             exceptional_from_delta(tuple(p1(i) for i in range(2 * n)))
 
     def test_a_swap_moving_f_is_refused(self, monkeypatch):
         monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: la.freeze(
             [[int(i == (j + 1) % 6) for j in range(6)] for i in range(6)]))
-        with pytest.raises(InvariantViolation, match="^the swap moves f$"):
+        with pytest.raises(InvariantViolation, match=f"^{SPLIT_REFUSED}$"):
             exceptional_from_delta(tuple(p1(i) for i in range(4)))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_trace_test_agrees_with_the_fiberwise_split(self, k):
+        # every even J: only J = all fibers (k even) splits off Z K + Z f
+        marking = FiberedMarking.standard(k)
+        for size in range(0, k + 1, 2):
+            for swapped in itertools.combinations(range(1, k + 1), size):
+                swap = involution_matrix(marking, swapped)
+                try:
+                    reference_exceptional_split(marking, swap)
+                    split = True
+                except InvariantViolation:
+                    split = False
+                assert split == (len(swapped) == k), swapped
+                assert picard.is_conic_bundle(marking, (swap,)) == split, swapped
 
     def test_aut_descriptor_for_n_one(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1)))

@@ -404,6 +404,16 @@ class TestLinkFeasibility:
         assert all(e.status == "excluded" for e in report.entries)
         assert "not del Pezzo" in entry(report, 4).reason
 
+    #: K^2 of the Mori fibration of each maximal family
+    FROZEN_K_SQUARED = {1: 9, 2: 8, 3: 6, 4: 8, 5: 4, 6: 5, 7: 4, 8: 3, 9: 2, 10: 1, 11: 2}
+
+    @pytest.mark.parametrize("family, descriptor", [
+        *((int(key.split("-")[1]), d) for key, d in golden_maximal_descriptors().items()),
+        (2, HirzebruchDescriptor(0))])
+    def test_k_squared_of_each_maximal_family(self, family, descriptor):
+        report = link_feasibility(descriptor)
+        assert (report.family, report.k_squared) == (family, self.FROZEN_K_SQUARED[family])
+
     def test_non_maximal_descriptors_rejected(self):
         with pytest.raises(NotAMoriFibration):
             link_feasibility(DelPezzoDescriptor(7))

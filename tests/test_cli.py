@@ -718,6 +718,24 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_unused_imports_in_the_package():
+    # a deletion that leaves its import behind leaves a dead name
+    package = pathlib.Path(cremona.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            f"{path.name}:{stmt.lineno} {name}"
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Import, ast.ImportFrom))
+            and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")
+            for name in (alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+            if name not in read
+        ]
+    assert found == []
+
+
 def test_no_value_errors_raised_in_the_package():
     # every failure the package raises is a CremonaError subclass
     package = pathlib.Path(cremona.__file__).parent
