@@ -19,13 +19,15 @@ A model checks each fact once.  Each involution is checked when it is
 built, by ``picard.validate_involution``: it squares to the identity,
 G M is symmetric for the form G = diag(1, -1, ..., -1), which for an
 involution is the isometry condition (``M^T G M = (G M)^T M = G M M = G``),
-and it fixes K, which nothing reads again.  The Klein-four model checks
-sigma_1 sigma_2 = sigma_3 with one product, so {1, sigma_1, sigma_2,
-sigma_3} is a group.  One trace test over the group, for {1, sigma_1,
-sigma_2, sigma_3} and for an exceptional bundle's {1, swap} alike, proves
-that the fixed lattice is exactly Z K + Z f (``picard.is_conic_bundle``):
-a conic bundle of invariant Picard rank two.  ``action()`` still returns a
-validated ``LatticeAction`` when asked.
+and it fixes K, which nothing reads again.  The Klein-four model builds
+sigma_1 and sigma_2 this way and takes sigma_3 = sigma_1 sigma_2, an
+isometry fixing K, which must equal the involution of A_3 and have
+G sigma_3 symmetric (so sigma_3^2 = I): {1, sigma_1, sigma_2, sigma_3} is
+a group, for three sparse products.  One trace test over the group, for
+{1, sigma_1, sigma_2, sigma_3} and for an exceptional bundle's {1, swap}
+alike, proves that the fixed lattice is exactly Z K + Z f
+(``picard.is_conic_bundle``): a conic bundle of invariant Picard rank
+two.  ``action()`` still returns a validated ``LatticeAction`` when asked.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -81,6 +83,7 @@ from .picard import (
     adjunction_genus,
     intersect,
     is_conic_bundle,
+    is_g_symmetric,
     validate_involution,
 )
 from .square_class import (
@@ -103,24 +106,25 @@ def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
     it squares to the identity, G M is symmetric (so it is an isometry)
     and it fixes K.  Callers rely on that check and repeat none of it.
     """
+    return validate_involution(marking.lattice, _fiberwise_matrix(marking, swapped))
+
+
+def _fiberwise_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
+    """The matrix of the module docstring's formula, unchecked."""
     idx = sorted(set(swapped))
     if len(idx) % 2 != 0:
         raise OddCardinality(f"a fiberwise involution swaps an even number of fibers, got {len(idx)}")
     if idx and not 1 <= idx[0] <= idx[-1] <= marking.k:
         raise DimensionMismatch(f"fiber indices {idx} out of range 1..{marking.k}")
-    a = len(idx) // 2
-    swapped_set = set(idx)
-    fibers = range(1, marking.k + 1)
+    a, on = len(idx) // 2, set(idx)
+    moved = tuple([1 if j in on else 0 for j in range(1, marking.k + 1)])
+    zeros = (0,) * marking.k
     # rows of the matrix whose columns are the images of L, E_0, E_1..E_k
-    rows = [
-        (a + 1, a) + tuple([1 if j in swapped_set else 0 for j in fibers]),
-        (-a, 1 - a) + tuple([-1 if j in swapped_set else 0 for j in fibers]),
-    ]
-    for j in fibers:
-        head = (-1, -1) if j in swapped_set else (0, 0)
-        diagonal = -1 if j in swapped_set else 1
-        rows.append(head + tuple([diagonal if c == j else 0 for c in fibers]))
-    return validate_involution(marking.lattice, tuple(rows))
+    rows = [(a + 1, a) + moved, (-a, 1 - a) + tuple([-x for x in moved])]
+    for j, m in enumerate(moved):
+        head, diagonal = ((-1, -1), -1) if m else ((0, 0), 1)
+        rows.append(head + zeros[:j] + (diagonal,) + zeros[j + 1:])
+    return tuple(rows)
 
 
 class RealizationCertificate(NamedTuple):
@@ -177,21 +181,22 @@ def z22_from_triplet(
     The support points become the singular fibers (in canonical order) and
     each branch set yields the involution swapping exactly its fibers.
     Each fact is checked once, in this order: ``involution_matrix`` checks
-    each sigma_i (involutive isometry fixing K); then sigma_1 sigma_2 =
-    sigma_3, which makes {1, sigma_1, sigma_2, sigma_3} a group; then, on
+    sigma_1 and sigma_2 (involutive isometries fixing K); their product
+    sigma_3 equals the involution of A_3 and, by ``is_g_symmetric``, squares
+    to the identity, so {1, sigma_1, sigma_2, sigma_3} is a group; then, on
     that whole group, that the invariant lattice is Z K + Z f.  A failure
-    of the last two raises InvariantViolation.
+    of the last three raises InvariantViolation.
     """
     support = triplet.support
     index = {p: j for j, p in enumerate(support, start=1)}
     marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
-    gens = tuple(
-        involution_matrix(marking, tuple(index[p] for p in branch_set))
-        for branch_set in triplet.sets
-    )
-    require(la.mat_mul(gens[0], gens[1]) == gens[2], "sigma_1 sigma_2 != sigma_3")
-    model = Z22BundleModel(marking, triplet, gens, certificate)
-    require(is_conic_bundle(marking, gens),
+    fibers = [tuple(index[p] for p in branch_set) for branch_set in triplet.sets]
+    s1, s2 = involution_matrix(marking, fibers[0]), involution_matrix(marking, fibers[1])
+    s3 = la.mat_mul(s1, s2)
+    require(s3 == _fiberwise_matrix(marking, fibers[2]), "sigma_1 sigma_2 != sigma_3")
+    require(is_g_symmetric(s3), "sigma_1 sigma_2 does not square to the identity")
+    model = Z22BundleModel(marking, triplet, (s1, s2, s3), certificate)
+    require(is_conic_bundle(marking, model.generators),
             "the fixed lattice of the Klein four-group model is not Z K + Z f")
     if certificate is not None:
         _check_certificate(model, certificate)

@@ -444,7 +444,11 @@ def link_feasibility(d: GSurfaceDescriptor) -> LinkReport:
     family decides whether the Mori fibration is a point case or a conic
     bundle.
     """
-    v = classify(d)
+    return _links_of(d, classify(d))
+
+
+def _links_of(d: GSurfaceDescriptor, v: Verdict) -> LinkReport:
+    """``link_feasibility(d)`` for a descriptor ``d`` that classifies as ``v``."""
     if v.outcome != "maximal":
         raise NotAMoriFibration(
             f"descriptor classifies as {v.outcome}; link feasibility needs a "

@@ -63,13 +63,13 @@ def _write_report(path: str, doc) -> None:
 
 def _cmd_classify(args) -> int:
     from . import jsonio
-    from .classifier import classify, link_feasibility
+    from .classifier import _links_of, classify
 
     descriptor = jsonio.parse_descriptor(_read_json(args.input))
     verdict = classify(descriptor)
     doc = jsonio.verdict_json(verdict)
     if args.links and verdict.outcome == "maximal":
-        doc["links"] = jsonio.link_report_json(link_feasibility(descriptor))
+        doc["links"] = jsonio.link_report_json(_links_of(descriptor, verdict))
     _write_report(args.output, doc)
     if verdict.outcome == "indeterminate":
         _log("info", "indeterminate verdict: %s", verdict.reason)

@@ -115,9 +115,12 @@ class P1Point(_Frozen):
     __slots__ = __match_args__ = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        a, b = _reduced((int(a), int(b)), "P1 point")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = int(a), int(b)  # reduced as by _reduced, written out for two
+        g = -math.gcd(a, b) if a < 0 or not a and b < 0 else math.gcd(a, b)
+        if not g:
+            raise DegenerateConfiguration("all coordinates of a P1 point are zero")
+        object.__setattr__(self, "a", a // g)
+        object.__setattr__(self, "b", b // g)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

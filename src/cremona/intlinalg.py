@@ -11,7 +11,7 @@ Sizes in this package stay below 15 x 15, and the matrices it multiplies
 are sparse (a fiberwise involution is about a quarter nonzero), so
 ``mat_mul`` builds each output row as a combination of the rows of the
 right factor, one per nonzero entry of the left row, and spends no work
-on the zero entries.
+on the zero entries; an entry 1 or -1 adds or subtracts its row as it is.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     for row in a:
         acc = zero
         for x, brow in zip(row, b):
-            if x:
+            if x == 1:
+                acc = brow if acc is zero else tuple(map(operator.add, acc, brow))
+            elif x == -1:
+                acc = tuple(map(operator.sub, acc, brow))
+            elif x:
                 acc = tuple([s + x * y for s, y in zip(acc, brow)])
         out.append(acc)
     return tuple(out)

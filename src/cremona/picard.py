@@ -21,8 +21,9 @@ isometry (column pairs against the diagonal form G), and
 For G = diag(1, -1, ..., -1) and M^2 = I, M is an isometry exactly when
 G M is symmetric, since then ``M^T G M = (G M)^T M = G M M = G``; so an
 involution costs a sparse square and n(n-1)/2 entry comparisons, not the
-column products.  Later computations trust the checked matrices, and
-``orbits`` checks the length of each class once, for the whole pool.
+column products; ``is_g_symmetric`` proves a product of two of them
+involutive with no square.  Later computations trust the checked matrices,
+and ``orbits`` checks the length of each class once, for the whole pool.
 
 ``invariant_sublattice`` runs over Z with unimodular row reduction, so the
 invariant sublattice comes out saturated, with a canonical Hermite basis.
@@ -222,20 +223,24 @@ def validate_involution(lattice: BlowupLattice, matrix: Mat) -> Mat:
     Accepts exactly the matrices that ``validate_action`` accepts and that
     square to the identity.  Given ``M^2 = I``, M preserves G exactly when
     G M is symmetric: then ``M^T G M = (G M)^T M = G M M = G``, and
-    conversely ``M^T G = G M^{-1} = G M``.  Row 0 of G M is row 0 of M and
-    every other row is negated, so the test reads ``M[0][j] == -M[j][0]``
-    and ``M[i][j] == M[j][i]`` for ``0 < i < j``.
+    conversely ``M^T G = G M^{-1} = G M``.
     """
     m = _square_matrix(lattice, matrix)
-    n = len(m)
-    if la.mat_mul(m, m) != la.identity(n):
+    if la.mat_mul(m, m) != la.identity(len(m)):
         raise NotInvolution("matrix does not square to the identity")
-    top = m[0]
-    for i in range(1, n):
-        row = m[i]
-        if top[i] != -row[0] or any(row[j] != m[j][i] for j in range(i + 1, n)):
-            raise NotIsometry("matrix does not preserve the intersection form")
+    if not is_g_symmetric(m):
+        raise NotIsometry("matrix does not preserve the intersection form")
     return _check_fixes_k(lattice, m)
+
+
+def is_g_symmetric(m: Mat) -> bool:
+    """Whether G M is symmetric: ``M[0][j] == -M[j][0]``, ``M[i][j] == M[j][i]``
+    for i, j > 0.  For ``M = a b`` with a, b accepted by ``validate_involution``
+    this holds exactly when ``M^2 = I``: ``a^T G = G a`` and ``b^T G = G b`` give
+    ``(G a b)^T = G b a``, which is G M exactly when a and b commute."""
+    cols = list(zip(*m))
+    return (m[0][1:] == tuple([-x for x in cols[0][1:]])
+            and [row[1:] for row in m[1:]] == [col[1:] for col in cols[1:]])
 
 
 def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
@@ -398,7 +403,8 @@ def is_conic_bundle(marking: FiberedMarking, elements: tuple[Mat, ...]) -> bool:
     """Whether the fixed lattice F of a finite group G is Z K + Z f on the nose.
 
     ``elements`` are the non-identity elements of G, each checked by
-    ``validate_involution`` or ``validate_action``, so each fixes K.  F is
+    ``validate_involution`` or ``validate_action``, or a product of two
+    involutions so checked (``is_g_symmetric``), so each fixes K.  F is
     saturated, so it equals Z K + Z f exactly when every element fixes f,
     Z K + Z f is saturated (its minor on the columns L, E_1 is -1; with no
     fibers its index is 2), and F has rank 2.  Over Q that rank is

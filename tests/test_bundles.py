@@ -125,6 +125,19 @@ class TestZ22Model:
         assert model.k == 6
         assert model.k_squared == 2
 
+    def test_product_of_noncommuting_generators_is_refused(self, monkeypatch):
+        # sigma_3 is not squared: were sigma_1 and sigma_2 reflections in roots
+        # meeting in 1, and the formula for A_3 their product, the symmetry
+        # test on that product refuses the model
+        lat = BlowupLattice(5)
+        e2, e3, e4 = (lat.exceptional_class(i) for i in (2, 3, 4))
+        gens = [picard.reflection_matrix(lat, e2 - e3), picard.reflection_matrix(lat, e3 - e4)]
+        product = la.mat_mul(*gens)
+        monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: gens.pop(0))
+        monkeypatch.setattr(bundles, "_fiberwise_matrix", lambda marking, swapped: product)
+        with pytest.raises(InvariantViolation, match="does not square to the identity"):
+            z22_from_triplet(triplet_from_profile((1, 1, 2)))
+
     def test_invariant_lattice_is_k_and_fiber(self):
         model = z22_from_triplet(triplet_from_profile((2, 2, 2)))
         rank, basis = invariant_sublattice(model.action())
@@ -135,8 +148,8 @@ class TestZ22Model:
 
 
 class TestWorkCount:
-    """Each generator is checked once, by the involution check, and never again;
-    a Klein-four model reduces no matrix to Hermite form."""
+    """Each generator is checked once, and never again; a Klein-four model
+    reduces no matrix to Hermite form."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -176,12 +189,22 @@ class TestWorkCount:
         return counts, kernels
 
     @pytest.mark.parametrize("profile", realizable_profiles(12))
-    def test_z22_model(self, work, profile):
+    def test_z22_model(self, work, monkeypatch, profile):
         counts, kernels = work
+        real = bundles.is_g_symmetric
+
+        def is_g_symmetric(m):
+            counts["is_g_symmetric"] += 1
+            return real(m)
+
+        monkeypatch.setattr(bundles, "is_g_symmetric", is_g_symmetric)
         model = z22_from_triplet(triplet_from_profile(profile))
-        # the conic-bundle test reads traces and images of K and f: no Hermite
-        # form and no kernel; the one product outside a check is sigma_1 sigma_2
-        assert counts == {"validate_involution": 3, "product outside a check": 1}
+        # sigma_1 and sigma_2 are squared in their checks; sigma_3 is their
+        # product, proved involutive by the symmetry of G sigma_3 and not
+        # squared.  The conic-bundle test reads traces and images of K and f:
+        # no Hermite form and no kernel
+        assert counts == {"validate_involution": 2, "product outside a check": 1,
+                          "is_g_symmetric": 1}
         assert kernels == []
         assert model.action().generators == model.generators[:2]
 

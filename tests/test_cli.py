@@ -11,8 +11,8 @@ import pytest
 
 import cremona
 from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
-from cremona import cli, jsonio, square_class, suites
-from cremona.classifier import classify
+from cremona import classifier, cli, jsonio, square_class, suites
+from cremona.classifier import classify, link_feasibility
 from cremona.cli import main
 from cremona.corpus import cubic_coxeter_matrix, four_lines_model
 from cremona.errors import InvalidDescriptor, excerpt
@@ -152,6 +152,23 @@ class TestClassifyCommand:
         assert len(links) == 4
         assert links[3]["status"] == "possibly_open"
         assert links[3]["witness"] == [1, -1]
+
+    def test_links_classify_once(self, tmp_path, monkeypatch):
+        # --links hands the verdict it has to the link report; the bytes equal
+        # those from link_feasibility, which classifies again
+        doc = {"kind": "del-pezzo", "degree": 3,
+               "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
+               "fixed_point_report": "all-on-exceptional",
+               "cubic_family": "triple-cover", "parameter": "0"}
+        descriptor = jsonio.parse_descriptor(doc)
+        expected = jsonio.dumps({**jsonio.verdict_json(classify(descriptor)),
+                                 "links": jsonio.link_report_json(link_feasibility(descriptor))})
+        calls = []
+        monkeypatch.setattr(classifier, "classify", lambda d: calls.append(d) or classify(d))
+        code, report = run(tmp_path, ["classify", "--links"], doc)
+        assert code == 0 and len(calls) == 1
+        assert report["family"] == 8
+        assert (tmp_path / "out.json").read_text() == expected
 
     def test_indeterminate_exit_code(self, tmp_path):
         doc = {"kind": "z22",
@@ -395,7 +412,7 @@ class TestExitCodes:
         assert code == 3 and report is None
 
     def test_wrong_involution_exits_3_under_optimize(self):
-        # every sigma_i swaps fibers 1 and 2, so sigma_1 sigma_2 = 1 != sigma_3;
+        # sigma_1 and sigma_2 both swap fibers 1 and 2, so sigma_1 sigma_2 = 1 != sigma_3;
         # python -O strips assert statements but not this check
         script = (
             "import sys\n"

@@ -14,6 +14,7 @@ from cremona import (
     mobius_from_triples,
 )
 from cremona.geometry import (
+    _reduced,
     intersect_line_conic,
     line_through,
     lines_meet,
@@ -63,8 +64,15 @@ class TestP1Point:
         assert P1Point(3, -6).a == 1
 
     def test_zero_rejected(self):
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateConfiguration, match=r"^all coordinates of a P1 point are zero$"):
             P1Point(0, 0)
+
+    @given(long_p1s())
+    @example((0, -7))
+    @example((-4, 0))
+    def test_reduction_matches_generic_reduction(self, ab):
+        p = P1Point(*ab)
+        assert (p.a, p.b) == _reduced(ab, "P1 point")
 
     def test_values_and_infinity(self):
         assert P1Point.from_value(Fraction(3, 4)) == P1Point(3, 4)

@@ -122,10 +122,31 @@ def shaped(n: int, m: int):
     return st.lists(row, min_size=n, max_size=n).map(tuple)
 
 
+units = st.sampled_from((1, -1))
+product_entries = st.one_of(st.just(0), st.just(0), units, units, entries)
+
+
+def product_rows(m: int):
+    """Rows rich in 1 and -1: plain, unit rows, and rows whose first nonzero
+    entry is 1 or -1 (the add, subtract and first-row paths of mat_mul)."""
+    plain = st.lists(product_entries, min_size=m, max_size=m).map(tuple)
+    if not m:
+        return plain
+    lead = st.tuples(st.integers(min_value=0, max_value=m - 1), units, plain)
+    unit = lead.map(lambda t: (0,) * t[0] + (t[1],) + (0,) * (m - 1 - t[0]))
+    led = lead.map(lambda t: (0,) * t[0] + (t[1],) + t[2][t[0] + 1:])
+    return st.one_of(plain, unit, led)
+
+
+def product_factor(n: int, m: int):
+    return st.one_of(shaped(n, m),
+                     st.lists(product_rows(m), min_size=n, max_size=n).map(tuple))
+
+
 @st.composite
 def product_pairs(draw):
     n, m, p = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
-    return draw(shaped(n, m)), draw(shaped(m, p))
+    return draw(product_factor(n, m)), draw(product_factor(m, p))
 
 
 @given(product_pairs())

@@ -31,7 +31,13 @@ from cremona.errors import (
     UnsupportedRank,
 )
 from cremona.bundles import involution_matrix
-from cremona.picard import is_conic_bundle, orbits, validate_action, validate_involution
+from cremona.picard import (
+    is_conic_bundle,
+    is_g_symmetric,
+    orbits,
+    validate_action,
+    validate_involution,
+)
 
 import oracles
 from reference_kernel import (
@@ -548,6 +554,49 @@ def test_validate_involution_matches_reference(candidate, how, i, j, delta):
 ])
 def test_validate_involution_errors(lat, m, expected):
     assert involution_outcome(lat, m) is expected
+
+
+# the product check (G a b symmetric) against the square of the product
+
+@st.composite
+def involution_pairs(draw):
+    """Two involutions on one lattice, each a fiberwise swap (these commute) or
+    the reflection in a Weyl image of a simple root (two roots meeting in +-1
+    give a product of order 3)."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    marking = FiberedMarking.standard(k)
+    lat = marking.lattice
+
+    def involution():
+        if draw(st.booleans()):
+            swapped = sorted(draw(st.sets(st.integers(min_value=1, max_value=k))))
+            return involution_matrix(marking, tuple(swapped[:len(swapped) // 2 * 2]))
+        word = draw(st.lists(st.integers(min_value=0, max_value=20), max_size=4))
+        alpha = draw(st.sampled_from(simple_roots(lat)))
+        return reflection_matrix(lat, DivisorClass(la.mat_vec(weyl_word(lat, word), alpha.coeffs)))
+
+    return lat, involution(), involution()
+
+
+@given(involution_pairs())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_product_is_the_square_check(pair):
+    lat, a, b = pair
+    p = la.mat_mul(validate_involution(lat, a), validate_involution(lat, b))
+    assert is_g_symmetric(p) == (reference_mat_mul(p, p) == dense_identity(lat.rank))
+
+
+def test_symmetric_product_of_reflections():
+    lat = BlowupLattice(3)
+    l, e1, e2, e3 = lat.line_class(), *(lat.exceptional_class(i) for i in (1, 2, 3))
+    a = reflection_matrix(lat, e1 - e2)
+    # E_1 - E_2 and E_2 - E_3 meet in 1: the product has order 3
+    p = la.mat_mul(a, reflection_matrix(lat, e2 - e3))
+    assert not is_g_symmetric(p)
+    assert la.mat_mul(p, p) != la.identity(4) == la.mat_mul(p, la.mat_mul(p, p))
+    # E_1 - E_2 and L - E_1 - E_2 - E_3 are orthogonal: the reflections commute
+    q = la.mat_mul(a, reflection_matrix(lat, l - e1 - e2 - e3))
+    assert is_g_symmetric(q) and la.mat_mul(q, q) == la.identity(4)
 
 
 # the fixed lattice from distinct nonzero rows against every stacked row
