@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import (
     DegenerateConfiguration,
@@ -54,6 +53,8 @@ def _rational(text: str, what: str) -> Fraction:
     """``Fraction(text)`` with at most as many digits as int() reads from text
     (4300 by default), or IntegerTooLong naming ``what``.  An exponent beyond
     that limit, which Fraction would expand (``"1e1000000"``), is refused first."""
+    from fractions import Fraction  # only text rationals need it; it loads decimal
+
     exponent = _EXPONENT.search(text)
     try:
         if exponent:  # Fraction checks the text with its exponent set to 0 first
@@ -132,6 +133,8 @@ class P1Point(_Frozen):
 
     @classmethod
     def from_value(cls, value: int | Fraction) -> "P1Point":
+        from fractions import Fraction
+
         f = Fraction(value)
         return cls(f.numerator, f.denominator)
 
@@ -163,6 +166,8 @@ class P2Point(_Frozen):
 
     @classmethod
     def from_affine(cls, x: int | Fraction, y: int | Fraction) -> "P2Point":
+        from fractions import Fraction
+
         fx, fy = Fraction(x), Fraction(y)
         d = math.lcm(fx.denominator, fy.denominator)
         return cls(fx.numerator * (d // fx.denominator), fy.numerator * (d // fy.denominator), d)

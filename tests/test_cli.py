@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cremona
 from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
@@ -16,6 +18,9 @@ from cremona.classifier import classify, link_feasibility
 from cremona.cli import main
 from cremona.corpus import cubic_coxeter_matrix, four_lines_model
 from cremona.errors import InvalidDescriptor, excerpt
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_verdicts.json").read_text())
+TRIPLET_444 = [[0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 8, 9, 10, 11]]
 
 FOUR_LINES_DOC = {
     "lines": [[1, 0, -1], [0, 1, -1], [1, 1, -3], [1, -1, -2]],
@@ -43,12 +48,58 @@ def run(tmp_path, argv, doc=None):
     return code, report
 
 
+# quotes, backslashes, control characters, non-ASCII and astral characters
+json_texts = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet='"\\/\x00\x1f\x7f\b\t\n\u00e9\u2028\U0001f600ab', max_size=8))
+json_ints = st.one_of(st.integers(), st.integers(-10 ** 300, 10 ** 300))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_ints, json_texts, st.lists(json_ints, max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(json_texts, inner, max_size=5)),
+    max_leaves=30)
+
+
 class TestJsonEmission:
     def test_dumps_is_sorted_and_newline_terminated(self):
         text = jsonio.dumps({"b": 1, "a": [2, {"d": 3, "c": 4}]})
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
         assert text.index('"c"') < text.index('"d"')
+
+    @staticmethod
+    def assert_json_bytes(doc):
+        # _dumps is called on every interpreter, dumps on the writer it selected
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert jsonio._dumps(doc) == expected
+        assert jsonio.dumps(doc) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(json_values)
+    def test_writer_writes_json_bytes(self, doc):
+        self.assert_json_bytes(doc)
+
+    @pytest.mark.parametrize("key", [*sorted(GOLDEN), "z22-444-model"])
+    def test_writer_writes_json_bytes_of_reports(self, key):
+        if key in GOLDEN:
+            doc = GOLDEN[key]
+        else:
+            doc = jsonio.z22_model_json(jsonio.parse_model({"triplet": TRIPLET_444}, "z22"))
+        self.assert_json_bytes(doc)
+
+    @pytest.mark.parametrize("doc, error", [
+        (10 ** 4300, ValueError),
+        ([-10 ** 4300, 1], ValueError),  # an integer row
+        ({"a": [True, 10 ** 4300]}, ValueError),
+        (1.5, TypeError),
+        ([1, 2.0], TypeError),
+        ({"a": {1, 2}}, TypeError),
+        ({1: 2}, TypeError),
+    ], ids=["int", "int-row", "int-in-list", "float", "float-in-row", "set", "int-key"])
+    def test_writer_refuses_what_reports_never_hold(self, doc, error):
+        # ValueError is what cli._write_report turns into IntegerTooLong
+        with pytest.raises(error):
+            jsonio._dumps(doc)
 
     def test_verdict_shapes(self):
         from cremona import DelPezzoDescriptor, HirzebruchDescriptor
@@ -808,19 +859,24 @@ def test_cli_import_loads_only_cli_and_errors():
     assert proc.stdout == "['cremona', 'cremona.cli', 'cremona.errors']\n"
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["canonical", "delta"], {"delta": [0, 1, 2, 3]}),
-    (["lattice", "genus"], {"r": 1, "divisor": [1, 0]}),
-], ids=["canonical-delta", "lattice-genus"])
-def test_command_loads_only_what_it_needs(argv, doc):
+@pytest.mark.parametrize("argv, doc, loaded", [
+    (["canonical", "delta"], {"delta": [0, 1, 2, 3]}, []),
+    (["lattice", "genus"], {"r": 1, "divisor": [1, 0]}, []),
+    # fractions (and decimal with it) is read only for "p/q" text rationals
+    (["classify"], {"kind": "z22", "triplet": [[0, 1, 2, 3, 4, 5, 6, 7],
+                                               [0, 1, 2, 3, 8, 9, 10, 11],
+                                               [4, 5, 6, 7, 8, 9, 10, 11]]},
+     ["cremona.bundles", "cremona.classifier"]),
+], ids=["canonical-delta", "lattice-genus", "classify-z22"])
+def test_command_loads_only_what_it_needs(argv, doc, loaded):
     script = ("import sys\n"
               "from cremona.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(code, sorted(m for m in ('cremona.bundles', 'cremona.classifier') "
-              "if m in sys.modules))\n")
+              "print(code, sorted(m for m in ('cremona.bundles', 'cremona.classifier', "
+              "'fractions') if m in sys.modules))\n")
     proc = run_child(["-c", script], json.dumps(doc))
     assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):
