@@ -533,8 +533,9 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
 
     The involution swaps the components of every singular fiber, so the
     eigenvalues of the swap are +1 twice (on K and f) and -1 on the 2n
-    classes ``f - 2 E_j``; the two sections ``L - E_1 - ... - E_{n+1}`` and
-    ``E_0 - E_{n+2} - ... - E_{2n}`` are disjoint of square -n and swapped.
+    classes ``f - 2 E_j``; the two sections, written as vectors in the basis
+    (L, E_0, ..., E_{2n}), are ``L - E_1 - ... - E_{n+1}`` and
+    ``E_0 - E_{n+2} - ... - E_{2n}``, disjoint of square -n and swapped.
     The split is proved by ``is_conic_bundle(marking, (swap,))``: each
     ``f - 2 E_j`` is orthogonal to K and f, and an isometric involution's
     (-1)-eigenspace is the orthogonal complement of its fixed space, so
@@ -547,12 +548,8 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     swap = involution_matrix(marking, tuple(range(1, 2 * n + 1)))
     require(is_conic_bundle(marking, (swap,)), "the fixed lattice of the swap is not Z K + Z f")
     lat = marking.lattice
-    s1 = lat.line_class()
-    for j in range(1, n + 2):
-        s1 = s1 - marking.fiber_component(j)
-    s2 = lat.exceptional_class(1)
-    for j in range(n + 2, 2 * n + 1):
-        s2 = s2 - marking.fiber_component(j)
+    s1 = DivisorClass((1, 0) + (-1,) * (n + 1) + (0,) * (n - 1))
+    s2 = DivisorClass((0, 1) + (0,) * (n + 1) + (-1,) * (n - 1))
     require(intersect(lat, s1, s1) == -n and intersect(lat, s2, s2) == -n,
             f"the swapped sections do not have square -{n}")
     require(intersect(lat, s1, s2) == 0, "the swapped sections meet")

@@ -265,6 +265,9 @@ def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
             raise InvalidDescriptor("cubic family tags only apply to degree 3")
         if d.cubic_family not in _CUBIC_TAGS:
             raise InvalidDescriptor(f"unknown cubic family tag {excerpt(d.cubic_family)}")
+        if d.cubic_family == CUBIC_EXTRA_FIXED_POINT and d.fixed_point_report == ALL_ON_EXCEPTIONAL:
+            raise InvalidDescriptor(
+                "the extra-fixed-point family contradicts an all-on-exceptional report")
         if d.cubic_family in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA) and d.parameter is not None:
             # the restrictions hold whichever branch is taken below
             _cubic_parameter(d.cubic_family, d.parameter)
@@ -313,9 +316,6 @@ def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
             raise InvalidDescriptor(
                 "a minimal cubic action with fixed points on the exceptional "
                 "curves needs its equation family tag")
-        if d.cubic_family == CUBIC_EXTRA_FIXED_POINT:
-            raise InvalidDescriptor(
-                "the extra-fixed-point family contradicts an all-on-exceptional report")
         sub = _CUBIC_SUBFAMILY[d.cubic_family]
         datum: dict = {"subfamily": sub}
         if sub != "8b":

@@ -16,14 +16,13 @@ Z K + Z f, a conic bundle of invariant Picard rank two; it trusts the
 checks below for K.
 
 A matrix is checked when it enters: ``validate_action`` for a general
-isometry (column pairs against the diagonal form G), and
-``validate_involution`` for a matrix that must square to the identity.
-For G = diag(1, -1, ..., -1) and M^2 = I, M is an isometry exactly when
-G M is symmetric, since then ``M^T G M = (G M)^T M = G M M = G``; so an
-involution costs a sparse square and n(n-1)/2 entry comparisons, not the
-column products; ``is_g_symmetric`` proves a product of two of them
-involutive with no square.  Later computations trust the checked matrices,
-and ``orbits`` checks the length of each class once, for the whole pool.
+isometry (``M^T G M = G`` for G = diag(1, -1, ..., -1), as the one sparse
+product of ``M^T`` with ``G M``), and ``validate_involution`` for a matrix
+that must square to the identity: then M is an isometry exactly when G M is
+symmetric, as ``M^T G M = (G M)^T M = G M M = G``, so an involution costs a
+sparse square and n(n-1)/2 entry comparisons; ``is_g_symmetric`` proves a
+product of two of them involutive with no square.  Later computations trust
+the checked matrices; ``orbits`` checks each length once, for the whole pool.
 
 ``invariant_sublattice`` runs over Z with unimodular row reduction, so the
 invariant sublattice comes out saturated, with a canonical Hermite basis.
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 from . import intlinalg as la
 from .errors import (
@@ -196,24 +194,21 @@ def _check_fixes_k(lattice: BlowupLattice, m: Mat) -> Mat:
     return m
 
 
+def _times_g(m: Mat) -> Mat:
+    """G M for G = diag(1, -1, ..., -1): every row but the first negated."""
+    return m[:1] + tuple([tuple([-x for x in row]) for row in m[1:]])
+
+
 def validate_action(lattice: BlowupLattice, matrix: Mat) -> Mat:
     """Check that a matrix is an isometry fixing K; returns it frozen.
 
     The matrix acts on coefficient columns: ``D -> M @ D``.  It preserves
-    the diagonal form G exactly when ``M^T G M = G``, that is when columns
-    i and j of M have intersection number ``G_ii`` for ``i == j`` and 0
-    otherwise; the form is symmetric, so the pairs with ``j >= i`` decide.
+    the diagonal form G exactly when ``M^T G M = G``, which is checked as
+    written, on the one sparse product of ``M^T`` with ``G M``.
     """
     m = _square_matrix(lattice, matrix)
-    n = len(m)
-    cols = la.transpose(m)
-    # each column with the signs of G = diag(1, -1, ..., -1) applied
-    signed = [(c[0],) + tuple([-x for x in c[1:]]) for c in cols]
-    for i, col in enumerate(cols):
-        for j in range(i, n):
-            product = sum(map(operator.mul, col, signed[j]))
-            if product != ((1 if i == 0 else -1) if i == j else 0):
-                raise NotIsometry("matrix does not preserve the intersection form")
+    if la.mat_mul(la.transpose(m), _times_g(m)) != _times_g(la.identity(len(m))):
+        raise NotIsometry("matrix does not preserve the intersection form")
     return _check_fixes_k(lattice, m)
 
 
@@ -246,6 +241,7 @@ def is_g_symmetric(m: Mat) -> bool:
 def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
     """The isometry ``x -> x + (x . root) root`` for a root of square -2.
 
+    As ``x . root = x^T G root``, entry (i, j) is ``delta_ij + root_i (G root)_j``.
     Reflections in (-2)-classes orthogonal to K generate the Weyl group of
     the lattice; products of them are the standard way to build actions.
     """
@@ -254,12 +250,10 @@ def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
         raise NotIsometry(f"reflection needs a class of square -2, got {square}")
     if intersect(lattice, root, lattice.canonical_class) != 0:
         raise MovesCanonicalClass("reflection root must be orthogonal to K")
-    n = lattice.rank
-    cols = []
-    for j in range(n):
-        e = DivisorClass(tuple(1 if i == j else 0 for i in range(n)))
-        cols.append((e + intersect(lattice, e, root) * root).coeffs)
-    return validate_action(lattice, la.transpose(la.freeze(cols)))
+    r = root.coeffs
+    g_r = (r[0],) + tuple([-x for x in r[1:]])
+    return validate_action(lattice, tuple(
+        tuple([(i == j) + a * b for j, b in enumerate(g_r)]) for i, a in enumerate(r)))
 
 
 class LatticeAction(_Frozen):

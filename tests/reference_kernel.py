@@ -21,6 +21,12 @@ now raises DegenerateConfiguration for two blown-up points in one fiber.
 it was before it read each pair's candidates off the cyclic order of the
 support: it scans every pinned triple, k(k-1)(k-2) in all.
 
+``reference_reflection_matrix`` is the reflection as it was before it was
+written entrywise as ``I + r (G r)^T``: the image of each basis vector by
+``DivisorClass`` arithmetic, transposed, checked by the dense reference.
+``reference_exceptional_sections`` builds the exceptional bundle's two
+sections by subtracting fiber components, as the builder once did.
+
 ``reference_exceptional_split`` is the exceptional bundle's own proof
 that the swap splits the lattice, from before ``picard.is_conic_bundle``
 proved it: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
@@ -153,6 +159,32 @@ def reference_involution_matrix(marking, swapped):
             images.append(ej)
     matrix = la.transpose(la.freeze([d.coeffs for d in images]))
     return reference_validate_action(lat, matrix)
+
+
+def reference_reflection_matrix(lattice, root):
+    square = picard.intersect(lattice, root, root)
+    if square != -2:
+        raise NotIsometry(f"reflection needs a class of square -2, got {square}")
+    if picard.intersect(lattice, root, lattice.canonical_class) != 0:
+        raise MovesCanonicalClass("reflection root must be orthogonal to K")
+    n = lattice.rank
+    cols = []
+    for j in range(n):
+        e = picard.DivisorClass(tuple(1 if i == j else 0 for i in range(n)))
+        cols.append((e + picard.intersect(lattice, e, root) * root).coeffs)
+    return reference_validate_action(lattice, la.transpose(la.freeze(cols)))
+
+
+def reference_exceptional_sections(marking, n):
+    """``L - E_1 - ... - E_{n+1}`` and ``E_0 - E_{n+2} - ... - E_{2n}``."""
+    lat = marking.lattice
+    s1 = lat.line_class()
+    for j in range(1, n + 2):
+        s1 = s1 - marking.fiber_component(j)
+    s2 = lat.exceptional_class(1)
+    for j in range(n + 2, 2 * n + 1):
+        s2 = s2 - marking.fiber_component(j)
+    return s1, s2
 
 
 def reference_invariant_sublattice(action):

@@ -61,6 +61,7 @@ from cremona.geometry import line_through, lines_meet
 from reference_kernel import (
     AlignmentViolation,
     reference_build_from_three_lines_conic,
+    reference_exceptional_sections,
     reference_exceptional_split,
     reference_group_order,
     reference_involution_matrix,
@@ -578,6 +579,13 @@ class TestExceptionalBundles:
         assert intersect(lat, s1, s1) == intersect(lat, s2, s2) == -model.n
         assert intersect(lat, s1, s2) == 0
         assert la.mat_vec(model.swap, s1.coeffs) == s2.coeffs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sections_are_the_subtracted_classes(self, n):
+        # written as coefficient vectors, the sections are L and E_0 less
+        # their fiber components
+        model = exceptional_from_delta(tuple(p1(i) for i in range(2 * n)))
+        assert model.section_classes == reference_exceptional_sections(model.marking, n)
 
     def test_aut_descriptor_for_large_n(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2, 3)))

@@ -265,6 +265,16 @@ class TestCubicBranch:
         with pytest.raises(InvalidDescriptor):
             classify(minimal_cubic(CUBIC_EXTRA_FIXED_POINT))
 
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "not-minimal"])
+    def test_extra_fixed_point_tag_rejected_on_every_branch(self, minimal):
+        # the tag says a fixed point lies off the exceptional curves, the report
+        # says none does, whether or not the action is minimal
+        action = cubic_coxeter_action() if minimal else non_minimal_cubic_action()
+        with pytest.raises(InvalidDescriptor, match="contradicts an all-on-exceptional report"):
+            classify(DelPezzoDescriptor(
+                3, action=action, fixed_point_report=ALL_ON_EXCEPTIONAL,
+                cubic_family=CUBIC_EXTRA_FIXED_POINT))
+
     def test_fixed_point_off_exceptional_blows_down(self):
         v = classify(DelPezzoDescriptor(
             3, action=cubic_coxeter_action(),

@@ -558,6 +558,26 @@ class TestExitCodes:
         assert proc.stderr.splitlines()[-1] == (
             "cremona lattice minus-one-count: error: argument --r: invalid int value: 'abc'")
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0, 1], [1, 0]], "NotIsometry: matrix does not preserve the intersection form"),
+        ([[1, 0], [0, -1]], "MovesCanonicalClass: matrix moves the canonical class"),
+        ([[1, 0], [0, 1], [0, 0]], "DimensionMismatch: action matrix must be 2 x 2"),
+    ], ids=["swap-l-e1", "flip-e1", "three-by-two"])
+    def test_bad_action_is_one_logged_line(self, matrix, message):
+        proc = run_child(["-m", "cremona", "lattice", "invariant-rank"],
+                         json.dumps({"r": 1, "generators": [matrix]}))
+        assert_one_logged_line(proc, 1, f"ERROR cremona: {message}")
+        assert proc.stderr == f"ERROR cremona: {message}\n"
+
+    def test_cubic_action_that_is_no_isometry_is_one_logged_line(self):
+        # L <-> E_1 on the cubic surface sends L^2 = 1 to E_1^2 = -1
+        swap = [[int(col == {0: 1, 1: 0}.get(row, row)) for col in range(7)] for row in range(7)]
+        doc = {"kind": "del-pezzo", "degree": 3, "action": {"r": 6, "generators": [swap]},
+               "fixed_point_report": "all-on-exceptional", "cubic_family": "clebsch"}
+        proc = run_child(["-m", "cremona", "classify"], json.dumps(doc))
+        assert_one_logged_line(
+            proc, 1, "ERROR cremona: NotIsometry: matrix does not preserve the intersection form")
+
     def test_help_exits_0(self):
         proc = run_child(["-m", "cremona", "--help"], "")
         assert proc.returncode == 0 and proc.stdout.startswith("usage: cremona")
@@ -801,6 +821,33 @@ def test_no_unused_imports_in_the_package():
             for name in (alias.asname or alias.name.split(".")[0] for alias in stmt.names)
             if name not in read
         ]
+    assert found == []
+
+
+def test_no_orphaned_private_names_in_the_package():
+    # a rewrite that stops calling a private helper leaves it behind
+    package = pathlib.Path(cremona.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{stmt.lineno} {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in read]
     assert found == []
 
 

@@ -219,6 +219,11 @@ class TestLineConicIntersection:
         tangent = Line(2, -1, -1)
         assert intersect_line_conic(tangent, PARABOLA) == (P2Point(1, 1, 1),)
 
+    def test_tangent_at_the_base_point_of_the_parametrization(self):
+        # z = 0 is parametrized from (1:0:0), where it touches y^2 = x z, so the
+        # restricted quadratic has no s^2 and no s t term
+        assert intersect_line_conic(Line(0, 0, 1), Conic(0, 1, 0, 0, -1, 0)) == (P2Point(1, 0, 0),)
+
     def test_irrational_pair(self):
         with pytest.raises(NonRationalIntersection):
             intersect_line_conic(Line(0, -5, 1), PARABOLA)  # x^2 = 5 y^2

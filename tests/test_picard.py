@@ -45,6 +45,7 @@ from reference_kernel import (
     reference_invariant_sublattice,
     reference_involution_matrix,
     reference_mat_mul,
+    reference_reflection_matrix,
     reference_validate_action,
 )
 
@@ -485,6 +486,61 @@ def test_each_perturbation_reaches_its_error(how, expected):
     for check in (validate_action, reference_validate_action):
         got = outcome(check, lat, m)
         assert got == (m if expected is None else expected)
+
+
+@pytest.mark.parametrize("how, products", [
+    ("none", 1), ("entry", 1), ("flip-e1", 1), ("swap-l-e1", 1), ("drop-row", 0)])
+def test_validate_action_is_one_sparse_product(monkeypatch, how, products):
+    # M^T G M = G is decided by the single product of M^T with G M
+    lat = BlowupLattice(6)
+    m = perturb(weyl_word(lat, [0, 5, 2, 5, 1]), how, 3, 4, 1)
+    calls = []
+    real = la.mat_mul
+
+    def mat_mul(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(la, "mat_mul", mat_mul)
+    outcome(validate_action, lat, m)
+    assert calls == [la.transpose(m)] * products
+
+
+# the reflection written entrywise against the basis-imaging reference
+
+@st.composite
+def weyl_roots(draw):
+    """A simple root, or its image under a Weyl word, on r = 2..9."""
+    lat = BlowupLattice(draw(st.integers(min_value=2, max_value=9)))
+    alpha = draw(st.sampled_from(simple_roots(lat)))
+    word = draw(st.lists(st.integers(min_value=0, max_value=20), max_size=6))
+    return lat, DivisorClass(la.mat_vec(weyl_word(lat, word), alpha.coeffs))
+
+
+@given(weyl_roots())
+@settings(max_examples=200, deadline=None)
+def test_reflection_matches_basis_imaging_reference(candidate):
+    lat, root = candidate
+    assert reflection_matrix(lat, root) == reference_reflection_matrix(lat, root)
+
+
+def reflection_outcome(reflect, lat, root):
+    try:
+        return reflect(lat, root)
+    except CremonaError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(min_value=2, max_value=9).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r + 2))))
+@settings(max_examples=200, deadline=None)
+def test_reflection_refuses_what_the_reference_refuses(case):
+    # small vectors: some roots, most of the wrong square, some moving K,
+    # some of the wrong length
+    r, coeffs = case
+    lat, root = BlowupLattice(r), DivisorClass(coeffs)
+    assert (reflection_outcome(reflection_matrix, lat, root)
+            == reflection_outcome(reference_reflection_matrix, lat, root))
 
 
 # the involution check (G M symmetric) against the dense M^T G M reference
