@@ -244,6 +244,11 @@ def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
     As ``x . root = x^T G root``, entry (i, j) is ``delta_ij + root_i (G root)_j``.
     Reflections in (-2)-classes orthogonal to K generate the Weyl group of
     the lattice; products of them are the standard way to build actions.
+
+    The two root checks prove the result an isometry fixing K, so it is not
+    checked again: with s(x) = x + (x . r) r, ``s(x) . s(y) = x . y +
+    (x . r)(y . r)(2 + r . r)``, which is x . y when r . r = -2, and
+    ``s(K) = K + (K . r) r`` is K when r . K = 0.
     """
     square = intersect(lattice, root, root)
     if square != -2:
@@ -252,8 +257,7 @@ def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
         raise MovesCanonicalClass("reflection root must be orthogonal to K")
     r = root.coeffs
     g_r = (r[0],) + tuple([-x for x in r[1:]])
-    return validate_action(lattice, tuple(
-        tuple([(i == j) + a * b for j, b in enumerate(g_r)]) for i, a in enumerate(r)))
+    return tuple(tuple([(i == j) + a * b for j, b in enumerate(g_r)]) for i, a in enumerate(r))
 
 
 class LatticeAction(_Frozen):

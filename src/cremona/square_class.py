@@ -18,12 +18,13 @@ map is a pair of products of 2 x 2 determinants.  Candidates are first
 compared on the least image of the smallest sets, with exact integer
 cross-multiplication; the cyclic order of the sorted support leaves two
 candidates to compare for each of the k(k-1) choices of the points sent to
-0 and infinity, so this pass takes O(k^2) products.  Only the candidates
-that reach the minimum build their images as points.  The least
-candidate's sorted sets are the canonical form, and the candidates that
-tie with it give the stabilizer of a point set in the same pass.  Supports
-of more than ``MAX_CANONICAL_POINTS`` points are refused with TooManyPoints
-before any candidate is enumerated.
+0 and infinity, so this pass takes O(k^2) products.  The candidates that
+reach the minimum are compared whole, on integers and with no sort, and
+only the least one's images are built as points.  Its sorted sets are the
+canonical form, and the candidates that tie with it give the stabilizer
+of a point set in the same pass.  Supports of more than
+``MAX_CANONICAL_POINTS`` points are refused with TooManyPoints before any
+candidate is enumerated.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     TooSmall,
     excerpt,
 )
-from .geometry import Mobius, P1Point, _Frozen, mobius_from_triples
+from .geometry import Mobius, P1Point, _Frozen, _reduced, mobius_from_triples
 
 
 def sorted_distinct(points, what: str) -> tuple[P1Point, ...]:
@@ -144,8 +145,8 @@ def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
 
 #: Largest support accepted by the canonical forms and `stabilizer`.  The
 #: kernel takes about 2 k^2 products, each costing about digits^2: on one
-#: core of a 2.1 GHz Xeon, 64 points take 0.02 s with 20-digit coordinates,
-#: 0.7 s with 300 and 4.6 s with 1000, which only a coordinate cap bounds.
+#: core of a 2.0 GHz Xeon, 64 points take 0.015 s with 20-digit coordinates,
+#: 0.55 s with 300 and 3.7 s with 1000, which only a coordinate cap bounds.
 MAX_CANONICAL_POINTS = 64
 
 
@@ -153,8 +154,10 @@ def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], .
     """The least image of index sets over the maps pinning three support points.
 
     The support must be sorted (finite points by value, infinity last), so
-    index order is the cyclic order of P^1(R); both callers sort it.  The map
-    pinning (p, q, r) to (0, 1, oo) sends t to phi(t) / phi(q), where
+    index order is the cyclic order of P^1(R), and each set must list its
+    indices in increasing order, the sets in increasing size, as in a
+    RamificationTriplet; both callers pass them so.  The map pinning
+    (p, q, r) to (0, 1, oo) sends t to phi(t) / phi(q), where
     ``phi(t) = det(t,p) / det(t,r)``, so each candidate is read off a table
     of 2 x 2 determinants.  The key of an image starts with the sets of
     least size (the front), so its first value is lo / phi(q) if phi(q) > 0
@@ -169,7 +172,11 @@ def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], .
     next to p, in increasing order, for each pair (p, r): O(k^2) products,
     each costing about the square of the coordinates' digit count.  It
     keeps the candidates that reach the minimum, in the order of a scan of
-    every triple, and just those build their images as points and keys.
+    every triple.  The second pass orders each survivor's sets without a
+    sort, as index sequences read along the cyclic order from r, and
+    compares survivors by cross-multiplying their images up to the first
+    difference.  Only the least candidate's images are built, as k points
+    shared between its sets.
 
     Returns the least image, its sets sorted as in a RamificationTriplet,
     and every ordered index triple whose image ties with it.  For a single
@@ -222,16 +229,54 @@ def _least_pinnings(support: tuple[P1Point, ...], sets: tuple[tuple[int, ...], .
                 least = first
                 survivors = [(p, q, r)]
 
+    # The second pass compares the survivors whole, on integers.  The pinning
+    # (p, q, r) sends t to (det(t,p) x : det(t,r) y), x = det(q,r) and
+    # y = det(q,p), by a matrix of determinant det(p,r) x y: it increases
+    # along the support read from r forward if that is positive, backward if
+    # not.  So a set's image in increasing order is its indices read that way
+    # from r, with r (sent to oo) last, and nothing is sorted.
     best = None
     for p, q, r in survivors:
-        at_r, at_p = det[q][r], det[q][p]
-        image = [P1Point(row[p] * at_r, row[r] * at_p) for row in det]
-        key = sorted((len(s),) + tuple(sorted(image[i] for i in s)) for s in sets)
-        if best is None or key < best:
-            best, ties = key, [(p, q, r)]
-        elif key == best:
+        x, y = det[q][r], det[q][p]
+        pin = (p, r, x, y)
+        step = 1 if (det[p][r] > 0) == ((x > 0) == (y > 0)) else -1
+        readings = []
+        for s in sets:
+            j = bisect_left(s, r)
+            n = 1 if s[j:j + 1] == (r,) else 0
+            readings.append((s[j + n:] + s[:j])[::step] + s[j:j + n])
+            # sets of one size in increasing order of their images
+            i = len(readings) - 1
+            while i and len(readings[i - 1]) == len(s) and \
+                    _compare(det, pin, readings[i], pin, readings[i - 1]) < 0:
+                readings[i - 1], readings[i] = readings[i], readings[i - 1]
+                i -= 1
+        order = [i for reading in readings for i in reading]
+        c = -1 if best is None else _compare(det, pin, order, best[0], best[1])
+        if c < 0:
+            best, ties = (pin, order, readings), [(p, q, r)]
+        elif c == 0:
             ties.append((p, q, r))
-    return tuple(s[1:] for s in best), ties
+    (p, r, x, y), _, readings = best
+    points = [P1Point(row[p] * x, row[r] * y) for row in det]
+    return tuple(tuple([points[i] for i in reading]) for reading in readings), ties
+
+
+def _compare(det, pin, order, other, other_order) -> int:
+    """The sign of the first difference between the images of two index
+    sequences under two pinnings.  A pinning (p, r, x, y) sends t to
+    ``(det(t,p) x : det(t,r) y)``; r's image, oo, is greater than any other."""
+    p, r, x, y = pin
+    p2, r2, x2, y2 = other
+    for i, j in zip(order, other_order):
+        d, e = det[i][r] * y, det[j][r2] * y2
+        if d and e:
+            c = det[i][p] * x * e - det[j][p2] * x2 * d
+            if c:
+                return c if (d > 0) == (e > 0) else -c
+        elif d or e:  # exactly one image is oo
+            return 1 if e else -1
+    return 0
 
 
 def triplet_canonical_form(t: RamificationTriplet) -> RamificationTriplet:
@@ -272,11 +317,12 @@ def canonical_delta_and_stabilizer(points) -> tuple[tuple[P1Point, ...], tuple[M
     """`delta_canonical_form` and `stabilizer` of one point set from one pass."""
     pts, canon, ties = _delta_pass(points)
     first = tuple(pts[i] for i in ties[0])
-    pset = set(pts)
+    pairs = {(p.a, p.b) for p in pts}
     maps = []
     for tie in ties:
         g = mobius_from_triples(first, tuple(pts[i] for i in tie))
-        if {g.apply(p) for p in pts} != pset:
+        (a, b), (c, d) = g.matrix
+        if {_reduced((a * x + b * y, c * x + d * y), "P1 point") for x, y in pairs} != pairs:
             raise InvariantViolation(f"{g} ties with the least pinning but moves the set")
         maps.append(g)
     return canon, tuple(sorted(maps, key=Mobius.sort_key))

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import io
 import json
 import logging
@@ -412,6 +413,74 @@ class TestCanonicalCommand:
         n = square_class.MAX_CANONICAL_POINTS
         code, report = run(tmp_path, ["canonical", "delta"], {"delta": list(range(n))})
         assert code == 0 and len(report["delta"]) == n
+
+
+def run_on_stdin(argv, doc):
+    """Run the CLI in process with a JSON document on stdin; returns (exit code, stdout)."""
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def distinct_points(k):
+    """k distinct points of P^1 as [a, b] pairs, infinity among them at times."""
+    return st.lists(st.one_of(st.none(), st.integers(-30, 30)), min_size=k, max_size=k,
+                    unique=True).map(lambda values: [[1, 0] if v is None else [v, 1] for v in values])
+
+
+mobius_coeffs = st.tuples(*[st.integers(-9, 9)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2])
+
+
+def moved(points, m):
+    a, b, c, d = m
+    return [[a * x + b * y, c * x + d * y] for x, y in points]
+
+
+class TestMoebiusInvariance:
+    """Reports depend on the branch points only up to a Moebius map over Q: a
+    moved input gives the same bytes, and the same stabilizer order."""
+
+    def assert_same_delta_reports(self, delta, m):
+        image = moved(delta, m)
+        for argv, doc in ((["canonical", "delta"], {"delta": delta}),
+                          (["classify"], {"kind": "exceptional", "delta": delta})):
+            assert run_on_stdin(argv, doc) == run_on_stdin(argv, doc | {"delta": image})
+        code, model = run_on_stdin(["construct", "exceptional"], {"delta": delta})
+        moved_code, moved_model = run_on_stdin(["construct", "exceptional"], {"delta": image})
+        assert code == moved_code
+        if len(delta) % 2 == 0:  # odd sets are refused, on both sides
+            assert (json.loads(model)["aut"]["stabilizer_order"]
+                    == json.loads(moved_model)["aut"]["stabilizer_order"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12).flatmap(distinct_points), mobius_coeffs)
+    def test_exceptional_deltas(self, delta, m):
+        self.assert_same_delta_reports(delta, m)
+
+    @pytest.mark.parametrize("delta", [[[0, 1], [1, 0], [1, 1], [-1, 1]],
+                                       [[0, 1], [1, 0], [1, 1], [-1, 1], [2, 1], [-2, 1]]])
+    @settings(max_examples=15, deadline=None)
+    @given(m=mobius_coeffs)
+    def test_symmetric_deltas(self, delta, m):
+        self.assert_same_delta_reports(delta, m)
+
+    @pytest.mark.parametrize("profile", cremona.realizable_profiles(12))
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data(), m=mobius_coeffs)
+    def test_z22_triplets(self, profile, data, m):
+        a1, a2, a3 = profile
+        support = data.draw(distinct_points(a1 + a2 + a3))
+        m12, m13 = a1 + a2 - a3, a1 + a3 - a2
+        b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
+        sets = [b12 + b13, b12 + b23, b13 + b23]
+        doc = {"kind": "z22", "triplet": sets}
+        image = {"kind": "z22", "triplet": [moved(s, m) for s in sets]}
+        assert run_on_stdin(["classify"], doc) == run_on_stdin(["classify"], image)
 
 
 def run_child(args, stdin, log=None, timeout=60):

@@ -524,6 +524,16 @@ def test_reflection_matches_basis_imaging_reference(candidate):
     assert reflection_matrix(lat, root) == reference_reflection_matrix(lat, root)
 
 
+@given(weyl_roots())
+@settings(max_examples=200, deadline=None)
+def test_reflection_passes_the_isometry_reference(candidate):
+    # the root checks prove I + r (G r)^T an isometry fixing K, so the
+    # package checks no product; the dense M^T G M reference agrees
+    lat, root = candidate
+    m = reflection_matrix(lat, root)
+    assert reference_validate_action(lat, m) == m
+
+
 def reflection_outcome(reflect, lat, root):
     try:
         return reflect(lat, root)

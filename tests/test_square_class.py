@@ -360,6 +360,36 @@ class TestPinningPassMatchesCubicScan:
         assert_triplet_pass_matches_reference(triplet_from_profile(profile))
 
 
+class TestWorkCount:
+    """One pass builds a point per support point of the answer, shared
+    between its sets, and none for a survivor that loses."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+
+        def point(a, b):
+            made.append(P1Point(a, b))
+            return made[-1]
+
+        monkeypatch.setattr(square_class, "P1Point", point)
+        return made
+
+    @pytest.mark.parametrize("support, sets, ties", [
+        (tuple(sorted(pts(0, None, 1, -1))), ((0, 1, 2, 3),), 8),
+        (tuple(sorted(pts(-31, -17, -9, -4, -1, 2, 5, 11, 19, 23, 37, None))),
+         (tuple(range(12)),), 1),
+        (tuple(sorted(pts(*range(12)))), ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 8, 9, 10, 11),
+                                          (4, 5, 6, 7, 8, 9, 10, 11)), 2),
+    ], ids=["symmetric-4", "random-12", "triplet-444"])
+    def test_points_built(self, built, support, sets, ties):
+        canon, found = square_class._least_pinnings(support, sets)
+        assert (canon, found) == reference_least_pinnings(support, sets)
+        assert len(found) == ties
+        assert len(built) == len(support)
+        assert {id(p) for s in canon for p in s} == {id(p) for p in built}
+
+
 class TestKernelLimits:
     def test_cap_is_checked_before_enumeration(self, monkeypatch):
         monkeypatch.setattr(square_class, "MAX_CANONICAL_POINTS", 5)
@@ -378,5 +408,6 @@ class TestKernelLimits:
     def test_a_tie_that_moves_the_set_is_refused(self, monkeypatch):
         monkeypatch.setattr(square_class, "mobius_from_triples",
                             lambda src, dst: Mobius.from_coeffs(1, 1, 0, 1))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation,
+                           match=r"^Mobius\[1,1;0,1\] ties with the least pinning but moves the set$"):
             stabilizer(pts(0, 1, None))
