@@ -2,22 +2,27 @@
 
 Parsing is strict: integers must be JSON integers (no floats), points may
 be given unreduced, and every error names the offending location with a
-``$.path[i]`` pointer.  Emission is byte-stable: keys are sorted, numbers
-are plain integers, exact rationals are ``"p/q"`` strings, indents are two
-spaces, and every document ends with a newline.  The bytes are those of
-``json.dumps(obj, sort_keys=True, indent=2)``; from Python 3.13 on that call
-writes them, since json encodes ``indent`` in C there, and before 3.13 a
-private writer does, since any ``indent`` sends json to its pure-Python
-encoder, which takes about twice as long.
+``$.path[i]`` pointer.  An integer array (a point, line, divisor or matrix
+row) is accepted whole when one C-level type check over it passes; only an
+array that fails is walked entry by entry, to name the first bad entry, so
+well-formed input builds no paths.  Emission is byte-stable: keys are
+sorted, numbers are plain integers, exact rationals are ``"p/q"`` strings,
+indents are two spaces, and every document ends with a newline.  The bytes
+are those of ``json.dumps(obj, sort_keys=True, indent=2)``; from Python
+3.13 on that call writes them, since json encodes ``indent`` in C there,
+and before 3.13 a private writer does, since any ``indent`` sends json to
+its pure-Python encoder, which takes about twice as long.  That writer
+formats each all-int row, alone or in a rectangular matrix, with one ``%``
+against a cached template of ``%d`` slots.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
-from . import intlinalg as la
 from .errors import InvalidDescriptor, excerpt
 from .geometry import Conic, Line, P1Point, P2Point, _rational
 from .picard import BlowupLattice, DivisorClass, LatticeAction
@@ -29,19 +34,40 @@ from .square_class import RamificationTriplet, validate_triplet
 
 
 _INT_ONLY = frozenset({int})
+_ROWS = frozenset({list, tuple})
+_ROW_TEMPLATES: dict[tuple[str, int], str] = {}
+
+
+def _row_template(nl: str, n: int) -> str:
+    """The text of a row of ``n`` ints at indent ``nl``, with one ``%d`` per
+    entry; built once per (indent, length)."""
+    t = _ROW_TEMPLATES.get((nl, n))
+    if t is None:
+        inner = nl + "  "
+        t = _ROW_TEMPLATES[nl, n] = "[" + inner + ("," + inner).join(["%d"] * n) + nl + "]"
+    return t
 
 
 def _write(o, out: list[str], nl: str) -> None:
     """Append the text of ``o`` to ``out``, with ``nl`` (a newline and the
-    indent of ``o``) before each closing bracket, as json's indent=2 does."""
+    indent of ``o``) before each closing bracket, as json's indent=2 does.
+    An all-int row is one ``%`` against its template, and so is each row of
+    a rectangular all-int matrix ("%d" raises ValueError past the digit
+    limit, as repr does)."""
     if isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
+        types = set(map(type, o))
+        if types == _INT_ONLY:  # a point, a class or a matrix row
+            out.append(_row_template(nl, len(o)) % tuple(o))
+            return
         inner = nl + "  "
         sep = "," + inner
-        if set(map(type, o)) == _INT_ONLY:  # a matrix row, point or class
-            out.append("[" + inner + sep.join(map(int.__repr__, o)) + nl + "]")
+        if (types <= _ROWS and len(set(map(len, o))) == 1
+                and set(map(type, chain.from_iterable(o))) == _INT_ONLY):  # a matrix
+            row = _row_template(inner, len(o[0]))
+            out.append("[" + inner + sep.join([row % tuple(r) for r in o]) + nl + "]")
             return
         out.append("[" + inner)
         for x in o:
@@ -152,10 +178,19 @@ def _optional(obj: dict, key: str, parse):
 # points, lines, conics, maps -------------------------------------------------
 
 
+def _ints(v, where: str, length: int | None = None) -> list[int]:
+    """``v`` as a list of ``length`` integers (any length if None), checked
+    in one pass; only a failing array is walked entry by entry, so that
+    the error names the ``$.path[i]`` of the first bad entry."""
+    if type(v) is list and (length is None or len(v) == length) and set(map(type, v)) <= _INT_ONLY:
+        return v
+    items = expect_list(v, where, length)
+    return [int(expect_int(x, f"{where}[{i}]")) for i, x in enumerate(items)]
+
+
 def _nonzero(cls, length: int, v, where: str, zero: str):
     """``cls`` of an array of ``length`` integers, not all zero."""
-    items = expect_list(v, where, length)
-    coords = [expect_int(x, f"{where}[{i}]") for i, x in enumerate(items)]
+    coords = _ints(v, where, length)
     if not any(coords):
         raise _fail(where, zero)
     return cls(*coords)
@@ -178,8 +213,10 @@ def parse_p1_point(v, where: str) -> P1Point:
 
 
 def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
-    items = expect_list(v, where)
-    return tuple(parse_p1_point(x, f"{where}[{i}]") for i, x in enumerate(items))
+    # a well-formed [a, b] is read in place, without formatting its path
+    return tuple(P1Point(*x) if type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is int
+                 and (x[0] or x[1]) else parse_p1_point(x, f"{where}[{i}]")
+                 for i, x in enumerate(expect_list(v, where)))
 
 
 def parse_p2_point(v, where: str) -> P2Point:
@@ -212,17 +249,11 @@ def point_pair(p: P1Point) -> list[int]:
 
 
 def parse_divisor(v, where: str) -> DivisorClass:
-    items = expect_list(v, where)
-    return DivisorClass(tuple(expect_int(x, f"{where}[{i}]") for i, x in enumerate(items)))
+    return DivisorClass(_ints(v, where))
 
 
 def parse_matrix(v, where: str):
-    rows = expect_list(v, where)
-    out = []
-    for i, row in enumerate(rows):
-        cells = expect_list(row, f"{where}[{i}]")
-        out.append(tuple(expect_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(cells)))
-    return la.freeze(out)
+    return tuple(tuple(_ints(row, f"{where}[{i}]")) for i, row in enumerate(expect_list(v, where)))
 
 
 def parse_action(v, where: str) -> LatticeAction:

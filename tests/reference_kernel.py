@@ -30,6 +30,10 @@ sections by subtracting fiber components, as the builder once did.
 ``reference_exceptional_split`` is the exceptional bundle's own proof
 that the swap splits the lattice, from before ``picard.is_conic_bundle``
 proved it: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
+
+``reference_parse_*`` are the JSON readers of points, divisors and matrices
+as they were before one type check over a whole array replaced the walk:
+every entry goes through ``expect_int`` with its ``$.path[i]`` formatted.
 """
 
 from __future__ import annotations
@@ -53,9 +57,11 @@ from cremona.errors import (
     TooFewPoints,
     TooManyPoints,
     UnsupportedRank,
+    excerpt,
     require,
 )
 from cremona.geometry import intersect_line_conic, line_through, lines_meet, project_from
+from cremona.jsonio import _fail, expect_int, expect_list
 from cremona.picard import MAX_BLOWUPS, validate_action
 from cremona.square_class import MAX_CANONICAL_POINTS, sorted_distinct, validate_triplet
 
@@ -381,6 +387,60 @@ def reference_exceptional_split(marking, swap):
         v = f - 2 * marking.fiber_component(j)
         require(tuple([x - 2 * c for x, c in zip(swap_f, columns[j + 1])]) == (-v).coeffs,
                 f"f - 2 E_{j} is not a (-1)-eigenvector of the swap")
+
+
+# the JSON reader's walk, entry by entry ------------------------------------------
+
+
+def reference_parse_nonzero(cls, length, v, where, zero):
+    """``cls`` of an array of ``length`` integers, not all zero."""
+    items = expect_list(v, where, length)
+    coords = [expect_int(x, f"{where}[{i}]") for i, x in enumerate(items)]
+    if not any(coords):
+        raise _fail(where, zero)
+    return cls(*coords)
+
+
+def reference_parse_p1_point(v, where):
+    """A point of the line: ``[a, b]``, an integer, ``"p/q"`` or ``"inf"``."""
+    if isinstance(v, bool):
+        raise _fail(where, "expected a point, got a boolean")
+    if isinstance(v, int):
+        return geometry.P1Point(v, 1)
+    if isinstance(v, str):
+        if v in ("inf", "oo", "infinity"):
+            return geometry.P1Point.infinity()
+        try:
+            return geometry.P1Point.from_value(geometry._rational(v, f"at {where}: point"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _fail(where, f"cannot read {excerpt(v)} as an exact rational") from exc
+    return reference_parse_nonzero(geometry.P1Point, 2, v, where,
+                                   "[0, 0] is not a point of the line")
+
+
+def reference_parse_p1_points(v, where):
+    items = expect_list(v, where)
+    return tuple(reference_parse_p1_point(x, f"{where}[{i}]") for i, x in enumerate(items))
+
+
+def reference_parse_triplet(v, where):
+    sets = expect_list(v, where, 3)
+    parsed = [reference_parse_p1_points(s, f"{where}[{i}]") for i, s in enumerate(sets)]
+    return validate_triplet(*parsed)
+
+
+def reference_parse_divisor(v, where):
+    items = expect_list(v, where)
+    return picard.DivisorClass(tuple(expect_int(x, f"{where}[{i}]") for i, x in enumerate(items)))
+
+
+def reference_parse_matrix(v, where):
+    rows = expect_list(v, where)
+    out = []
+    for i, row in enumerate(rows):
+        cells = expect_list(row, f"{where}[{i}]")
+        out.append(tuple(expect_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(cells)))
+    return la.freeze(out)
 
 
 # the records as frozen dataclasses --------------------------------------------

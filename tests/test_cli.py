@@ -61,6 +61,37 @@ json_values = st.recursive(
     max_leaves=30)
 
 
+def _int_matrix(columns):
+    row = st.lists(json_ints, min_size=columns, max_size=columns)
+    return st.lists(row | row.map(tuple), min_size=1, max_size=15)
+
+
+def _with_entry(matrix, i, j, value):
+    rows = [list(r) for r in matrix]
+    rows[i % len(rows)][j % len(rows[0])] = value
+    return rows
+
+
+# rectangular int matrices of lists and tuples, ragged and empty rows, 3-D
+# arrays, and a bool, None or float in place of one entry
+int_matrices = st.integers(1, 15).flatmap(_int_matrix)
+matrix_docs = st.one_of(
+    int_matrices, int_matrices.map(tuple),
+    st.lists(st.lists(json_ints, max_size=4), min_size=1, max_size=6),
+    st.integers(1, 4).flatmap(lambda c: st.lists(_int_matrix(c), min_size=1, max_size=3)),
+    st.builds(_with_entry, int_matrices, st.integers(0, 14), st.integers(0, 14),
+              st.sampled_from([True, False, None, 2.0, -0.5])))
+matrix_docs = matrix_docs | st.dictionaries(json_texts, matrix_docs, min_size=1, max_size=2)
+
+
+def _floats_in(doc):
+    if isinstance(doc, dict):
+        return any(map(_floats_in, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return any(map(_floats_in, doc))
+    return isinstance(doc, float)
+
+
 class TestJsonEmission:
     def test_dumps_is_sorted_and_newline_terminated(self):
         text = jsonio.dumps({"b": 1, "a": [2, {"d": 3, "c": 4}]})
@@ -80,6 +111,15 @@ class TestJsonEmission:
     def test_writer_writes_json_bytes(self, doc):
         self.assert_json_bytes(doc)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(matrix_docs)
+    def test_writer_writes_json_bytes_of_matrices(self, doc):
+        if _floats_in(doc):  # json writes floats, reports never hold one
+            with pytest.raises(TypeError):
+                jsonio._dumps(doc)
+        else:
+            self.assert_json_bytes(doc)
+
     @pytest.mark.parametrize("key", [*sorted(GOLDEN), "z22-444-model"])
     def test_writer_writes_json_bytes_of_reports(self, key):
         if key in GOLDEN:
@@ -96,7 +136,10 @@ class TestJsonEmission:
         ([1, 2.0], TypeError),
         ({"a": {1, 2}}, TypeError),
         ({1: 2}, TypeError),
-    ], ids=["int", "int-row", "int-in-list", "float", "float-in-row", "set", "int-key"])
+        ([[1, 10 ** 4300]], ValueError),
+        ([[1, 2.0]], TypeError),
+    ], ids=["int", "int-row", "int-in-list", "float", "float-in-row", "set", "int-key",
+            "int-in-matrix", "float-in-matrix"])
     def test_writer_refuses_what_reports_never_hold(self, doc, error):
         # ValueError is what cli._write_report turns into IntegerTooLong
         with pytest.raises(error):
