@@ -27,7 +27,7 @@ a group, for three sparse products.  One trace test over the group, for
 {1, sigma_1, sigma_2, sigma_3} and for an exceptional bundle's {1, swap}
 alike, proves that the fixed lattice is exactly Z K + Z f
 (``picard.is_conic_bundle``): a conic bundle of invariant Picard rank
-two.  ``action()`` still returns a validated ``LatticeAction`` when asked.
+two.  ``action()`` returns the group as a validated ``LatticeAction``.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -439,11 +439,7 @@ def build_from_three_lines_conic(
     _distinct(blown + (d1, d2), "the configuration points must be distinct")
 
     # d1 is off the conic and d2 on it, so they differ
-    axis = line_through(d1, d2)
-    q_pts = intersect_line_conic(axis, conic)
-    if len(q_pts) != 2:
-        raise DegenerateConfiguration("the line d1 d2 is tangent to the conic")
-    center = next(p for p in q_pts if p != d2)
+    center = next(p for p in conic_chord(line_through(d1, d2), "the line d1 d2") if p != d2)
     # The center is on the conic and on d1 d2, and is neither d2 nor d1 (off
     # the conic).  d1 d2 meets the first two lines only at d1 (d2 on either
     # would be a3 or b3, off the conic) and the third only at d2.  So the center

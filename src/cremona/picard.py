@@ -151,9 +151,8 @@ def enumerate_minus_one_classes(lattice: BlowupLattice) -> tuple[DivisorClass, .
     ``d^2 - sum m_i^2 = -1`` and ``3d - sum m_i = 1``.  Cauchy-Schwarz on
     the multiplicity vector gives ``(3d - 1)^2 <= r (d^2 + 1)``; for
     ``r <= 8`` that means ``-1 <= d <= 7``, and ``d = 7`` forces all eight
-    multiplicities equal to ``20/8``, which is not an integer, so ``d <= 6``
-    is sharp.  The search below still scans ``d`` up to 7; the top value
-    contributes nothing, which the tests assert.
+    multiplicities equal to ``20/8``, which is not an integer, so the search
+    scans ``-1 <= d <= 6``; at ``r = 8`` it reaches ``d = 6``.
     """
     r = lattice.r
     if not 1 <= r <= 8:
@@ -173,7 +172,7 @@ def enumerate_minus_one_classes(lattice: BlowupLattice) -> tuple[DivisorClass, .
         for m in range(-bound, bound + 1):
             extend(prefix + [m], remaining - 1, lin - m, quad - m * m)
 
-    for d in range(-1, 8):
+    for d in range(-1, 7):
         # multiplicities m_i satisfy sum m_i = 3d - 1, sum m_i^2 = d^2 + 1
         extend([d], r, 3 * d - 1, d * d + 1)
     return tuple(sorted(found))

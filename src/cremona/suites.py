@@ -172,10 +172,6 @@ SUITES: dict[str, tuple[Row, ...]] = {
 SUITES["all"] = tuple(row for rows in SUITES.values() for row in rows)
 
 
-def suite_names() -> tuple[str, ...]:
-    return tuple(SUITES)
-
-
 def run_suite(name: str) -> list[tuple[str, str | None]]:
     """Run every row of the named suite; returns (check, error) pairs.
 

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cremona import (
     BlowupLattice,
     DelPezzoDescriptor,
+    DivisorClass,
     ExceptionalDescriptor,
     HirzebruchDescriptor,
     LatticeAction,
@@ -14,6 +17,7 @@ from cremona import (
     triplet_from_profile,
     z22_from_triplet,
 )
+from cremona import intlinalg as la
 from cremona import jsonio
 from cremona.classifier import (
     ALL_ON_EXCEPTIONAL,
@@ -24,13 +28,16 @@ from cremona.classifier import (
     OFF_EXCEPTIONAL,
 )
 from cremona.corpus import (
+    _CUBIC_SIMPLE_ROOTS,
     cubic_coxeter_action,
+    cubic_coxeter_matrix,
     four_lines_model,
     golden_maximal_descriptors,
     golden_reduction_descriptors,
     p1,
 )
 from cremona.errors import IntegerTooLong, InvalidDescriptor, NotAMoriFibration
+from cremona.picard import invariant_sublattice
 
 
 def non_minimal_cubic_action() -> LatticeAction:
@@ -358,25 +365,114 @@ class TestConjugacyInvariant:
         assert indeterminate.invariant is None
 
 
+CUBIC = BlowupLattice(6)
+#: the reflections in the six simple roots of E6; the first and third roots
+#: (E_1 - E_2 and E_3 - E_4) are orthogonal, so their reflections commute
+SIMPLE_REFLECTIONS = tuple(reflection_matrix(CUBIC, DivisorClass(r)) for r in _CUBIC_SIMPLE_ROOTS)
+
+
+def mat_power(m, n):
+    out = la.identity(len(m))
+    for _ in range(n):
+        out = la.mat_mul(out, m)
+    return out
+
+
+#: five cubic actions by their generators: two minimal ones with invariant
+#: rank 1 (c, c^4), and three that are not (c^6, one reflection, two
+#: commuting reflections)
+CUBIC_ACTIONS = {
+    "coxeter": (cubic_coxeter_matrix(),),
+    "coxeter^4": (mat_power(cubic_coxeter_matrix(), 4),),
+    "coxeter^6": (mat_power(cubic_coxeter_matrix(), 6),),
+    "reflection": SIMPLE_REFLECTIONS[:1],
+    "two-reflections": (SIMPLE_REFLECTIONS[0], SIMPLE_REFLECTIONS[2]),
+}
+
+#: a move on a generating set: ("swap", i, j) exchanges two generators,
+#: ("product", i, j) appends g_i g_j and ("repeat", i, _) appends g_i again;
+#: indices are taken modulo the number of generators
+generating_moves = st.lists(
+    st.tuples(st.sampled_from(("swap", "product", "repeat")),
+              st.integers(0, 7), st.integers(0, 7)), max_size=4)
+
+
+def apply_moves(generators, moves):
+    gens = list(generators)
+    for move, i, j in moves:
+        i, j = i % len(gens), j % len(gens)
+        if move == "swap":
+            gens[i], gens[j] = gens[j], gens[i]
+        elif move == "product":
+            gens.append(la.mat_mul(gens[i], gens[j]))
+        else:
+            gens.append(gens[i])
+    return tuple(gens)
+
+
+def cubic_report(generators) -> str:
+    d = DelPezzoDescriptor(3, action=LatticeAction(CUBIC, generators),
+                           fixed_point_report=ALL_ON_EXCEPTIONAL,
+                           cubic_family=CUBIC_TRIPLE_COVER, parameter="0")
+    return jsonio.dumps(jsonio.verdict_json(classify(d)))
+
+
+class TestMarkingInvariance:
+    """A verdict depends on the surface and the group, not on the marking of
+    Pic nor on the generators that present the group: conjugating an action
+    by a Weyl word w and rewriting its generating set keeps the ``classify``
+    bytes and the invariant rank, and w carries the invariant basis onto the
+    new one."""
+
+    @pytest.mark.parametrize("name", CUBIC_ACTIONS)
+    @settings(max_examples=25, deadline=None)
+    @given(word=st.lists(st.integers(0, 5), max_size=12), moves=generating_moves)
+    # each example puts first a generator that alone generates a smaller
+    # group: on c and c^4 the first two put c^3, resp. c^12 = I, neither of
+    # them minimal; the third puts I on the involutions, and on the two
+    # reflections the one whose invariant lattice the base case never sees
+    @example(word=[], moves=[("product", 0, 0), ("product", 0, 1), ("swap", 0, 2)])
+    @example(word=[2, 5, 0], moves=[("product", 0, 0), ("product", 1, 0), ("swap", 2, 0)])
+    @example(word=[], moves=[("product", 0, 0), ("swap", 0, 1)])
+    def test_weyl_conjugates_and_generating_sets(self, name, word, moves):
+        generators = CUBIC_ACTIONS[name]
+        w = la.identity(CUBIC.rank)
+        for i in word:
+            w = la.mat_mul(SIMPLE_REFLECTIONS[i], w)
+        w_inv = la.identity(CUBIC.rank)  # each reflection is its own inverse
+        for i in reversed(word):
+            w_inv = la.mat_mul(SIMPLE_REFLECTIONS[i], w_inv)
+        moved = apply_moves([la.mat_mul(la.mat_mul(w, g), w_inv) for g in generators], moves)
+        assert cubic_report(moved) == cubic_report(generators)
+        rank, basis = invariant_sublattice(LatticeAction(CUBIC, generators))
+        moved_rank, moved_basis = invariant_sublattice(LatticeAction(CUBIC, moved))
+        assert moved_rank == rank
+        assert la.spans_equal([d.coeffs for d in moved_basis],
+                              [la.mat_vec(w, d.coeffs) for d in basis])
+
+
 def entry(report, link_type):
     return report.entries[link_type - 1]
 
 
 class TestLinkFeasibility:
     def test_plane(self):
-        report = link_feasibility(DelPezzoDescriptor(9))
+        d = DelPezzoDescriptor(9)
+        report = link_feasibility(d, classify(d))
         assert (report.family, report.k_squared) == (1, 9)
         assert all(e.status == "excluded" for e in report.entries)
         assert "no finite orbit" in entry(report, 1).reason
         assert "no integer solution" in entry(report, 4).reason
 
     def test_quadric_rulings_are_exchanged(self):
-        report = link_feasibility(DelPezzoDescriptor(8, p1xp1=True))
+        d = DelPezzoDescriptor(8, p1xp1=True)
+        report = link_feasibility(d, classify(d))
         assert entry(report, 4).status == "excluded"
         assert "rulings" in entry(report, 4).reason
 
     def test_degree_four_leaves_two_doors_open(self):
-        report = link_feasibility(DelPezzoDescriptor(4))
+        d = DelPezzoDescriptor(4)
+        report = link_feasibility(d, classify(d))
         assert entry(report, 1).status == "possibly_open"
         assert entry(report, 2).status == "excluded"
         assert entry(report, 3).status == "excluded"
@@ -384,32 +480,38 @@ class TestLinkFeasibility:
         assert entry(report, 4).witness == (1, -1)
 
     def test_second_fibration_witnesses(self):
-        degree2 = link_feasibility(DelPezzoDescriptor(2, quartic_row=(8, "2^3")))
+        d = DelPezzoDescriptor(2, quartic_row=(8, "2^3"))
+        degree2 = link_feasibility(d, classify(d))
         assert entry(degree2, 4).witness == (2, -1)
-        degree1 = link_feasibility(DelPezzoDescriptor(1))
+        d = DelPezzoDescriptor(1)
+        degree1 = link_feasibility(d, classify(d))
         assert entry(degree1, 4).witness == (4, -1)
 
     def test_orbit_size_bound_excludes_type_two(self):
-        report = link_feasibility(DelPezzoDescriptor(5))
+        d = DelPezzoDescriptor(5)
+        report = link_feasibility(d, classify(d))
         e = entry(report, 2)
         assert e.status == "excluded"
         assert "at least 6" in e.reason
 
     def test_hirzebruch_fibration_entries(self):
-        report = link_feasibility(HirzebruchDescriptor(2))
+        d = HirzebruchDescriptor(2)
+        report = link_feasibility(d, classify(d))
         assert (report.family, report.k_squared) == (4, 8)
         assert all(e.status == "excluded" for e in report.entries)
         assert "unique conic fibration" in entry(report, 4).reason
 
     def test_exceptional_fibration_entries(self):
         model = exceptional_from_delta(tuple(p1(x) for x in (0, 1, 2, 3)))
-        report = link_feasibility(ExceptionalDescriptor(model))
+        d = ExceptionalDescriptor(model)
+        report = link_feasibility(d, classify(d))
         assert (report.family, report.k_squared) == (5, 4)
         assert all(e.status == "excluded" for e in report.entries)
         assert "two sections" in entry(report, 4).reason
 
     def test_z22_fibration_entries(self):
-        report = link_feasibility(Z22Descriptor(four_lines_model()))
+        d = Z22Descriptor(four_lines_model())
+        report = link_feasibility(d, classify(d))
         assert (report.family, report.k_squared) == (11, 2)
         assert all(e.status == "excluded" for e in report.entries)
         assert "not del Pezzo" in entry(report, 4).reason
@@ -421,15 +523,14 @@ class TestLinkFeasibility:
         *((int(key.split("-")[1]), d) for key, d in golden_maximal_descriptors().items()),
         (2, HirzebruchDescriptor(0))])
     def test_k_squared_of_each_maximal_family(self, family, descriptor):
-        report = link_feasibility(descriptor)
+        report = link_feasibility(descriptor, classify(descriptor))
         assert (report.family, report.k_squared) == (family, self.FROZEN_K_SQUARED[family])
 
     def test_non_maximal_descriptors_rejected(self):
-        with pytest.raises(NotAMoriFibration):
-            link_feasibility(DelPezzoDescriptor(7))
-        with pytest.raises(NotAMoriFibration):
-            link_feasibility(
-                Z22Descriptor(z22_from_triplet(triplet_from_profile((2, 2, 2)))))
+        for d in (DelPezzoDescriptor(7),
+                  Z22Descriptor(z22_from_triplet(triplet_from_profile((2, 2, 2))))):
+            with pytest.raises(NotAMoriFibration):
+                link_feasibility(d, classify(d))
 
 
 class TestGoldenCorpus:

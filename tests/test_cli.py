@@ -249,15 +249,17 @@ class TestClassifyCommand:
         assert links[3]["witness"] == [1, -1]
 
     def test_links_classify_once(self, tmp_path, monkeypatch):
-        # --links hands the verdict it has to the link report; the bytes equal
-        # those from link_feasibility, which classifies again
+        # --links hands the verdict it has already reached to link_feasibility,
+        # so the descriptor is classified once; the bytes equal those of the
+        # library calls
         doc = {"kind": "del-pezzo", "degree": 3,
                "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
                "fixed_point_report": "all-on-exceptional",
                "cubic_family": "triple-cover", "parameter": "0"}
         descriptor = jsonio.parse_descriptor(doc)
-        expected = jsonio.dumps({**jsonio.verdict_json(classify(descriptor)),
-                                 "links": jsonio.link_report_json(link_feasibility(descriptor))})
+        verdict = classify(descriptor)
+        expected = jsonio.dumps({**jsonio.verdict_json(verdict),
+                                 "links": jsonio.link_report_json(link_feasibility(descriptor, verdict))})
         calls = []
         monkeypatch.setattr(classifier, "classify", lambda d: calls.append(d) or classify(d))
         code, report = run(tmp_path, ["classify", "--links"], doc)

@@ -175,6 +175,13 @@ class TestMinusOneClasses:
             assert intersect(lat, d, d) == -1
             assert intersect(lat, d, k) == -1
 
+    def test_the_l_coefficient_reaches_six_at_r8(self):
+        # the search scans L-coefficients up to 6; at r = 8 the classes
+        # 6L - 2(E_1 + ... + E_8) - E_i reach that bound
+        classes = enumerate_minus_one_classes(BlowupLattice(8))
+        assert max(d.coeffs[0] for d in classes) == 6
+        assert sum(d.coeffs[0] == 6 for d in classes) == 8
+
     def test_output_is_sorted_and_duplicate_free(self):
         classes = enumerate_minus_one_classes(BlowupLattice(5))
         assert list(classes) == sorted(set(classes))
