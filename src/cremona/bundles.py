@@ -28,6 +28,10 @@ a group, for three sparse products.  One trace test over the group, for
 alike, proves that the fixed lattice is exactly Z K + Z f
 (``picard.is_conic_bundle``): a conic bundle of invariant Picard rank
 two.  ``action()`` returns the group as a validated ``LatticeAction``.
+What follows from a construction by algebra is proved in its docstring,
+not checked (``errors.require``): the square and genus of each fixed
+curve, the squares, disjointness and swap of the exceptional sections,
+the solver's equation, and the anticanonical Halphen curve.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -250,20 +254,17 @@ class FixedCurve(NamedTuple):
 def fixed_curve_class(model: Z22BundleModel, i: int) -> FixedCurve:
     """Fixed curve of sigma_i (1-based): a double cover of P^1 over A_i.
 
-    Its class is ``-K + (a_i - 2) f``; adjunction gives genus ``a_i - 1``
-    and the self-intersection is ``4 a_i - k``.
+    Its class D is ``-K + (a_i - 2) f``, of square ``4 a_i - k`` and, by
+    adjunction, genus ``a_i - 1``.  Neither is checked: K^2 = 8 - k,
+    K.f = -2 and f^2 = 0 give D^2 = 8 - k + 4 (a_i - 2), and
+    2 g - 2 = D^2 + K.D = 4 a_i - k - (8 - k) - 2 (a_i - 2) = 2 a_i - 4.
     """
     if not 1 <= i <= 3:
         raise DimensionMismatch(f"involution index must be 1, 2 or 3, got {i}")
     a_i = model.profile[i - 1]
     lat = model.marking.lattice
     divisor = -lat.canonical_class + (a_i - 2) * model.marking.fiber_class
-    self_int = intersect(lat, divisor, divisor)
-    genus = adjunction_genus(lat, divisor)
-    require(self_int == 4 * a_i - model.k,
-            f"fixed curve of sigma_{i} has self-intersection {self_int}, not 4 a_i - k")
-    require(genus == a_i - 1, f"fixed curve of sigma_{i} has genus {genus}, not a_i - 1")
-    return FixedCurve(divisor, self_int, genus)
+    return FixedCurve(divisor, intersect(lat, divisor, divisor), adjunction_genus(lat, divisor))
 
 
 # ---------------------------------------------------------------------------
@@ -527,30 +528,24 @@ class ExceptionalBundleModel(NamedTuple):
 def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     """Build the exceptional bundle branched over the given point set.
 
-    The involution swaps the components of every singular fiber, so the
-    eigenvalues of the swap are +1 twice (on K and f) and -1 on the 2n
-    classes ``f - 2 E_j``; the two sections, written as vectors in the basis
-    (L, E_0, ..., E_{2n}), are ``L - E_1 - ... - E_{n+1}`` and
-    ``E_0 - E_{n+2} - ... - E_{2n}``, disjoint of square -n and swapped.
-    The split is proved by ``is_conic_bundle(marking, (swap,))``: each
-    ``f - 2 E_j`` is orthogonal to K and f, and an isometric involution's
-    (-1)-eigenspace is the orthogonal complement of its fixed space, so
-    that is Q K + Q f exactly when all 2n classes are (-1)-eigenvectors,
-    which is the trace count (2n + 2) + tr(swap) = 4.
+    The swap exchanges the components of every singular fiber: +1 twice
+    (on K and f) and -1 on the 2n classes ``f - 2 E_j``.  That split is
+    proved by ``is_conic_bundle(marking, (swap,))``: each ``f - 2 E_j`` is
+    orthogonal to K and f, and an isometric involution's (-1)-eigenspace is
+    the orthogonal complement of its fixed space, so that is Q K + Q f
+    exactly when (2n + 2) + tr(swap) = 4.  The sections
+    ``s_1 = L - E_1 - ... - E_{n+1}`` and ``s_2 = E_0 - E_{n+2} - ... - E_{2n}``
+    then need no check: by inspection both have square -n and s_1.s_2 = 0;
+    s_1 + s_2 = -K - 2 f and s_1 - s_2 is orthogonal to K and f, so the
+    swap sends s_1 to s_2.
     """
     pts = branch_set(delta, "the branch set")
     n = len(pts) // 2
     marking = FiberedMarking(BlowupLattice(2 * n + 1), pts)
     swap = involution_matrix(marking, tuple(range(1, 2 * n + 1)))
     require(is_conic_bundle(marking, (swap,)), "the fixed lattice of the swap is not Z K + Z f")
-    lat = marking.lattice
     s1 = DivisorClass((1, 0) + (-1,) * (n + 1) + (0,) * (n - 1))
     s2 = DivisorClass((0, 1) + (0,) * (n + 1) + (-1,) * (n - 1))
-    require(intersect(lat, s1, s1) == -n and intersect(lat, s2, s2) == -n,
-            f"the swapped sections do not have square -{n}")
-    require(intersect(lat, s1, s2) == 0, "the swapped sections meet")
-    require(DivisorClass(la.mat_vec(swap, s1.coeffs)) == s2,
-            "the swap does not exchange the two sections")
 
     canon, stab = canonical_delta_and_stabilizer(pts) if n >= 2 else (None, None)
     return ExceptionalBundleModel(marking, pts, swap, (s1, s2), canon, stab)
@@ -580,7 +575,9 @@ def minimality_obstruction_solver(k: int | None = None) -> tuple[ObstructionSolu
 
     With ``k`` given, keeps the solutions whose ``k_squared`` equals
     ``8 - k``; a nonempty answer means a numerical obstruction to
-    minimality exists (the converse needs the orbit computation).
+    minimality exists (the converse needs the orbit computation).  Each
+    solution solves ``a (l + 2 b) = l`` by construction: a divides l and
+    ``2 b = l / a - l``.
     """
     out = []
     for l in (1, 2, 4):  # the orbit sizes of a Klein four-group
@@ -594,7 +591,6 @@ def minimality_obstruction_solver(k: int | None = None) -> tuple[ObstructionSolu
             q, rem = divmod(2 * b - l, a)
             if rem != 0:
                 continue
-            require(a * (l + 2 * b) == l, f"({l}, {a}, {b}) does not solve a (l + 2 b) = l")
             out.append(ObstructionSolution(l, a, b, q))
     if k is not None:
         out = [s for s in out if s.k_squared == 8 - k]
@@ -642,10 +638,8 @@ def halphen_check(triplet: RamificationTriplet) -> HalphenReport | None:
     if triplet.profile != (2, 2, 4):
         return None
     model = z22_from_triplet(triplet)
-    # fixed_curve_class requires square 4 a_1 - k = 0 and genus a_1 - 1 = 1 here
+    # a_1 = 2, so the class -K + (a_1 - 2) f is -K, of square 0 and genus 1
     curve = fixed_curve_class(model, 1)
-    require(curve.divisor == -model.marking.lattice.canonical_class,
-            "the Halphen fixed curve is not anticanonical")
     return HalphenReport(
         k_squared=0,
         fixed_curve=curve.divisor,

@@ -405,7 +405,7 @@ def _point_case_entries(family: int, k2: int) -> tuple[LinkEntry, ...]:
                          "the two rulings of the quadric are exchanged by the group")
     elif sol is None:
         four = LinkEntry(4, "excluded",
-                         f"a K^2 = 4 has no integer solution for K^2 = {k2}")
+                         f"the equation a K^2 = 4 has no integer solution a for K^2 = {k2}")
     else:
         a, b = sol
         four = LinkEntry(4, "possibly_open",

@@ -31,7 +31,11 @@ class InvariantViolation(CremonaError):
 def require(condition: bool, message: str) -> None:
     """Raise InvariantViolation unless ``condition`` holds.
 
-    Used instead of ``assert``, which ``python -O`` strips.
+    Used instead of ``assert``, which ``python -O`` strips.  A check stays
+    only if an input, or a non-trivial algorithm elsewhere (the fiberwise-
+    involution formula, the line-conic intersection, the canonical-form
+    kernel), can break it; a fact that a few lines of algebra prove from its
+    own function and the checks before it is proved in its docstring.
     """
     if not condition:
         raise InvariantViolation(message)

@@ -403,13 +403,14 @@ def is_conic_bundle(marking: FiberedMarking, elements: tuple[Mat, ...]) -> bool:
     ``validate_involution`` or ``validate_action``, or a product of two
     involutions so checked (``is_g_symmetric``), so each fixes K.  F is
     saturated, so it equals Z K + Z f exactly when every element fixes f,
-    Z K + Z f is saturated (its minor on the columns L, E_1 is -1; with no
-    fibers its index is 2), and F has rank 2.  Over Q that rank is
+    Z K + Z f is saturated, and F has rank 2.  Saturation needs a fiber,
+    and no computation: on the columns L, E_1, K = (-3, ..., 1, ...) and
+    f = (1, ..., 0, ...) have minor -3 * 0 - 1 * 1 = -1 for every marking
+    (with no fibers the index is 2).  Over Q that rank is
     (1/|G|) sum of tr(g) over G (Serre, Linear Representations of Finite
     Groups, 2.3), so the test is n + sum of tr(g) over the elements = 2 |G|.
     """
-    k, f = marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs
-    n = len(k)
-    return (n > 2 and k[0] * f[2] - k[2] * f[0] == -1
-            and all(la.mat_vec(g, f) == f for g in elements)
+    f = marking.fiber_class.coeffs
+    n = len(f)
+    return (n > 2 and all(la.mat_vec(g, f) == f for g in elements)
             and n + sum(g[i][i] for g in elements for i in range(n)) == 2 * (len(elements) + 1))

@@ -57,7 +57,7 @@ from cremona.errors import (
     QOnConfiguration,
     TooSmall,
 )
-from cremona.geometry import line_through, lines_meet
+from cremona.geometry import Mobius, line_through, lines_meet, mobius_from_triples
 from reference_kernel import (
     AlignmentViolation,
     reference_build_from_three_lines_conic,
@@ -137,6 +137,15 @@ class TestZ22Model:
         monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: gens.pop(0))
         monkeypatch.setattr(bundles, "_fiberwise_matrix", lambda marking, swapped: product)
         with pytest.raises(InvariantViolation, match="does not square to the identity"):
+            z22_from_triplet(triplet_from_profile((1, 1, 2)))
+
+    def test_a_group_fixing_more_than_k_and_f_is_refused(self, monkeypatch):
+        # identity matrices pass the involution checks, the product and the
+        # symmetry test; only the trace test sees the fixed lattice of rank k + 2
+        monkeypatch.setattr(bundles, "_fiberwise_matrix",
+                            lambda marking, swapped: la.identity(marking.lattice.rank))
+        with pytest.raises(InvariantViolation, match="^the fixed lattice of the Klein four-group"
+                           r" model is not Z K \+ Z f$"):
             z22_from_triplet(triplet_from_profile((1, 1, 2)))
 
     def test_invariant_lattice_is_k_and_fiber(self):
@@ -224,6 +233,30 @@ class TestWorkCount:
         assert counts == {"validate_involution": 1, "is_conic_bundle": 1}
         assert kernels == []
         assert model.action().generators == (model.swap,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_proved_facts_are_not_recomputed(self, monkeypatch, n):
+        # the sections' squares, product and swap, and the images of the
+        # triples under each stabilizer map, are proved, not computed
+        calls = collections.Counter()
+        real_intersect, real_apply = picard.intersect, Mobius.apply
+
+        def intersect(*args):
+            calls["intersect"] += 1
+            return real_intersect(*args)
+
+        def apply(self, p):
+            calls["apply"] += 1
+            return real_apply(self, p)
+
+        monkeypatch.setattr(bundles, "intersect", intersect)
+        monkeypatch.setattr(picard, "intersect", intersect)
+        monkeypatch.setattr(Mobius, "apply", apply)
+        exceptional_from_delta([p1(j) for j in range(2 * n)])
+        src, dst = (p1(0), p1(1), p1(2)), (p1(3), p1(5), p1(4))
+        m = mobius_from_triples(src, dst)
+        assert calls == {}
+        assert [real_apply(m, p) for p in src] == list(dst)
 
     @pytest.mark.parametrize("build", [four_lines_model, three_lines_conic_model])
     def test_plane_model_builds_one_marking(self, monkeypatch, build):
@@ -365,6 +398,21 @@ class TestThreeLinesConic:
         with pytest.raises(DegenerateConfiguration):
             build_from_three_lines_conic(
                 THREE_LINES, THREE_LINES_CONIC, THREE_LINES_D1, P2Point(1, 4, 1))
+
+    def test_d1_and_d2_off_one_fiber_are_refused(self, monkeypatch):
+        # the center is a point of intersect_line_conic on the line d1 d2; were
+        # d1 seen in another direction, the center would be off that line
+        real = bundles.project_from
+
+        def project_from(q, p):
+            image = real(q, p)
+            # t -> -1/t fixes no rational point
+            return P1Point(-image.b, image.a) if p == THREE_LINES_D1 else image
+
+        monkeypatch.setattr(bundles, "project_from", project_from)
+        with pytest.raises(InvariantViolation, match="^d1 and d2 project to different fibers$"):
+            build_from_three_lines_conic(
+                THREE_LINES, THREE_LINES_CONIC, THREE_LINES_D1, THREE_LINES_D2)
 
 
 PARABOLA = Conic(1, 0, 0, 0, 0, -1)  # x^2 = y z
@@ -572,8 +620,9 @@ class TestExceptionalBundles:
         assert (rank - trace) // 2 == 2 * n
         assert invariant_sublattice(model.action())[0] == 2
 
-    def test_sections_are_disjoint_swapped_negative_curves(self):
-        model = exceptional_from_delta(tuple(p1(i) for i in (0, 1, 2, 3)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_sections_are_disjoint_swapped_negative_curves(self, n):
+        model = exceptional_from_delta(tuple(p1(i) for i in range(2 * n)))
         lat = model.marking.lattice
         s1, s2 = model.section_classes
         assert intersect(lat, s1, s1) == intersect(lat, s2, s2) == -model.n

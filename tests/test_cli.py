@@ -528,6 +528,65 @@ class TestMoebiusInvariance:
         assert run_on_stdin(["classify"], doc) == run_on_stdin(["classify"], image)
 
 
+_CONIC_TERMS = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
+                "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def plane_moved(doc, a):
+    """The configuration moved by x -> A x: points go to A p, lines to
+    l adj(A) and the conic's form to Q(adj(A) x), so every incidence holds."""
+    # the columns of adj(A), so that A adj(A) = det(A) I
+    adj = [_cross(a[1], a[2]), _cross(a[2], a[0]), _cross(a[0], a[1])]
+
+    def form(x):
+        return sum(doc["conic"].get(k, 0) * x[i] * x[j] for k, (i, j) in _CONIC_TERMS.items())
+
+    out = {"lines": [[_dot(l, c) for c in adj] for l in doc["lines"]]}
+    for key in ("center", "d1", "d2"):
+        if key in doc:
+            out[key] = [_dot(row, doc[key]) for row in a]
+    if "conic" in doc:
+        square = [form(c) for c in adj]
+        out["conic"] = {
+            k: square[i] if i == j
+            else form([x + y for x, y in zip(adj[i], adj[j])]) - square[i] - square[j]
+            for k, (i, j) in _CONIC_TERMS.items()}
+    return out
+
+
+gl3 = st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=3,
+               max_size=3).filter(lambda a: _dot(a[0], _cross(a[1], a[2])) != 0)
+
+THREE_LINES_DOC = {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": {"xx": 1, "yz": -1},
+                   "d1": [1, 7, 3], "d2": [0, 0, 1]}
+
+
+class TestPlaneInvariance:
+    """The plane constructions do not depend on coordinates: a configuration
+    moved by an invertible integer matrix builds a model with the same
+    profile and certificate pattern, which classifies to the same bytes."""
+
+    @pytest.mark.parametrize("source, doc", [("four-lines", FOUR_LINES_DOC),
+                                             ("three-lines-conic", THREE_LINES_DOC)])
+    @settings(max_examples=20, deadline=None)
+    @given(a=gl3)
+    def test_construct_then_classify(self, source, doc, a):
+        reports = []
+        for config in (doc, plane_moved(doc, a)):
+            code, text = run_on_stdin(["construct", source], config)
+            assert code == 0
+            model = json.loads(text)
+            verdict = run_on_stdin(["classify"], model)
+            assert verdict[0] == 0
+            reports.append((model["profile"], model["certificate"]["source"],
+                            model["certificate"]["matrix"], verdict))
+        assert reports[0] == reports[1]
+
+
 def run_child(args, stdin, log=None, timeout=60):
     """Run ``python <args>`` with the package on the path, and ``CREMONA_LOG``
     set to ``log`` or unset; returns the process, or raises

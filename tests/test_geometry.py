@@ -24,7 +24,6 @@ from cremona.errors import (
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicatePoint,
-    InvariantViolation,
     LineInConic,
     NonRationalIntersection,
 )
@@ -170,18 +169,6 @@ class TestMobius:
             mobius_from_triples(
                 (P1Point(0, 1), P1Point(0, 1), P1Point(1, 0)),
                 (P1Point(0, 1), P1Point(1, 1), P1Point(1, 0)),
-            )
-
-    def test_from_triples_checks_its_result_without_assert(self, monkeypatch):
-        # a broken pinning matrix must be caught by explicit code, which
-        # `python -O` keeps
-        from cremona import geometry
-
-        monkeypatch.setattr(geometry, "_pinning", lambda triple: ((1, 0), (0, 1)))
-        with pytest.raises(InvariantViolation):
-            mobius_from_triples(
-                (P1Point(0, 1), P1Point(1, 1), P1Point.infinity()),
-                (P1Point(1, 1), P1Point(2, 1), P1Point(3, 1)),
             )
 
     @given(p1s(), p1s(), p1s())
