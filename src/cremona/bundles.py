@@ -375,7 +375,7 @@ def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
         ((0, 3), (1, 2)),
     )
     branch_sets = []
-    for m, pairing in enumerate(pairings):
+    for pairing in pairings:
         others = [proj[p] for p in double_points if p not in pairing]
         branch_sets.append(tuple(others))
     triplet = validate_triplet(*branch_sets)

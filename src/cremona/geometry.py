@@ -196,11 +196,8 @@ class Line(_Frozen):
     def coeffs(self) -> tuple[int, int, int]:
         return (self.u, self.v, self.w)
 
-    def evaluate(self, p: P2Point) -> int:
-        return self.u * p.a + self.v * p.b + self.w * p.c
-
     def contains(self, p: P2Point) -> bool:
-        return self.evaluate(p) == 0
+        return self.u * p.a + self.v * p.b + self.w * p.c == 0
 
     def __repr__(self) -> str:
         return f"Line({self.u},{self.v},{self.w})"
@@ -244,11 +241,8 @@ class Conic(_Frozen):
         return (self.xx * x * x + self.yy * y * y + self.zz * z * z
                 + self.xy * x * y + self.xz * x * z + self.yz * y * z)
 
-    def evaluate(self, p: P2Point) -> int:
-        return self.evaluate_raw(p.a, p.b, p.c)
-
     def contains(self, p: P2Point) -> bool:
-        return self.evaluate(p) == 0
+        return self.evaluate_raw(p.a, p.b, p.c) == 0
 
     def is_smooth(self) -> bool:
         """Smooth iff the discriminant, half the determinant of the doubled

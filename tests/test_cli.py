@@ -5,6 +5,8 @@ import json
 import logging
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 
@@ -100,11 +102,13 @@ class TestJsonEmission:
         assert text.index('"c"') < text.index('"d"')
 
     @staticmethod
-    def assert_json_bytes(doc):
-        # _dumps is called on every interpreter, dumps on the writer it selected
-        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        assert jsonio._dumps(doc) == expected
-        assert jsonio.dumps(doc) == expected
+    def assert_json_bytes(doc, *texts):
+        # _dumps is called on every interpreter, dumps on the writer it selected;
+        # lines are compared as lists, so a failure names the first wrong line
+        # at once (pytest's diff of two long strings runs for minutes)
+        expected = (json.dumps(doc, sort_keys=True, indent=2) + "\n").split("\n")
+        for text in (jsonio._dumps(doc), jsonio.dumps(doc), *texts):
+            assert text.split("\n") == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(json_values)
@@ -120,13 +124,18 @@ class TestJsonEmission:
         else:
             self.assert_json_bytes(doc)
 
-    @pytest.mark.parametrize("key", [*sorted(GOLDEN), "z22-444-model"])
+    @pytest.mark.parametrize("key", [*sorted(GOLDEN), "z22-444-model", "minus-one-8-list"])
     def test_writer_writes_json_bytes_of_reports(self, key):
+        texts = ()
         if key in GOLDEN:
             doc = GOLDEN[key]
-        else:
+        elif key == "z22-444-model":
             doc = jsonio.z22_model_json(jsonio.parse_model({"triplet": TRIPLET_444}, "z22"))
-        self.assert_json_bytes(doc)
+        else:  # the bytes the command writes, too
+            code, text = run_on_stdin(["lattice", "minus-one-count", "--r", "8", "--list"], None)
+            assert code == 0
+            doc, texts = json.loads(text), (text,)
+        self.assert_json_bytes(doc, *texts)
 
     @pytest.mark.parametrize("doc, error", [
         (10 ** 4300, ValueError),
@@ -233,6 +242,12 @@ class TestDescriptorParsing:
             jsonio.parse_descriptor(doc)
 
 
+FAMILY_08_CUBIC = {"kind": "del-pezzo", "degree": 3,
+                   "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
+                   "fixed_point_report": "all-on-exceptional",
+                   "cubic_family": "triple-cover", "parameter": "0"}
+
+
 class TestClassifyCommand:
     def test_plane_is_family_one(self, tmp_path):
         code, report = run(tmp_path, ["classify"], {"kind": "del-pezzo", "degree": 9})
@@ -252,20 +267,23 @@ class TestClassifyCommand:
         # --links hands the verdict it has already reached to link_feasibility,
         # so the descriptor is classified once; the bytes equal those of the
         # library calls
-        doc = {"kind": "del-pezzo", "degree": 3,
-               "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
-               "fixed_point_report": "all-on-exceptional",
-               "cubic_family": "triple-cover", "parameter": "0"}
-        descriptor = jsonio.parse_descriptor(doc)
+        descriptor = jsonio.parse_descriptor(FAMILY_08_CUBIC)
         verdict = classify(descriptor)
         expected = jsonio.dumps({**jsonio.verdict_json(verdict),
                                  "links": jsonio.link_report_json(link_feasibility(descriptor, verdict))})
         calls = []
         monkeypatch.setattr(classifier, "classify", lambda d: calls.append(d) or classify(d))
-        code, report = run(tmp_path, ["classify", "--links"], doc)
+        code, report = run(tmp_path, ["classify", "--links"], FAMILY_08_CUBIC)
         assert code == 0 and len(calls) == 1
         assert report["family"] == 8
         assert (tmp_path / "out.json").read_text() == expected
+
+    def test_family_08_links_report(self, tmp_path):
+        code, report = run(tmp_path, ["classify", "--links"], FAMILY_08_CUBIC)
+        assert code == 0 and report["family"] == 8
+        assert report["links"]["k_squared"] == 3 and len(report["links"]["links"]) == 4
+        reasons = {link["link_type"]: link["reason"] for link in report["links"]["links"]}
+        assert "integer solution a" in reasons[4]
 
     def test_indeterminate_exit_code(self, tmp_path):
         doc = {"kind": "z22",
@@ -351,6 +369,13 @@ class TestConstructCommand:
         assert code2 == 0
         assert verdict["family"] == 11
 
+    def test_z22_444_pipeline(self, tmp_path):
+        code, model_doc = run(tmp_path, ["construct", "z22"], {"triplet": TRIPLET_444})
+        assert code == 0
+        code2, verdict = run(tmp_path, ["classify"], model_doc)
+        assert code2 == 0
+        assert verdict["family"] == 11
+
     def test_three_lines_conic(self, tmp_path):
         doc = {
             "lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]],
@@ -415,6 +440,12 @@ class TestLatticeCommand:
         assert report["rank"] == 2
         assert len(report["basis"]) == 2
 
+    def test_cubic_coxeter_invariant_rank(self, tmp_path):
+        doc = {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]}
+        code, report = run(tmp_path, ["lattice", "invariant-rank"], doc)
+        assert code == 0
+        assert report["rank"] == 1
+
     def test_genus(self, tmp_path):
         doc = {"r": 3, "divisor": [3, -1, -1, -1]}
         code, report = run(tmp_path, ["lattice", "genus"], doc)
@@ -458,6 +489,14 @@ class TestCanonicalCommand:
         n = square_class.MAX_CANONICAL_POINTS
         code, report = run(tmp_path, ["canonical", "delta"], {"delta": list(range(n))})
         assert code == 0 and len(report["delta"]) == n
+
+    def test_long_coordinates_at_the_cap_within_ten_seconds(self):
+        rng = random.Random(1)
+        delta = [[rng.choice((1, -1)) * rng.randrange(10**299, 10**300),
+                  rng.randrange(10**299, 10**300)] for _ in range(64)]
+        proc = run_child(["-m", "cremona", "canonical", "delta"], json.dumps({"delta": delta}),
+                         timeout=10)
+        assert proc.returncode == 0 and len(json.loads(proc.stdout)["delta"]) == 64
 
 
 def run_on_stdin(argv, doc):
@@ -513,6 +552,17 @@ class TestMoebiusInvariance:
     @given(m=mobius_coeffs)
     def test_symmetric_deltas(self, delta, m):
         self.assert_same_delta_reports(delta, m)
+
+    @pytest.mark.parametrize("delta", [[0, "inf", 1, -1, 2, -2],
+                                       ["1/3", 2, "3/4", "-1/2", 1, -3]],
+                             ids=["symmetric", "moved"])
+    def test_symmetric_delta_and_its_image_are_pinned(self, delta):
+        # the second set is the first moved by t -> (2t + 1) / (t + 3)
+        code, model = run_on_stdin(["construct", "exceptional"], {"delta": delta})
+        assert code == 0 and json.loads(model)["aut"]["stabilizer_order"] == 4
+        code, canon = run_on_stdin(["canonical", "delta"], {"delta": delta})
+        assert code == 0
+        assert json.loads(canon)["delta"] == [[8, -1], [2, -1], [0, 1], [1, 1], [4, 1], [1, 0]]
 
     @pytest.mark.parametrize("profile", cremona.realizable_profiles(12))
     @settings(max_examples=3, deadline=None)
@@ -813,6 +863,18 @@ class TestRecordsInMessages:
           "d1": [8, -1, -4], "d2": [2, -4, -1]},
          "DegenerateConfiguration: the center sees two blown-up points in the same "
          "direction (repeated: (1:-3))"),
+        (["lattice", "invariant-rank"],
+         {"r": 6, "generators": [_with_entry(jsonio.matrix_json(cubic_coxeter_matrix()), 3, 2, True)]},
+         "InvalidDescriptor: at $.generators[0][3][2]: expected an integer, got True"),
+        (["construct", "z22"], {"triplet": [TRIPLET_444[0], [0, 1, 2, 3, [0, 0], 9, 10, 11],
+                                            TRIPLET_444[2]]},
+         "InvalidDescriptor: at $.triplet[1][4]: [0, 0] is not a point of the line"),
+        (["construct", "z22"], {"triplet": [TRIPLET_444[0], [0, 1, 2, 3, [8, 1.0], 9, 10, 11],
+                                            TRIPLET_444[2]]},
+         "InvalidDescriptor: at $.triplet[1][4][1]: expected an integer, got 1.0"),
+        (["construct", "four-lines"], {"lines": [*FOUR_LINES[:3], [1, -1, False]],
+                                       "center": [0, 0, 1]},
+         "InvalidDescriptor: at $.lines[3][2]: expected an integer, got False"),
     ])
     def test_logged_line(self, tmp_path, caplog, argv, doc, message):
         code, report = run(tmp_path, argv, doc)
@@ -1037,6 +1099,18 @@ def test_no_value_errors_raised_in_the_package():
     assert found == []
 
 
+CI_WORKFLOW = pathlib.Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
+#: a shell command that starts with the console script (``python -m cremona`` does not)
+CONSOLE_SCRIPT = re.compile(r"(?:^|[|;&(]|\btimeout\s+\S+)\s*cremona\b", re.MULTILINE)
+
+
+def test_ci_runs_the_console_script_in_one_step():
+    # every other CLI contract is a row of these tests, which CI runs as tier-1
+    steps = CI_WORKFLOW.read_text().split("- name:")
+    running = [step.splitlines()[0].strip() for step in steps if CONSOLE_SCRIPT.search(step)]
+    assert running == ["Console script prints the README's first example"]
+
+
 def test_cli_import_leaves_the_suites_and_corpus_unloaded():
     proc = run_child(["-c", "import sys, cremona.cli; "
                             "print(sorted(m for m in sys.modules "
@@ -1170,6 +1244,12 @@ class TestVerifyCommand:
     def test_unknown_suite(self, tmp_path):
         code, report = run(tmp_path, ["verify", "--suite", "nonsense"])
         assert code == 1 and report is None
+
+    def test_unknown_suite_is_one_logged_line_naming_the_suites(self):
+        proc = run_child(["-m", "cremona", "verify", "--suite", "nosuch"], "")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("ERROR cremona: unknown suite 'nosuch'; choose from geometry, "
+                               "picard, square-class, bundles, classifier, all\n")
 
     def test_all_suites(self, tmp_path):
         code, report = run(tmp_path, ["verify", "--suite", "all"])

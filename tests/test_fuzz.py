@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import logging
+import random
 import sys
 from datetime import timedelta
 
@@ -46,7 +47,20 @@ GOLDEN = [
     {"kind": "z22", "triplet": [[0, 1], [0, 2], [1, 2]]},
 ]
 
-#: a valid document for each of the other commands
+
+def _long_points(n, seed):
+    """n seeded points of P^1 with 60-digit coordinates."""
+    rng = random.Random(seed)
+    return [[rng.choice((1, -1)) * rng.randrange(10**59, 10**60), rng.randrange(10**59, 10**60)]
+            for _ in range(n)]
+
+
+#: the (4, 4, 4) triplet moved by t -> (2t + 1) / (t + 3)
+_MOVED_444 = [[[2 * t + 1, t + 3] for t in s]
+              for s in ([0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 8, 9, 10, 11])]
+
+#: a valid document for each of the other commands; the last four give the
+#: canonical-form kernels many points, long coordinates or a moved triplet
 COMMANDS = [
     (["construct", "four-lines"],
      {"lines": [[1, 0, -1], [0, 1, -1], [1, 1, -3], [1, -1, -2]], "center": [0, 0, 1]}),
@@ -59,6 +73,10 @@ COMMANDS = [
     (["lattice", "genus"], {"r": 3, "divisor": [3, 1, 1, 1]}),
     (["canonical", "triplet"], {"triplet": [[0, 1], [0, "1/2"], [1, "1/2"]]}),
     (["canonical", "delta"], {"delta": [0, 1, -1, 2, "inf", "1/3"]}),
+    (["canonical", "delta"], {"delta": _long_points(20, 1)}),
+    (["construct", "exceptional"], {"delta": _long_points(12, 2)}),  # 12: the most r <= 13 allows
+    (["canonical", "triplet"], {"triplet": _MOVED_444}),
+    (["classify"], {"kind": "z22", "triplet": _MOVED_444}),
 ]
 
 WRONG = st.one_of(
