@@ -3,11 +3,11 @@
 A descriptor names a rational surface with a group action in one of four
 shapes: a del Pezzo surface (with optional lattice action and table tags),
 a Hirzebruch surface, an exceptional bundle model, or a Klein-four conic
-bundle model.  ``classify`` walks the published case split and returns a
-verdict: a maximal family (1 to 11) with its canonical conjugacy
-invariant, a reduction chain proving non-maximality, or Indeterminate
-when the combinatorial data genuinely cannot decide (uncertified branch
-profiles (2,2,2) and (2,2,3)).
+bundle model.  ``classify`` decides by the descriptor's row of ``RULES``,
+the published case split as one table, and returns a verdict: a maximal
+family (1 to 11) with its canonical conjugacy invariant, a reduction chain
+proving non-maximality, or Indeterminate when the combinatorial data
+genuinely cannot decide (uncertified branch profiles (2,2,2) and (2,2,3)).
 
 ``link_feasibility`` reports, for a maximal verdict, the numerical
 obstructions against each of the four types of equivariant Sarkisov
@@ -17,7 +17,7 @@ do not rule the link out, not that a link exists.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .bundles import (
     ExceptionalBundleModel,
@@ -43,13 +43,8 @@ CUBIC_TRIPLE_COVER = "triple-cover"      # W^3+X^3+Y^3+Z^3+alpha XYZ
 CUBIC_CLEBSCH = "clebsch"                # W^2X+X^2Y+Y^2Z+Z^2W, Aut = S_5
 CUBIC_S4_LAMBDA = "s4-lambda"            # W^3+W(X^2+Y^2+Z^2)+lambda XYZ
 CUBIC_EXTRA_FIXED_POINT = "extra-fixed-point"
-_CUBIC_TAGS = (CUBIC_TRIPLE_COVER, CUBIC_CLEBSCH, CUBIC_S4_LAMBDA,
-               CUBIC_EXTRA_FIXED_POINT)
-_CUBIC_SUBFAMILY = {
-    CUBIC_TRIPLE_COVER: "8a",
-    CUBIC_CLEBSCH: "8b",
-    CUBIC_S4_LAMBDA: "8c",
-}
+_CUBIC_SUBFAMILY = {CUBIC_TRIPLE_COVER: "8a", CUBIC_CLEBSCH: "8b", CUBIC_S4_LAMBDA: "8c"}
+_CUBIC_TAGS = (*_CUBIC_SUBFAMILY, CUBIC_EXTRA_FIXED_POINT)
 
 #: automorphism table of degree-2 del Pezzo surfaces: order -> structure
 DEGREE2_TABLE = {
@@ -62,23 +57,23 @@ DEGREE2_TABLE = {
     12: "2xS3",
     8: "2^3",
 }
-_DEGREE2_LABELS = frozenset(DEGREE2_TABLE.values())
 
 
 # descriptors ----------------------------------------------------------------
 
 
 class DelPezzoDescriptor(NamedTuple):
-    """A del Pezzo surface of the given degree with optional refinements.
+    """A del Pezzo surface of the given degree with optional refinements;
+    its row of ``RULES`` names the ones that the degree reads.
 
-    ``action`` is required for degree 3 (minimality is decided from it).
     ``fixed_point_report`` states whether every fixed point of the group
-    lies on an exceptional curve (closed vocabulary, degrees 2 and 3).
-    ``cubic_family`` and ``quartic_row`` carry the equation-family tags of
-    the degree 3 and degree 2 tables; ``parameter`` is the family
-    parameter as a string (exact rational where applicable).
+    lies on an exceptional curve.  ``cubic_family`` and ``quartic_row``
+    carry the equation-family tags of the degree 3 and degree 2 tables;
+    ``parameter`` is the family parameter as a string (exact rational
+    where applicable).
     """
 
+    kind = "del-pezzo"
     degree: int
     p1xp1: bool = False
     action: LatticeAction | None = None
@@ -91,20 +86,21 @@ class DelPezzoDescriptor(NamedTuple):
 
 
 class HirzebruchDescriptor(NamedTuple):
+    kind = "hirzebruch"
     n: int
 
 
 class ExceptionalDescriptor(NamedTuple):
+    kind = "exceptional"
     model: ExceptionalBundleModel
 
 
 class Z22Descriptor(NamedTuple):
+    kind = "z22"
     model: Z22BundleModel
 
 
-GSurfaceDescriptor = (
-    DelPezzoDescriptor | HirzebruchDescriptor | ExceptionalDescriptor | Z22Descriptor
-)
+GSurfaceDescriptor = DelPezzoDescriptor | HirzebruchDescriptor | ExceptionalDescriptor | Z22Descriptor
 
 
 # verdicts -------------------------------------------------------------------
@@ -251,63 +247,27 @@ def _blow_down_chain_from(degree: int) -> tuple[ChainStep, ...]:
     return tuple(steps)
 
 
-def _classify_del_pezzo(d: DelPezzoDescriptor) -> Verdict:
-    if not 1 <= d.degree <= 9:
-        raise InvalidDescriptor(f"del Pezzo degree must be 1..9, got {excerpt(d.degree)}")
-    if d.p1xp1 and d.degree != 8:
-        raise InvalidDescriptor("the p1xp1 flag only applies to degree 8")
+def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
+    # the tags and the parameter are checked before minimality is decided,
+    # so that their contradictions are refused whichever branch follows
     if d.fixed_point_report is not None and d.fixed_point_report not in _FIXED_POINT_REPORTS:
         raise InvalidDescriptor(
             f"unknown fixed point report {excerpt(d.fixed_point_report)}; "
             f"expected one of {_FIXED_POINT_REPORTS}")
+    value = None
     if d.cubic_family is not None:
-        if d.degree != 3:
-            raise InvalidDescriptor("cubic family tags only apply to degree 3")
         if d.cubic_family not in _CUBIC_TAGS:
             raise InvalidDescriptor(f"unknown cubic family tag {excerpt(d.cubic_family)}")
         if d.cubic_family == CUBIC_EXTRA_FIXED_POINT and d.fixed_point_report == ALL_ON_EXCEPTIONAL:
             raise InvalidDescriptor(
                 "the extra-fixed-point family contradicts an all-on-exceptional report")
         if d.cubic_family in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA) and d.parameter is not None:
-            # the restrictions hold whichever branch is taken below
-            _cubic_parameter(d.cubic_family, d.parameter)
-    if d.quartic_row is not None and d.degree != 2:
-        raise InvalidDescriptor("quartic table rows only apply to degree 2")
-    if d.action is not None and d.action.lattice.r != 9 - d.degree:
-        raise InvalidDescriptor(
-            f"degree {d.degree} needs a lattice with r = {9 - d.degree}, "
-            f"got r = {d.action.lattice.r}")
-
-    deg = d.degree
-    if deg == 9:
-        return _maximal(1, "point")
-    if deg == 8:
-        if d.p1xp1:
-            return _maximal(2, "point")
-        return _contract_to_plane()
-    if deg == 7:
-        return _not_maximal(
-            ChainStep("contract-orbit",
-                      "contract the invariant (-1)-curve joining the two "
-                      "exceptional curves; the quadric remains", 8),
-            _family_step(2),
-        )
-    if deg == 6:
-        return _maximal(3, "point")
-    if deg == 5:
-        return _maximal(6, "point")
-    if deg == 4:
-        return _maximal(7, {"iso_class": d.iso_class_tag})
-    if deg == 3:
-        return _classify_cubic(d)
-    if deg == 2:
-        return _classify_quartic_cover(d)
-    return _maximal(10, {"iso_class": d.iso_class_tag})
-
-
-def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
+            value = _cubic_parameter(d.cubic_family, d.parameter)
     if d.action is None:
         raise InvalidDescriptor("degree 3 needs the lattice action to decide minimality")
+    if d.action.lattice.r != 6:
+        raise InvalidDescriptor(
+            f"degree 3 needs a lattice with r = 6, got r = {d.action.lattice.r}")
     if d.fixed_point_report is None:
         raise InvalidDescriptor("degree 3 needs a fixed point report")
     minimal, _witness = is_pair_minimal(d.action.lattice, d.action)
@@ -319,10 +279,9 @@ def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
         sub = _CUBIC_SUBFAMILY[d.cubic_family]
         datum: dict = {"subfamily": sub}
         if sub != "8b":
-            if d.parameter is None:
+            if value is None:
                 raise InvalidDescriptor(f"the {d.cubic_family} cubic family needs its parameter")
-            key = "alpha" if sub == "8a" else "lambda_up_to_sign"
-            datum[key] = _cubic_parameter(d.cubic_family, d.parameter)
+            datum["alpha" if sub == "8a" else "lambda_up_to_sign"] = value
         return _maximal(8, datum, subfamily=sub)
     return _not_maximal(*_blow_down_chain_from(3))
 
@@ -330,8 +289,6 @@ def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
 def _classify_quartic_cover(d: DelPezzoDescriptor) -> Verdict:
     if d.quartic_row is not None:
         order, label = d.quartic_row
-        if label not in _DEGREE2_LABELS:
-            raise InvalidDescriptor(f"unknown degree-2 structure label {excerpt(label)}")
         if DEGREE2_TABLE.get(order) != label:
             raise InvalidDescriptor(
                 f"({excerpt(order)}, {excerpt(label)}) is not a row of the degree-2 table")
@@ -340,17 +297,53 @@ def _classify_quartic_cover(d: DelPezzoDescriptor) -> Verdict:
     return _not_maximal(*_blow_down_chain_from(2))
 
 
+#: The classification as one table: ``(kind, degree)``, with degree None for
+#: the kinds that are not del Pezzo, maps to the descriptor fields the row
+#: reads and the function that decides; ``rule`` refuses every other field.
+RULES = {
+    ("del-pezzo", 9): ((), lambda d: _maximal(1, "point")),
+    ("del-pezzo", 8): (("p1xp1",),
+                       lambda d: _maximal(2, "point") if d.p1xp1 else _contract_to_plane()),
+    ("del-pezzo", 7): ((), lambda d: _not_maximal(
+        ChainStep("contract-orbit",
+                  "contract the invariant (-1)-curve joining the two "
+                  "exceptional curves; the quadric remains", 8),
+        _family_step(2))),
+    ("del-pezzo", 6): ((), lambda d: _maximal(3, "point")),
+    ("del-pezzo", 5): ((), lambda d: _maximal(6, "point")),
+    ("del-pezzo", 4): (("iso_class_tag",), lambda d: _maximal(7, {"iso_class": d.iso_class_tag})),
+    ("del-pezzo", 3): (("action", "fixed_point_report", "cubic_family", "parameter"),
+                       _classify_cubic),
+    ("del-pezzo", 2): (("quartic_row", "restrictions_satisfied"), _classify_quartic_cover),
+    ("del-pezzo", 1): (("iso_class_tag",), lambda d: _maximal(10, {"iso_class": d.iso_class_tag})),
+    ("hirzebruch", None): (("n",), _classify_hirzebruch),
+    ("exceptional", None): (("delta",), _classify_exceptional),
+    ("z22", None): (("triplet", "certificate"), _classify_z22),
+}
+
+
+def rule(kind, degree, given) -> tuple[tuple[str, ...], Callable[..., Verdict]]:
+    """The row of ``RULES`` for a descriptor kind and del Pezzo degree; the
+    first of the ``given`` fields that the row does not read is refused."""
+    if (kind, degree) not in RULES:
+        if kind in {k for k, _ in RULES}:
+            raise InvalidDescriptor(f"at $.degree: del Pezzo degree must be 1..9, got {excerpt(degree)}")
+        raise InvalidDescriptor(f"at $.kind: unknown descriptor kind {excerpt(kind)}")
+    fields, decide = RULES[kind, degree]
+    unread = sorted(set(given).difference(fields))
+    if unread:
+        row = kind if degree is None else f"{kind} degree {degree}"
+        raise InvalidDescriptor(f"at $.{excerpt(unread[0], str)}: not read by the {row} row")
+    return fields, decide
+
+
 def classify(d: GSurfaceDescriptor) -> Verdict:
-    """Map a descriptor to its verdict; total and deterministic."""
-    if isinstance(d, HirzebruchDescriptor):
-        return _classify_hirzebruch(d)
-    if isinstance(d, ExceptionalDescriptor):
-        return _classify_exceptional(d)
-    if isinstance(d, Z22Descriptor):
-        return _classify_z22(d)
-    if isinstance(d, DelPezzoDescriptor):
-        return _classify_del_pezzo(d)
-    raise InvalidDescriptor(f"not a surface descriptor: {d!r}")
+    """Map a descriptor to its verdict by its row of ``RULES``, after refusing
+    every field that differs from its default and that the row does not read."""
+    defaults = getattr(d, "_field_defaults", {})
+    given = [name for name, value in zip(getattr(d, "_fields", ()), d)
+             if name in defaults and value != defaults[name]]
+    return rule(getattr(d, "kind", None), getattr(d, "degree", None), given)[1](d)
 
 
 # link feasibility -----------------------------------------------------------
@@ -448,11 +441,6 @@ def link_feasibility(d: GSurfaceDescriptor, v: Verdict) -> LinkReport:
         raise NotAMoriFibration(
             f"descriptor classifies as {v.outcome}; link feasibility needs a "
             "maximal G-Mori fibration")
-    if isinstance(d, DelPezzoDescriptor):
-        k2 = d.degree
-    elif isinstance(d, HirzebruchDescriptor):
-        k2 = 8
-    else:
-        k2 = d.model.k_squared
+    k2 = d.degree if d.kind == "del-pezzo" else 8 if d.kind == "hirzebruch" else d.model.k_squared
     entries = _fibration_entries if v.family in (4, 5, 11) else _point_case_entries
     return LinkReport(v.family, k2, entries(v.family, k2))

@@ -7,7 +7,8 @@ classification, 3 a violated internal invariant.
 Logs go to standard error at the level named by the ``CREMONA_LOG``
 environment variable; reports go to the output path (default stdout).
 ``logging`` is imported and set up on the first log record, or at start
-when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it.
+when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it;
+each line goes to the ``sys.stderr`` of the moment it is logged.
 Each command imports the modules it needs when it runs, so importing this
 module loads no computational module; a process builds its parser once,
 on the first ``main`` call.
@@ -211,15 +212,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging():
-    """Set up logging unless it already is, and return the ``cremona`` logger."""
+    """Return the ``cremona`` logger at the level ``CREMONA_LOG`` names now;
+    unless it has a handler, give it one that writes each line to
+    ``sys.stderr`` as it is then, so each in-process ``main`` logs to its own."""
     import logging
 
+    logger = logging.getLogger("cremona")
+    if not logger.handlers:
+        class Stderr(logging.StreamHandler):
+            stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+        handler = Stderr()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
     level = getattr(logging, os.environ.get("CREMONA_LOG", "warning").upper(), None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    return logging.getLogger("cremona")
+    logger.setLevel(level if isinstance(level, int) else logging.WARNING)
+    return logger
 
 
 def _log(level: str, message: str, *args) -> None:

@@ -135,16 +135,18 @@ def _fail(where: str, message: str) -> InvalidDescriptor:
     return InvalidDescriptor(f"at {where}: {message}")
 
 
-def expect_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise _fail(where, f"expected an integer, got {excerpt(v)}")
-    return v
+def _expect(cls: type, noun: str):
+    """The reader of a JSON value of exact type ``cls`` (no bool is an int)."""
+    def expect(v, where: str):
+        if type(v) is not cls:
+            raise _fail(where, f"expected {noun}, got {excerpt(v)}")
+        return v
+    return expect
 
 
-def expect_str(v, where: str) -> str:
-    if not isinstance(v, str):
-        raise _fail(where, f"expected a string, got {excerpt(v)}")
-    return v
+expect_int, expect_str, expect_obj, expect_bool = (
+    _expect(int, "an integer"), _expect(str, "a string"), _expect(dict, "an object"),
+    _expect(bool, "a boolean"))
 
 
 def expect_list(v, where: str, length: int | None = None) -> list:
@@ -155,24 +157,9 @@ def expect_list(v, where: str, length: int | None = None) -> list:
     return v
 
 
-def expect_obj(v, where: str) -> dict:
-    if not isinstance(v, dict):
-        raise _fail(where, f"expected an object, got {excerpt(v)}")
-    return v
-
-
-def _flag(obj: dict, key: str, default: bool) -> bool:
-    """``obj[key]`` as a boolean, ``default`` when absent."""
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise _fail(f"$.{key}", f"expected a boolean, got {excerpt(v)}")
-    return v
-
-
-def _optional(obj: dict, key: str, parse):
-    """``obj[key]`` read by ``parse``, or None when absent or null."""
-    v = obj.get(key)
-    return None if v is None else parse(v, f"$.{key}")
+def _optional(parse):
+    """``parse``, with an absent or null value read as None."""
+    return lambda v, where: None if v is None else parse(v, where)
 
 
 # points, lines, conics, maps -------------------------------------------------
@@ -335,6 +322,15 @@ def exceptional_model_json(model: ExceptionalBundleModel) -> dict:
     }
 
 
+#: the keys of the two emitters above that ``classify`` accepts unread: the
+#: model is rebuilt from ``triplet`` and ``certificate`` or from ``delta``,
+#: and a model document stays a classify input (``construct | classify``)
+CONSTRUCT_KEYS = {
+    "z22": ("profile", "k", "k_squared", "generators"),
+    "exceptional": ("n", "k_squared", "sections", "swap", "aut"),
+}
+
+
 def _parse_lines(obj: dict, count: int) -> tuple[Line, ...]:
     lines = expect_list(obj.get("lines"), "$.lines", count)
     return tuple(parse_line(l, f"$.lines[{i}]") for i, l in enumerate(lines))
@@ -356,50 +352,54 @@ def parse_model(obj: dict, kind: str) -> Z22BundleModel | ExceptionalBundleModel
             parse_p2_point(obj.get("d1"), "$.d1"),
             parse_p2_point(obj.get("d2"), "$.d2"))
     if kind == "z22":
-        return z22_from_triplet(parse_triplet(obj.get("triplet"), "$.triplet"),
-                                _optional(obj, "certificate", parse_certificate))
-    return exceptional_from_delta(parse_p1_points(obj.get("delta"), "$.delta"))
+        return z22_from_triplet(_field(obj, "triplet"), _field(obj, "certificate"))
+    return exceptional_from_delta(_field(obj, "delta"))
 
 
 # descriptors ------------------------------------------------------------------
 
 
+def _quartic_row(v, where: str) -> tuple[int, str]:
+    pair = expect_list(v, where, 2)
+    return expect_int(pair[0], f"{where}[0]"), expect_str(pair[1], f"{where}[1]")
+
+
+#: one reader per descriptor field; an optional field that is absent or
+#: null takes the descriptor's default
+_READERS = {
+    "n": expect_int, "delta": parse_p1_points, "triplet": parse_triplet,
+    "certificate": _optional(parse_certificate), "action": _optional(parse_action),
+    "quartic_row": _optional(_quartic_row),
+    **dict.fromkeys(("p1xp1", "restrictions_satisfied"), _optional(expect_bool)),
+    **dict.fromkeys(("fixed_point_report", "cubic_family", "parameter", "iso_class_tag"),
+                    _optional(expect_str)),
+}
+
+
+def _field(obj: dict, name: str):
+    return _READERS[name](obj.get(name), f"$.{name}")
+
+
 def parse_descriptor(doc) -> GSurfaceDescriptor:
-    """Read a classify input; extra informational keys are ignored."""
-    from .classifier import ExceptionalDescriptor, HirzebruchDescriptor, Z22Descriptor
+    """Read a classify input by its row of ``classifier.RULES``.
+
+    ``kind``, and ``degree`` for a del Pezzo surface, name the row; each
+    field the row reads is read by its reader, every other key is refused at
+    its path unless ``construct`` writes it (``CONSTRUCT_KEYS``), and a null
+    value is an absent one.
+    """
+    from .classifier import (DelPezzoDescriptor, ExceptionalDescriptor,
+                             HirzebruchDescriptor, Z22Descriptor, rule)
 
     obj = expect_obj(doc, "$")
     kind = expect_str(obj.get("kind"), "$.kind")
-    if kind == "del-pezzo":
-        return _parse_del_pezzo(obj)
-    if kind == "hirzebruch":
-        return HirzebruchDescriptor(n=expect_int(obj.get("n"), "$.n"))
-    if kind == "exceptional":
-        return ExceptionalDescriptor(parse_model(obj, kind))
-    if kind == "z22":
-        return Z22Descriptor(parse_model(obj, kind))
-    raise _fail("$.kind", f"unknown descriptor kind {excerpt(kind)}")
-
-
-def _parse_del_pezzo(obj: dict) -> DelPezzoDescriptor:
-    from .classifier import DelPezzoDescriptor
-
-    degree = expect_int(obj.get("degree"), "$.degree")
-    p1xp1 = _flag(obj, "p1xp1", False)
-    action = _optional(obj, "action", parse_action)
-    report = _optional(obj, "fixed_point_report", expect_str)
-    cubic = _optional(obj, "cubic_family", expect_str)
-    row = obj.get("quartic_row")
-    if row is not None:
-        pair = expect_list(row, "$.quartic_row", 2)
-        row = (expect_int(pair[0], "$.quartic_row[0]"),
-               expect_str(pair[1], "$.quartic_row[1]"))
-    return DelPezzoDescriptor(
-        degree=degree, p1xp1=p1xp1, action=action, fixed_point_report=report,
-        cubic_family=cubic, quartic_row=row,
-        restrictions_satisfied=_flag(obj, "restrictions_satisfied", True),
-        iso_class_tag=_optional(obj, "iso_class_tag", expect_str),
-        parameter=_optional(obj, "parameter", expect_str))
+    degree = expect_int(obj.get("degree"), "$.degree") if kind == "del-pezzo" else None
+    known = {"kind", "degree"} if kind == "del-pezzo" else {"kind", *CONSTRUCT_KEYS.get(kind, ())}
+    fields, _decide = rule(kind, degree, [k for k, v in obj.items() if v is not None and k not in known])
+    if kind in CONSTRUCT_KEYS:  # a model document: the model is rebuilt
+        return (Z22Descriptor if kind == "z22" else ExceptionalDescriptor)(parse_model(obj, kind))
+    values = {name: v for name in fields if (v := _field(obj, name)) is not None}
+    return HirzebruchDescriptor(**values) if degree is None else DelPezzoDescriptor(degree, **values)
 
 
 # verdicts and reports ---------------------------------------------------------

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +31,9 @@ from cremona.classifier import (
     CUBIC_S4_LAMBDA,
     CUBIC_TRIPLE_COVER,
     OFF_EXCEPTIONAL,
+    RULES,
 )
+from cremona.cli import main
 from cremona.corpus import (
     _CUBIC_SIMPLE_ROOTS,
     cubic_coxeter_action,
@@ -326,27 +333,108 @@ class TestQuarticCoverBranch:
             classify(DelPezzoDescriptor(2, quartic_row=(48, "S4")))
 
 
+#: a well-formed JSON value for every descriptor field of some row, and for
+#: "degree" on the kinds that are not del Pezzo
+FIELD_VALUES = {
+    "degree": 5,
+    "p1xp1": True,
+    "action": {"r": 6, "generators": [jsonio.matrix_json(cubic_coxeter_matrix())]},
+    "fixed_point_report": OFF_EXCEPTIONAL,
+    "cubic_family": CUBIC_CLEBSCH,
+    "parameter": "1",
+    "quartic_row": [48, "2xS4"],
+    "restrictions_satisfied": False,
+    "iso_class_tag": "generic",
+    "n": 2,
+    "delta": [0, 1, 2, 3],
+    "triplet": [[0, 1], [2, 3], [0, 1, 2, 3]],
+    "certificate": jsonio.z22_model_json(four_lines_model())["certificate"],
+}
+
+#: the same values as a DelPezzoDescriptor holds them
+PYTHON_VALUES = {**FIELD_VALUES, "action": cubic_coxeter_action(), "quartic_row": (48, "2xS4")}
+
+
+def _unread_cases():
+    for (kind, degree), (fields, _decide) in RULES.items():
+        key = {"degree"} if degree is not None else set()
+        written = set(jsonio.CONSTRUCT_KEYS.get(kind, ()))
+        for field in sorted(FIELD_VALUES.keys() - set(fields) - key - written) + ["bogus"]:
+            row = kind if degree is None else f"{kind}-{degree}"
+            yield pytest.param(kind, degree, field, id=f"{row}-{field}")
+
+
+def _logged_run(doc) -> tuple[int, str]:
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["classify"])
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
 class TestDescriptorValidation:
-    def test_quadric_flag_needs_degree_eight(self):
-        with pytest.raises(InvalidDescriptor):
-            classify(DelPezzoDescriptor(5, p1xp1=True))
+    @pytest.mark.parametrize("kind, degree, field", _unread_cases())
+    def test_unread_field_is_refused(self, kind, degree, field):
+        # every field that the row does not read, and an unknown key, is one
+        # logged InvalidDescriptor line at its path, in the reader and in
+        # classify alike
+        doc = {"kind": kind, field: FIELD_VALUES.get(field, 1)}
+        if degree is not None:
+            doc["degree"] = degree
+        code, err = _logged_run(doc)
+        assert code == 1
+        row = kind if degree is None else f"{kind} degree {degree}"
+        assert err == f"ERROR cremona: InvalidDescriptor: at $.{field}: not read by the {row} row\n"
+        if degree is not None and field in DelPezzoDescriptor._fields:
+            with pytest.raises(InvalidDescriptor, match=rf"^at \$\.{field}: "):
+                classify(DelPezzoDescriptor(degree, **{field: PYTHON_VALUES[field]}))
+
+    @pytest.mark.parametrize("descriptors", [
+        [DelPezzoDescriptor(d) for d in (9, 7, 6, 5, 4, 2, 1)],
+        [DelPezzoDescriptor(8, p1xp1=True), DelPezzoDescriptor(8)],
+        [DelPezzoDescriptor(4, iso_class_tag="special"), DelPezzoDescriptor(1, iso_class_tag="x")],
+        [minimal_cubic(CUBIC_TRIPLE_COVER, "0"), minimal_cubic(CUBIC_CLEBSCH),
+         DelPezzoDescriptor(3, action=non_minimal_cubic_action(),
+                            fixed_point_report=OFF_EXCEPTIONAL)],
+        [DelPezzoDescriptor(2, quartic_row=(48, "2xS4"), restrictions_satisfied=False),
+         DelPezzoDescriptor(2, quartic_row=(336, "2xL2(7)"))],
+        [d for d in (*golden_maximal_descriptors().values(),
+                     *golden_reduction_descriptors().values())
+         if isinstance(d, DelPezzoDescriptor)],
+    ], ids=["bare", "degree-8", "tags", "cubic", "quartic", "golden"])
+    def test_each_row_reads_exactly_its_fields(self, descriptors):
+        # a descriptor that records its attribute reads: degree names the row,
+        # and the row's decision reads no field it does not declare; over the
+        # row's descriptors that carry every field, it reads all of them
+        for d in descriptors:
+            seen = set()
+
+            class Recording(DelPezzoDescriptor):
+                def __getattribute__(self, name):
+                    if name in DelPezzoDescriptor._fields:
+                        seen.add(name)
+                    return super().__getattribute__(name)
+
+            classify(Recording(*d))
+            fields = RULES["del-pezzo", d.degree][0]
+            full = all(getattr(d, f) != d._field_defaults[f] for f in fields)
+            assert seen - {"degree"} <= set(fields), d
+            assert "degree" in seen and (not full or seen - {"degree"} == set(fields)), d
+
+    def test_action_rank_must_match_degree(self):
+        # degree 3 reads the action, whose lattice must have r = 6
+        for r in (5, 7):
+            with pytest.raises(InvalidDescriptor, match=f"r = 6, got r = {r}"):
+                classify(DelPezzoDescriptor(
+                    3, action=LatticeAction(BlowupLattice(r), ()),
+                    fixed_point_report=ALL_ON_EXCEPTIONAL, cubic_family=CUBIC_CLEBSCH))
 
     def test_fixed_point_report_vocabulary(self):
         with pytest.raises(InvalidDescriptor):
             classify(DelPezzoDescriptor(3, fixed_point_report="somewhere"))
-
-    def test_cubic_tag_needs_degree_three(self):
-        with pytest.raises(InvalidDescriptor):
-            classify(DelPezzoDescriptor(4, cubic_family=CUBIC_CLEBSCH))
-
-    def test_quartic_row_needs_degree_two(self):
-        with pytest.raises(InvalidDescriptor):
-            classify(DelPezzoDescriptor(3, quartic_row=(48, "2xS4")))
-
-    def test_action_rank_must_match_degree(self):
-        with pytest.raises(InvalidDescriptor):
-            classify(DelPezzoDescriptor(
-                4, action=cubic_coxeter_action()))
 
     def test_non_descriptor_rejected(self):
         with pytest.raises(InvalidDescriptor):

@@ -19,7 +19,7 @@ from cremona import FiberedMarking, P1Point, jonquieres_involution_matrix
 from cremona import classifier, cli, jsonio, square_class, suites
 from cremona.classifier import classify, link_feasibility
 from cremona.cli import main
-from cremona.corpus import cubic_coxeter_matrix, four_lines_model
+from cremona.corpus import cubic_coxeter_matrix, exceptional_model, four_lines_model
 from cremona.errors import InvalidDescriptor, excerpt
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_verdicts.json").read_text())
@@ -224,9 +224,26 @@ class TestDescriptorParsing:
         with pytest.raises(InvalidDescriptor, match=r"at \$\.kind"):
             jsonio.parse_descriptor({"kind": "abelian-variety"})
 
-    def test_extra_keys_are_ignored(self):
-        d = jsonio.parse_descriptor({"kind": "hirzebruch", "n": 3, "note": "hi"})
-        assert classify(d).family == 4
+    def test_extra_keys_are_refused(self):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.note: not read by the hirzebruch row$"):
+            jsonio.parse_descriptor({"kind": "hirzebruch", "n": 3, "note": "hi"})
+
+    def test_null_is_absent(self):
+        # a null field, read or not by the row, and a null unknown key are absent
+        doc = {"kind": "del-pezzo", "degree": 8, "p1xp1": None, "action": None, "note": None}
+        assert jsonio.parse_descriptor(doc) == jsonio.parse_descriptor({"kind": "del-pezzo",
+                                                                         "degree": 8})
+
+    @pytest.mark.parametrize("kind", ["z22", "exceptional"])
+    def test_construct_keys_are_what_the_row_does_not_read(self, kind):
+        # a model document is a classify input: the keys its emitter writes
+        # and the row does not read are the ones accepted unread
+        if kind == "z22":
+            doc = jsonio.z22_model_json(four_lines_model())
+        else:
+            doc = jsonio.exceptional_model_json(exceptional_model())
+        fields = classifier.RULES[kind, None][0]
+        assert set(jsonio.CONSTRUCT_KEYS[kind]) == doc.keys() - {"kind", *fields}
 
     def test_z22_model_round_trip_keeps_the_certificate(self):
         model = four_lines_model()
@@ -387,6 +404,19 @@ class TestConstructCommand:
         assert code == 0
         assert model_doc["profile"] == [2, 2, 3]
         assert model_doc["certificate"]["source"] == "three-lines-conic"
+
+    @pytest.mark.parametrize("kind, doc", [
+        ("four-lines", FOUR_LINES_DOC),
+        ("three-lines-conic", {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]],
+                               "conic": {"xx": 1, "yz": -1}, "d1": [1, 7, 3], "d2": [0, 0, 1]}),
+        ("z22", {"triplet": TRIPLET_444}),
+        ("exceptional", {"delta": [0, 1, 2, 3]}),
+    ], ids=["four-lines", "three-lines-conic", "z22", "exceptional"])
+    def test_every_model_document_classifies(self, tmp_path, kind, doc):
+        code, model_doc = run(tmp_path, ["construct", kind], doc)
+        assert code == 0
+        code, verdict = run(tmp_path, ["classify"], model_doc)
+        assert code == 0 and verdict["outcome"] == "maximal"
 
     def test_degenerate_configuration_fails_cleanly(self, tmp_path):
         doc = dict(FOUR_LINES_DOC, center=[1, 0, 1])  # center on the first line
@@ -840,7 +870,7 @@ class TestRecordsInMessages:
          "InvalidCertificate: D(1, 0, 0, 0, 0) is not a (-2)-section"),
         (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "quartic"},
          "InvalidDescriptor: unknown cubic family tag 'quartic'"),
-        (["classify"], {"kind": "del-pezzo", "degree": 4, "restrictions_satisfied": "yes"},
+        (["classify"], {"kind": "del-pezzo", "degree": 2, "restrictions_satisfied": "yes"},
          "InvalidDescriptor: at $.restrictions_satisfied: expected a boolean, got 'yes'"),
         (["construct", "three-lines-conic"],
          {"lines": [[1, 0, -1], [1, 4, -3], [4, 3, 1]], "conic": PARABOLA,
@@ -920,7 +950,8 @@ class TestLongValuesInMessages:
         (["classify"], {"kind": ["x"] * LONG}),
         (["classify"], {"kind": "z22", "triplet": "x" * LONG}),
         (["classify"], "x" * LONG),
-        (["classify"], {"kind": "del-pezzo", "degree": 4, "p1xp1": "y" * LONG}),
+        (["classify"], {"kind": "del-pezzo", "degree": 8, "p1xp1": "y" * LONG}),
+        (["classify"], {"kind": "hirzebruch", "n": 2, "k" * LONG: 1}),
         (["canonical", "delta"], {"delta": ["z" * LONG, 0, 1, 2]}),
         (["classify"], {"kind": "k" * LONG}),
         (["construct", "three-lines-conic"],
@@ -955,8 +986,8 @@ class TestLongValuesInMessages:
         (["construct", "three-lines-conic"],
          {"lines": [[-7 * BIG - 3, BIG, 1], [2, 1, -3], [4, -1, 0]], "conic": PARABOLA,
           "d1": [1, 7, 3], "d2": [0, 0, 1]}),
-    ], ids=["expect-int", "expect-str", "expect-list", "expect-obj", "flag", "p1-point",
-            "descriptor-kind", "conic-keys", "fixed-point-report", "cubic-family",
+    ], ids=["expect-int", "expect-str", "expect-list", "expect-obj", "flag", "unread-key",
+            "p1-point", "descriptor-kind", "conic-keys", "fixed-point-report", "cubic-family",
             "degree-2-label", "degree-2-row", "parameter-denominator",
             "parameter-singular", "parameter-restrictions", "parameter-digits", "coverage",
             "certificate-source", "hirzebruch-index", "del-pezzo-degree", "blowup-rank",
@@ -1232,6 +1263,19 @@ class TestLoggingSetUp:
         quiet = run_child(["-m", "cremona", "classify"], doc)
         assert quiet.returncode == 2 and quiet.stderr == ""
         assert quiet.stdout == proc.stdout
+
+    def test_each_call_logs_to_the_stderr_of_its_moment(self, monkeypatch):
+        # the handler writes to sys.stderr as it is when a line is logged, so
+        # a second in-process call under another stream still logs its line
+        lines = []
+        for n in ("x", "y"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"kind": "hirzebruch", "n": n})))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["classify"]) == 1
+            lines.append(err.getvalue())
+        assert lines == [f"ERROR cremona: InvalidDescriptor: at $.n: expected an integer, got {n!r}\n"
+                         for n in ("x", "y")]
 
 
 class TestVerifyCommand:
