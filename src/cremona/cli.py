@@ -81,7 +81,7 @@ def _cmd_classify(args) -> int:
 def _cmd_construct(args) -> int:
     from . import jsonio
 
-    model = jsonio.parse_model(jsonio.expect_obj(_read_json(args.input), "$"), args.kind)
+    model = jsonio.parse_model(_read_json(args.input), args.kind)
     emit = jsonio.exceptional_model_json if args.kind == "exceptional" else jsonio.z22_model_json
     _write_report(args.output, emit(model))
     return EXIT_OK
@@ -114,9 +114,8 @@ def _cmd_genus(args) -> int:
     from . import jsonio
     from .picard import BlowupLattice, adjunction_genus, intersect
 
-    obj = jsonio.expect_obj(_read_json(args.input), "$")
-    lattice = BlowupLattice(jsonio.expect_int(obj.get("r"), "$.r"))
-    divisor = jsonio.parse_divisor(obj.get("divisor"), "$.divisor")
+    r, divisor = jsonio.parse_object(_read_json(args.input), "$", "lattice genus")
+    lattice = BlowupLattice(r)
     _write_report(args.output, {"genus": adjunction_genus(lattice, divisor),
                                 "self_intersection": intersect(lattice, divisor, divisor)})
     return EXIT_OK
@@ -126,11 +125,8 @@ def _cmd_canonical(args) -> int:
     from . import jsonio
     from .square_class import delta_canonical_form, triplet_canonical_form
 
-    obj = jsonio.expect_obj(_read_json(args.input), "$")
-    if args.shape == "triplet":
-        canon = triplet_canonical_form(jsonio.parse_triplet(obj.get("triplet"), "$.triplet"))
-    else:
-        canon = delta_canonical_form(jsonio.parse_p1_points(obj.get("delta"), "$.delta"))
+    [value] = jsonio.parse_object(_read_json(args.input), "$", f"canonical {args.shape}")
+    canon = (triplet_canonical_form if args.shape == "triplet" else delta_canonical_form)(value)
     _write_report(args.output, jsonio.invariant_json(canon))
     return EXIT_OK
 

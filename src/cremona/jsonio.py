@@ -1,8 +1,9 @@
 """JSON schemas for descriptors, models, verdicts and reports.
 
-Parsing is strict: integers must be JSON integers (no floats), points may
-be given unreduced, and every error names the offending location with a
-``$.path[i]`` pointer.  An integer array (a point, line, divisor or matrix
+Parsing is strict: integers must be JSON integers (no floats), an object
+refuses each key that its reader does not read (``parse_object``), points
+may be given unreduced, and every error names the offending location with
+a ``$.path[i]`` pointer.  An integer array (a point, line, divisor or matrix
 row) is accepted whole when one C-level type check over it passes; only an
 array that fails is walked entry by entry, to name the first bad entry, so
 well-formed input builds no paths.  Emission is byte-stable: keys are
@@ -157,27 +158,45 @@ def expect_list(v, where: str, length: int | None = None) -> list:
     return v
 
 
-def _optional(parse):
-    """``parse``, with an absent or null value read as None."""
-    return lambda v, where: None if v is None else parse(v, where)
+def _optional(parse, default=None):
+    """``parse``, with an absent or null value read as ``default``."""
+    return lambda v, where: default if v is None else parse(v, where)
+
+
+def _array(read, length: int | None = None):
+    """The reader of an array of ``length`` entries (any if None), each by ``read``."""
+    def array(v, where: str) -> tuple:
+        return tuple(read(x, f"{where}[{i}]") for i, x in enumerate(expect_list(v, where, length)))
+    return array
+
+
+def parse_object(v, where: str, what: str) -> list:
+    """The values of the object ``v``, one per key of ``_OBJECTS[what]`` in its
+    order, each read by its reader at ``where.key`` (an absent key as null);
+    any other key that is not null is refused at its path."""
+    obj, readers = expect_obj(v, where), _OBJECTS[what]
+    if not obj.keys() <= readers.keys():
+        unread = [k for k in obj.keys() - readers.keys() if obj[k] is not None]
+        if unread:
+            raise _fail(f"{where}.{excerpt(min(unread), str)}", f"not read by {what}")
+    return [read(obj.get(k), f"{where}.{k}") for k, read in readers.items()]
 
 
 # points, lines, conics, maps -------------------------------------------------
 
 
-def _ints(v, where: str, length: int | None = None) -> list[int]:
-    """``v`` as a list of ``length`` integers (any length if None), checked
+def _ints(v, where: str, length: int | None = None) -> tuple[int, ...]:
+    """``v`` as a tuple of ``length`` integers (any length if None), checked
     in one pass; only a failing array is walked entry by entry, so that
     the error names the ``$.path[i]`` of the first bad entry."""
     if type(v) is list and (length is None or len(v) == length) and set(map(type, v)) <= _INT_ONLY:
-        return v
+        return tuple(v)
     items = expect_list(v, where, length)
-    return [int(expect_int(x, f"{where}[{i}]")) for i, x in enumerate(items)]
+    return tuple(int(expect_int(x, f"{where}[{i}]")) for i, x in enumerate(items))
 
 
-def _nonzero(cls, length: int, v, where: str, zero: str):
-    """``cls`` of an array of ``length`` integers, not all zero."""
-    coords = _ints(v, where, length)
+def _nonzero(cls, coords, where: str, zero: str):
+    """``cls`` of ``coords``, which are not all zero."""
     if not any(coords):
         raise _fail(where, zero)
     return cls(*coords)
@@ -196,7 +215,7 @@ def parse_p1_point(v, where: str) -> P1Point:
             return P1Point.from_value(_rational(v, f"at {where}: point"))
         except (ValueError, ZeroDivisionError) as exc:
             raise _fail(where, f"cannot read {excerpt(v)} as an exact rational") from exc
-    return _nonzero(P1Point, 2, v, where, "[0, 0] is not a point of the line")
+    return _nonzero(P1Point, _ints(v, where, 2), where, "[0, 0] is not a point of the line")
 
 
 def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
@@ -208,25 +227,15 @@ def parse_p1_points(v, where: str) -> tuple[P1Point, ...]:
 
 
 def parse_p2_point(v, where: str) -> P2Point:
-    return _nonzero(P2Point, 3, v, where, "[0, 0, 0] is not a point of the plane")
+    return _nonzero(P2Point, _ints(v, where, 3), where, "[0, 0, 0] is not a point of the plane")
 
 
 def parse_line(v, where: str) -> Line:
-    return _nonzero(Line, 3, v, where, "the zero form is not a line")
-
-
-_CONIC_KEYS = ("xx", "yy", "zz", "xy", "xz", "yz")
+    return _nonzero(Line, _ints(v, where, 3), where, "the zero form is not a line")
 
 
 def parse_conic(v, where: str) -> Conic:
-    obj = expect_obj(v, where)
-    unknown = sorted(set(obj) - set(_CONIC_KEYS))
-    if unknown:
-        raise _fail(where, f"unknown conic keys {excerpt(unknown)}")
-    coeffs = tuple(expect_int(obj.get(k, 0), f"{where}.{k}") for k in _CONIC_KEYS)
-    if not any(coeffs):
-        raise _fail(where, "the zero form is not a conic")
-    return Conic(*coeffs)
+    return _nonzero(Conic, parse_object(v, where, "the conic"), where, "the zero form is not a conic")
 
 
 def point_pair(p: P1Point) -> list[int]:
@@ -240,16 +249,12 @@ def parse_divisor(v, where: str) -> DivisorClass:
     return DivisorClass(_ints(v, where))
 
 
-def parse_matrix(v, where: str):
-    return tuple(tuple(_ints(row, f"{where}[{i}]")) for i, row in enumerate(expect_list(v, where)))
+parse_matrix = _array(_ints)
 
 
 def parse_action(v, where: str) -> LatticeAction:
-    obj = expect_obj(v, where)
-    r = expect_int(obj.get("r"), f"{where}.r")
-    gens = expect_list(obj.get("generators", []), f"{where}.generators")
-    matrices = tuple(parse_matrix(g, f"{where}.generators[{i}]") for i, g in enumerate(gens))
-    return LatticeAction(BlowupLattice(r), matrices)
+    r, generators = parse_object(v, where, "the lattice action")
+    return LatticeAction(BlowupLattice(r), generators)
 
 
 def matrix_json(m) -> list[list[int]]:
@@ -263,10 +268,11 @@ def divisor_json(d: DivisorClass) -> list[int]:
 # triplets and bundle models ---------------------------------------------------
 
 
+_SETS = _array(parse_p1_points, 3)
+
+
 def parse_triplet(v, where: str) -> RamificationTriplet:
-    sets = expect_list(v, where, 3)
-    parsed = [parse_p1_points(s, f"{where}[{i}]") for i, s in enumerate(sets)]
-    return validate_triplet(*parsed)
+    return validate_triplet(*_SETS(v, where))
 
 
 def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:
@@ -276,12 +282,7 @@ def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:
 def parse_certificate(v, where: str) -> RealizationCertificate:
     from .bundles import RealizationCertificate
 
-    obj = expect_obj(v, where)
-    source = expect_str(obj.get("source"), f"{where}.source")
-    secs = expect_list(obj.get("sections"), f"{where}.sections", 4)
-    sections = tuple(parse_divisor(s, f"{where}.sections[{i}]") for i, s in enumerate(secs))
-    matrix = parse_matrix(obj.get("matrix"), f"{where}.matrix")
-    return RealizationCertificate(source, sections, matrix)
+    return RealizationCertificate(*parse_object(v, where, "the certificate"))
 
 
 def certificate_json(cert: RealizationCertificate) -> dict:
@@ -322,41 +323,16 @@ def exceptional_model_json(model: ExceptionalBundleModel) -> dict:
     }
 
 
-#: the keys of the two emitters above that ``classify`` accepts unread: the
-#: model is rebuilt from ``triplet`` and ``certificate`` or from ``delta``,
-#: and a model document stays a classify input (``construct | classify``)
+#: the keys, sorted, of the two emitters above that ``classify`` does not read:
+#: the model is rebuilt from ``triplet`` and ``certificate`` or from ``delta``,
+#: and each key must be what construct writes for it (the least is refused first)
 CONSTRUCT_KEYS = {
-    "z22": ("profile", "k", "k_squared", "generators"),
-    "exceptional": ("n", "k_squared", "sections", "swap", "aut"),
+    "z22": ("generators", "k", "k_squared", "profile"),
+    "exceptional": ("aut", "k_squared", "n", "sections", "swap"),
 }
 
 
-def _parse_lines(obj: dict, count: int) -> tuple[Line, ...]:
-    lines = expect_list(obj.get("lines"), "$.lines", count)
-    return tuple(parse_line(l, f"$.lines[{i}]") for i, l in enumerate(lines))
-
-
-def parse_model(obj: dict, kind: str) -> Z22BundleModel | ExceptionalBundleModel:
-    """Build the model of a document's top-level object for one ``construct``
-    kind: ``four-lines``, ``three-lines-conic``, ``z22`` or ``exceptional``."""
-    from .bundles import (build_from_four_lines, build_from_three_lines_conic,
-                          exceptional_from_delta, z22_from_triplet)
-
-    if kind == "four-lines":
-        return build_from_four_lines(
-            _parse_lines(obj, 4), parse_p2_point(obj.get("center"), "$.center"))
-    if kind == "three-lines-conic":
-        return build_from_three_lines_conic(
-            _parse_lines(obj, 3),
-            parse_conic(obj.get("conic"), "$.conic"),
-            parse_p2_point(obj.get("d1"), "$.d1"),
-            parse_p2_point(obj.get("d2"), "$.d2"))
-    if kind == "z22":
-        return z22_from_triplet(_field(obj, "triplet"), _field(obj, "certificate"))
-    return exceptional_from_delta(_field(obj, "delta"))
-
-
-# descriptors ------------------------------------------------------------------
+# command inputs and descriptors ----------------------------------------------
 
 
 def _quartic_row(v, where: str) -> tuple[int, str]:
@@ -375,18 +351,39 @@ _READERS = {
                     _optional(expect_str)),
 }
 
+#: every object the CLI reads, by the name its messages give it: the reader of
+#: each key, in the order the values are passed on (to ``_BUILDERS[kind]``)
+_OBJECTS = {
+    "the conic": dict.fromkeys(("xx", "yy", "zz", "xy", "xz", "yz"), _optional(expect_int, 0)),
+    "the lattice action": {"r": expect_int, "generators": _optional(_array(parse_matrix), ())},
+    "the certificate": {"source": expect_str, "sections": _array(parse_divisor, 4),
+                        "matrix": parse_matrix},
+    "construct four-lines": {"lines": _array(parse_line, 4), "center": parse_p2_point},
+    "construct three-lines-conic": {"lines": _array(parse_line, 3), "conic": parse_conic,
+                                    "d1": parse_p2_point, "d2": parse_p2_point},
+    "construct z22": {k: _READERS[k] for k in ("triplet", "certificate")},
+    "construct exceptional": {"delta": parse_p1_points},
+    "canonical triplet": {"triplet": parse_triplet},
+    "canonical delta": {"delta": parse_p1_points},
+    "lattice genus": {"r": expect_int, "divisor": parse_divisor},
+}
+_BUILDERS = {"four-lines": "build_from_four_lines", "three-lines-conic": "build_from_three_lines_conic",
+             "z22": "z22_from_triplet", "exceptional": "exceptional_from_delta"}
 
-def _field(obj: dict, name: str):
-    return _READERS[name](obj.get(name), f"$.{name}")
+
+def parse_model(doc, kind: str) -> Z22BundleModel | ExceptionalBundleModel:
+    """Build the model of a ``construct <kind>`` input, by ``cremona.bundles``."""
+    from . import bundles
+
+    return getattr(bundles, _BUILDERS[kind])(*parse_object(doc, "$", f"construct {kind}"))
 
 
 def parse_descriptor(doc) -> GSurfaceDescriptor:
-    """Read a classify input by its row of ``classifier.RULES``.
-
-    ``kind``, and ``degree`` for a del Pezzo surface, name the row; each
-    field the row reads is read by its reader, every other key is refused at
-    its path unless ``construct`` writes it (``CONSTRUCT_KEYS``), and a null
-    value is an absent one.
+    """Read a classify input by its row of ``classifier.RULES``, which
+    ``kind``, and ``degree`` for a del Pezzo surface, name: each field the
+    row reads is read by its reader, and every other key that is not null is
+    refused at its path, except that a model document's ``CONSTRUCT_KEYS``
+    must equal, as JSON text, what ``construct`` writes for the rebuilt model.
     """
     from .classifier import (DelPezzoDescriptor, ExceptionalDescriptor,
                              HirzebruchDescriptor, Z22Descriptor, rule)
@@ -396,9 +393,15 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
     degree = expect_int(obj.get("degree"), "$.degree") if kind == "del-pezzo" else None
     known = {"kind", "degree"} if kind == "del-pezzo" else {"kind", *CONSTRUCT_KEYS.get(kind, ())}
     fields, _decide = rule(kind, degree, [k for k, v in obj.items() if v is not None and k not in known])
-    if kind in CONSTRUCT_KEYS:  # a model document: the model is rebuilt
-        return (Z22Descriptor if kind == "z22" else ExceptionalDescriptor)(parse_model(obj, kind))
-    values = {name: v for name in fields if (v := _field(obj, name)) is not None}
+    if kind in CONSTRUCT_KEYS:
+        model = parse_model({k: obj[k] for k in fields if k in obj}, kind)
+        given = [k for k in CONSTRUCT_KEYS[kind] if obj.get(k) is not None]
+        written = given and (z22_model_json if kind == "z22" else exceptional_model_json)(model)
+        for k in given:
+            if json.dumps(obj[k], sort_keys=True) != json.dumps(written[k], sort_keys=True):
+                raise _fail(f"$.{k}", f"construct writes {excerpt(written[k])}, not {excerpt(obj[k])}")
+        return (Z22Descriptor if kind == "z22" else ExceptionalDescriptor)(model)
+    values = {name: v for name in fields if (v := _READERS[name](obj.get(name), f"$.{name}")) is not None}
     return HirzebruchDescriptor(**values) if degree is None else DelPezzoDescriptor(degree, **values)
 
 

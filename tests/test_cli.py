@@ -204,8 +204,10 @@ class TestPlaneParsing:
     def test_conic_defaults_and_unknown_keys(self):
         conic = jsonio.parse_conic({"xx": 1, "yz": -1}, "$")
         assert conic.coeffs() == (1, 0, 0, 0, 0, -1)
-        with pytest.raises(InvalidDescriptor, match="unknown conic keys"):
-            jsonio.parse_conic({"xx": 1, "ww": 2}, "$")
+        # null is absent: a null coefficient is 0, and a null key is not refused
+        assert jsonio.parse_conic({"xx": 1, "yz": -1, "xy": None, "ww": None}, "$") == conic
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.conic\.ww: not read by the conic$"):
+            jsonio.parse_conic({"xx": 1, "ww": 2}, "$.conic")
         with pytest.raises(InvalidDescriptor, match=r"at \$\.conic: the zero form"):
             jsonio.parse_conic({"xx": 0}, "$.conic")
 
@@ -237,13 +239,33 @@ class TestDescriptorParsing:
     @pytest.mark.parametrize("kind", ["z22", "exceptional"])
     def test_construct_keys_are_what_the_row_does_not_read(self, kind):
         # a model document is a classify input: the keys its emitter writes
-        # and the row does not read are the ones accepted unread
+        # and the row does not read are the ones checked against the rebuilt model
         if kind == "z22":
             doc = jsonio.z22_model_json(four_lines_model())
         else:
             doc = jsonio.exceptional_model_json(exceptional_model())
         fields = classifier.RULES[kind, None][0]
         assert set(jsonio.CONSTRUCT_KEYS[kind]) == doc.keys() - {"kind", *fields}
+
+    @pytest.mark.parametrize("kind, key, change", [
+        ("exceptional", "n", lambda n: True),  # construct writes 1, and True == 1 in Python
+        ("exceptional", "k_squared", float),
+        ("exceptional", "aut", lambda aut: dict(aut, stabilizer_order=2)),
+        ("z22", "k", str),
+        ("z22", "generators", lambda generators: generators[::-1]),
+    ], ids=["true-for-1", "float", "aut", "string", "generators"])
+    def test_construct_keys_must_be_what_construct_writes(self, kind, key, change):
+        # the model is rebuilt from the row's fields, and a key that construct
+        # writes must be what it writes for that model, as JSON text
+        if kind == "z22":
+            doc = jsonio.z22_model_json(four_lines_model())
+        else:
+            doc = jsonio.exceptional_model_json(jsonio.parse_model({"delta": [0, 1]}, kind))
+        doc = json.loads(json.dumps(doc))
+        rebuilt = jsonio.parse_descriptor(doc)
+        assert jsonio.parse_descriptor(dict(doc, **{key: None})) == rebuilt
+        with pytest.raises(InvalidDescriptor, match=rf"^at \$\.{key}: construct writes "):
+            jsonio.parse_descriptor(dict(doc, **{key: change(doc[key])}))
 
     def test_z22_model_round_trip_keeps_the_certificate(self):
         model = four_lines_model()
@@ -956,7 +978,7 @@ class TestLongValuesInMessages:
         (["classify"], {"kind": "k" * LONG}),
         (["construct", "three-lines-conic"],
          {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]],
-          "conic": {f"k{i}": 1 for i in range(LONG)}, "d1": [1, 7, 3], "d2": [0, 0, 1]}),
+          "conic": {"xx": 1, "k" * LONG: 1}, "d1": [1, 7, 3], "d2": [0, 0, 1]}),
         (["classify"], {"kind": "del-pezzo", "degree": 3, "fixed_point_report": "r" * LONG}),
         (["classify"], {"kind": "del-pezzo", "degree": 3, "cubic_family": "c" * LONG}),
         (["classify"], {"kind": "del-pezzo", "degree": 2, "quartic_row": [2, "l" * LONG]}),
@@ -1053,6 +1075,71 @@ PUBLIC_NAMES = [
 ]
 
 
+def _with_certificate_key(doc, key):
+    doc = json.loads(json.dumps(doc))
+    doc["certificate"][key] = 1
+    return doc
+
+
+_FAMILY_11 = {k: v for k, v in jsonio.z22_model_json(four_lines_model()).items()
+              if k in ("kind", "triplet", "certificate")}
+
+
+class TestUnreadKeys:
+    """Every JSON object that a command reads refuses, at its ``$.`` path,
+    each key that is not null and that its reader does not read."""
+
+    @pytest.mark.parametrize("argv, doc, path, message", [
+        (["classify"], {"kind": "hirzebruch", "n": 2, "m": 2}, "$.m", "not read by the hirzebruch row"),
+        (["classify"], {"kind": "del-pezzo", "degree": 4, "iso_class_tg": "generic"},
+         "$.iso_class_tg", "not read by the del-pezzo degree 4 row"),
+        (["classify"], {"kind": "exceptional", "delta": [0, 1, 2, 3], "detla": [0, 1]},
+         "$.detla", "not read by the exceptional row"),
+        (["classify"], dict(_FAMILY_11, certficate={}), "$.certficate", "not read by the z22 row"),
+        (["classify"], {"kind": "exceptional", "delta": [0, 1, 2, 3], "n": "garbage", "k_squared": 99},
+         "$.k_squared", "construct writes 4, not 99"),
+        (["classify"],
+         dict(FAMILY_08_CUBIC, action={"r": 6, "generator": FAMILY_08_CUBIC["action"]["generators"]}),
+         "$.action.generator", "not read by the lattice action"),
+        (["classify"], _with_certificate_key(_FAMILY_11, "note"), "$.certificate.note",
+         "not read by the certificate"),
+        (["construct", "four-lines"], {"lines": FOUR_LINES, "centre": [0, 0, 1]}, "$.centre",
+         "not read by construct four-lines"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": PARABOLA,
+          "d1": [1, 7, 3], "d2": [0, 0, 1], "d3": [1, 0, 0]},
+         "$.d3", "not read by construct three-lines-conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": dict(PARABOLA, ww=1),
+          "d1": [1, 7, 3], "d2": [0, 0, 1]},
+         "$.conic.ww", "not read by the conic"),
+        (["construct", "z22"], jsonio.z22_model_json(four_lines_model()), "$.generators",
+         "not read by construct z22"),
+        (["construct", "z22"],
+         _with_certificate_key({k: _FAMILY_11[k] for k in ("triplet", "certificate")}, "sorce"),
+         "$.certificate.sorce", "not read by the certificate"),
+        (["construct", "exceptional"], jsonio.exceptional_model_json(exceptional_model()), "$.aut",
+         "not read by construct exceptional"),
+        (["canonical", "triplet"], {"triplet": TRIPLET_444, "typo": 1}, "$.typo",
+         "not read by canonical triplet"),
+        (["canonical", "delta"], {"delta": [0, 1, 2, 3], "typo": 1}, "$.typo",
+         "not read by canonical delta"),
+        (["lattice", "invariant-rank"],
+         {"r": 6, "generator": FAMILY_08_CUBIC["action"]["generators"]},
+         "$.generator", "not read by the lattice action"),
+        (["lattice", "genus"], {"r": 2, "divisor": [1, 0, 0], "typo": 1}, "$.typo",
+         "not read by lattice genus"),
+    ], ids=["classify-hirzebruch", "classify-del-pezzo", "classify-exceptional", "classify-z22",
+            "classify-model-document", "classify-action", "classify-certificate",
+            "construct-four-lines", "construct-three-lines-conic", "construct-conic",
+            "construct-z22", "construct-certificate", "construct-exceptional",
+            "canonical-triplet", "canonical-delta", "invariant-rank", "genus"])
+    def test_one_logged_line_names_the_path(self, argv, doc, path, message):
+        proc = run_child(["-m", "cremona", *argv], json.dumps(doc))
+        assert_one_logged_line(proc, 1, "ERROR cremona: InvalidDescriptor: ")
+        assert proc.stderr == f"ERROR cremona: InvalidDescriptor: at {path}: {message}\n"
+
+
 def test_public_api_is_pinned():
     assert sorted(cremona.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) <= 45
@@ -1069,6 +1156,40 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_objects_are_read_only_by_the_object_reader():
+    # every JSON object is read by jsonio.parse_object, which refuses the keys
+    # it does not read, except the top level of a classify input, which
+    # parse_descriptor reads by classifier.rule; expect_obj, or a .get on a
+    # value that is not a module-level name, anywhere else would skip the rule
+    package = pathlib.Path(cremona.__file__).parent
+    found = []
+    for name in ("jsonio.py", "cli.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        module_names = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                module_names |= {alias.asname or alias.name.split(".")[0] for alias in stmt.names}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                module_names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        for stmt in tree.body:
+            if getattr(stmt, "name", None) in ("parse_object", "parse_descriptor"):
+                continue
+            for node in ast.walk(stmt):
+                if ((isinstance(node, ast.Name) and node.id == "expect_obj"
+                     and isinstance(node.ctx, ast.Load))
+                        or (isinstance(node, ast.Attribute) and node.attr == "expect_obj")):
+                    found.append(f"{name}:{node.lineno} expect_obj")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "get"):
+                    root = node.func.value
+                    while isinstance(root, (ast.Attribute, ast.Subscript)):
+                        root = root.value
+                    if not (isinstance(root, ast.Name) and root.id in module_names):
+                        found.append(f"{name}:{node.lineno} {ast.unparse(node.func)}")
     assert found == []
 
 
