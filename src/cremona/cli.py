@@ -114,7 +114,7 @@ def _cmd_genus(args) -> int:
     from . import jsonio
     from .picard import BlowupLattice, adjunction_genus, intersect
 
-    r, divisor = jsonio.parse_object(_read_json(args.input), "$", "lattice genus")
+    r, divisor = jsonio.parse_object(_read_json(args.input), "$", jsonio.GENUS, "lattice genus")
     lattice = BlowupLattice(r)
     _write_report(args.output, {"genus": adjunction_genus(lattice, divisor),
                                 "self_intersection": intersect(lattice, divisor, divisor)})
@@ -125,7 +125,8 @@ def _cmd_canonical(args) -> int:
     from . import jsonio
     from .square_class import delta_canonical_form, triplet_canonical_form
 
-    [value] = jsonio.parse_object(_read_json(args.input), "$", f"canonical {args.shape}")
+    [value] = jsonio.parse_object(_read_json(args.input), "$", jsonio.CANONICAL[args.shape],
+                                  f"canonical {args.shape}")
     canon = (triplet_canonical_form if args.shape == "triplet" else delta_canonical_form)(value)
     _write_report(args.output, jsonio.invariant_json(canon))
     return EXIT_OK

@@ -5,7 +5,7 @@ docstrings below name the rules.  Points that must differ raise
 DuplicatePoint, a branch set too small or of odd size TooSmall or
 OddCardinality, and degenerate plane input DegenerateConfiguration.
 Messages carry the offending data; a string, array or object read from the
-input is quoted through ``excerpt``, so it cannot make a message long.
+input is quoted through ``excerpt``, so it cannot make a message long or split it.
 """
 
 
@@ -17,11 +17,11 @@ _EXCERPT_CHARS = 200
 
 
 def excerpt(value, render=repr) -> str:
-    """``render(value)``, cut to its first 200 characters when it is longer."""
+    """``render(value)``, or its repr if that is not printable, cut to 200 characters."""
     text = render(value)
-    if len(text) <= _EXCERPT_CHARS:
-        return text
-    return f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
+    if not text.isprintable():  # a line break would split the logged line
+        text = repr(text)
+    return text if len(text) <= _EXCERPT_CHARS else f"{text[:_EXCERPT_CHARS]}... ({len(text)} characters)"
 
 
 class InvariantViolation(CremonaError):

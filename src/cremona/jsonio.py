@@ -170,11 +170,11 @@ def _array(read, length: int | None = None):
     return array
 
 
-def parse_object(v, where: str, what: str) -> list:
-    """The values of the object ``v``, one per key of ``_OBJECTS[what]`` in its
-    order, each read by its reader at ``where.key`` (an absent key as null);
-    any other key that is not null is refused at its path."""
-    obj, readers = expect_obj(v, where), _OBJECTS[what]
+def parse_object(v, where: str, readers: dict, what: str) -> list:
+    """The values of the object ``v``, one per key of ``readers`` in its order,
+    each read by its reader at ``where.key`` (an absent key as null); the
+    least other key that is not null is refused as not read by ``what``."""
+    obj = expect_obj(v, where)
     if not obj.keys() <= readers.keys():
         unread = [k for k in obj.keys() - readers.keys() if obj[k] is not None]
         if unread:
@@ -235,7 +235,7 @@ def parse_line(v, where: str) -> Line:
 
 
 def parse_conic(v, where: str) -> Conic:
-    return _nonzero(Conic, parse_object(v, where, "the conic"), where, "the zero form is not a conic")
+    return _nonzero(Conic, parse_object(v, where, _CONIC, "the conic"), where, "the zero form is not a conic")
 
 
 def point_pair(p: P1Point) -> list[int]:
@@ -253,7 +253,7 @@ parse_matrix = _array(_ints)
 
 
 def parse_action(v, where: str) -> LatticeAction:
-    r, generators = parse_object(v, where, "the lattice action")
+    r, generators = parse_object(v, where, _ACTION, "the lattice action")
     return LatticeAction(BlowupLattice(r), generators)
 
 
@@ -282,7 +282,7 @@ def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:
 def parse_certificate(v, where: str) -> RealizationCertificate:
     from .bundles import RealizationCertificate
 
-    return RealizationCertificate(*parse_object(v, where, "the certificate"))
+    return RealizationCertificate(*parse_object(v, where, _CERTIFICATE, "the certificate"))
 
 
 def certificate_json(cert: RealizationCertificate) -> dict:
@@ -351,31 +351,29 @@ _READERS = {
                     _optional(expect_str)),
 }
 
-#: every object the CLI reads, by the name its messages give it: the reader of
-#: each key, in the order the values are passed on (to ``_BUILDERS[kind]``)
-_OBJECTS = {
-    "the conic": dict.fromkeys(("xx", "yy", "zz", "xy", "xz", "yz"), _optional(expect_int, 0)),
-    "the lattice action": {"r": expect_int, "generators": _optional(_array(parse_matrix), ())},
-    "the certificate": {"source": expect_str, "sections": _array(parse_divisor, 4),
-                        "matrix": parse_matrix},
-    "construct four-lines": {"lines": _array(parse_line, 4), "center": parse_p2_point},
-    "construct three-lines-conic": {"lines": _array(parse_line, 3), "conic": parse_conic,
-                                    "d1": parse_p2_point, "d2": parse_p2_point},
-    "construct z22": {k: _READERS[k] for k in ("triplet", "certificate")},
-    "construct exceptional": {"delta": parse_p1_points},
-    "canonical triplet": {"triplet": parse_triplet},
-    "canonical delta": {"delta": parse_p1_points},
-    "lattice genus": {"r": expect_int, "divisor": parse_divisor},
+#: the reader of each key of each object that ``parse_object`` reads, in the order the values
+#: are passed on; a ``construct`` input's builder is picked from ``bundles`` when called
+_CONIC = dict.fromkeys(("xx", "yy", "zz", "xy", "xz", "yz"), _optional(expect_int, 0))
+_ACTION = {"r": expect_int, "generators": _optional(_array(parse_matrix), ())}
+_CERTIFICATE = {"source": expect_str, "sections": _array(parse_divisor, 4), "matrix": parse_matrix}
+_CONSTRUCT = {
+    "four-lines": ({"lines": _array(parse_line, 4), "center": parse_p2_point},
+                   lambda b: b.build_from_four_lines),
+    "three-lines-conic": ({"lines": _array(parse_line, 3), "conic": parse_conic, "d1": parse_p2_point,
+                           "d2": parse_p2_point}, lambda b: b.build_from_three_lines_conic),
+    "z22": ({k: _READERS[k] for k in ("triplet", "certificate")}, lambda b: b.z22_from_triplet),
+    "exceptional": ({"delta": parse_p1_points}, lambda b: b.exceptional_from_delta),
 }
-_BUILDERS = {"four-lines": "build_from_four_lines", "three-lines-conic": "build_from_three_lines_conic",
-             "z22": "z22_from_triplet", "exceptional": "exceptional_from_delta"}
+CANONICAL = {"triplet": {"triplet": parse_triplet}, "delta": {"delta": parse_p1_points}}
+GENUS = {"r": expect_int, "divisor": parse_divisor}
 
 
 def parse_model(doc, kind: str) -> Z22BundleModel | ExceptionalBundleModel:
     """Build the model of a ``construct <kind>`` input, by ``cremona.bundles``."""
     from . import bundles
 
-    return getattr(bundles, _BUILDERS[kind])(*parse_object(doc, "$", f"construct {kind}"))
+    readers, builder = _CONSTRUCT[kind]
+    return builder(bundles)(*parse_object(doc, "$", readers, f"construct {kind}"))
 
 
 def parse_descriptor(doc) -> GSurfaceDescriptor:

@@ -251,9 +251,11 @@ class TestDescriptorParsing:
         ("exceptional", "n", lambda n: True),  # construct writes 1, and True == 1 in Python
         ("exceptional", "k_squared", float),
         ("exceptional", "aut", lambda aut: dict(aut, stabilizer_order=2)),
+        # a null that construct writes inside a key is part of its text, not absent
+        ("exceptional", "aut", lambda aut: {k: v for k, v in aut.items() if v is not None}),
         ("z22", "k", str),
         ("z22", "generators", lambda generators: generators[::-1]),
-    ], ids=["true-for-1", "float", "aut", "string", "generators"])
+    ], ids=["true-for-1", "float", "aut", "aut-without-null", "string", "generators"])
     def test_construct_keys_must_be_what_construct_writes(self, kind, key, change):
         # the model is rebuilt from the row's fields, and a key that construct
         # writes must be what it writes for that model, as JSON text
@@ -1091,6 +1093,8 @@ class TestUnreadKeys:
 
     @pytest.mark.parametrize("argv, doc, path, message", [
         (["classify"], {"kind": "hirzebruch", "n": 2, "m": 2}, "$.m", "not read by the hirzebruch row"),
+        (["classify"], {"kind": "hirzebruch", "n": 2, "m\rERROR x: ok": 2}, "$.'m\\rERROR x: ok'",
+         "not read by the hirzebruch row"),
         (["classify"], {"kind": "del-pezzo", "degree": 4, "iso_class_tg": "generic"},
          "$.iso_class_tg", "not read by the del-pezzo degree 4 row"),
         (["classify"], {"kind": "exceptional", "delta": [0, 1, 2, 3], "detla": [0, 1]},
@@ -1113,6 +1117,10 @@ class TestUnreadKeys:
          {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": dict(PARABOLA, ww=1),
           "d1": [1, 7, 3], "d2": [0, 0, 1]},
          "$.conic.ww", "not read by the conic"),
+        (["construct", "three-lines-conic"],
+         {"lines": [[1, -1, 2], [2, 1, -3], [4, -1, 0]], "conic": dict(PARABOLA, **{"a\nERROR x: ok": 1}),
+          "d1": [1, 7, 3], "d2": [0, 0, 1]},
+         "$.conic.'a\\nERROR x: ok'", "not read by the conic"),
         (["construct", "z22"], jsonio.z22_model_json(four_lines_model()), "$.generators",
          "not read by construct z22"),
         (["construct", "z22"],
@@ -1129,9 +1137,10 @@ class TestUnreadKeys:
          "$.generator", "not read by the lattice action"),
         (["lattice", "genus"], {"r": 2, "divisor": [1, 0, 0], "typo": 1}, "$.typo",
          "not read by lattice genus"),
-    ], ids=["classify-hirzebruch", "classify-del-pezzo", "classify-exceptional", "classify-z22",
+    ], ids=["classify-hirzebruch", "classify-line-break", "classify-del-pezzo", "classify-exceptional", "classify-z22",
             "classify-model-document", "classify-action", "classify-certificate",
             "construct-four-lines", "construct-three-lines-conic", "construct-conic",
+            "construct-conic-line-break",
             "construct-z22", "construct-certificate", "construct-exceptional",
             "canonical-triplet", "canonical-delta", "invariant-rank", "genus"])
     def test_one_logged_line_names_the_path(self, argv, doc, path, message):

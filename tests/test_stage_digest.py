@@ -1,13 +1,14 @@
 """Every benchmark stage's bytes, pinned per stage.
 
-Each stage of the ``klein-four-sweep``, ``branch-delta`` and ``model-build``
-workloads at seeds 71 and 72 (``bench/workloads.build_ops``, imported read
-only) runs through ``cli.main`` in process, with its own stdin, stdout and
-stderr.  The sha256 of its exit code, stdout and stderr must equal the entry
-of ``stage_digest.json`` keyed by workload, seed and stage name, so a change
-in any report or logged line names the stages it moved.  A change that moves
-a stage on purpose rewrites the file with ``python tests/test_stage_digest.py``
-and lists the moved stages in CHANGES.md.
+Each stage of the ``klein-four-sweep``, ``branch-delta``, ``model-build`` and
+``cli-cold`` workloads at seeds 71 and 72 (``bench/workloads.build_ops``,
+imported read only) runs through ``cli.main`` in process, with its own
+stdin, stdout and stderr, ``cli-cold`` too, though the benchmark runs it in
+fresh interpreters.  The sha256 of its exit code, stdout and stderr must
+equal the entry of ``stage_digest.json`` keyed by workload, seed and stage
+name, so a change in any report or logged line names the stages it moved.
+A change that moves a stage on purpose rewrites the file with
+``python tests/test_stage_digest.py`` and lists the moved stages in CHANGES.md.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGEST_PATH = pathlib.Path(__file__).with_name("stage_digest.json")
-WORKLOADS = ("klein-four-sweep", "branch-delta", "model-build")
+WORKLOADS = ("klein-four-sweep", "branch-delta", "model-build", "cli-cold")
 SEEDS = (71, 72)
 
 
