@@ -159,7 +159,7 @@ class TestZ22Model:
 
 class TestWorkCount:
     """Each generator is checked once, and never again; a Klein-four model
-    reduces no matrix to Hermite form."""
+    reduces no matrix to Hermite form, and no model copies a matrix."""
 
     @pytest.fixture
     def work(self, monkeypatch):
@@ -177,12 +177,18 @@ class TestWorkCount:
                     depth[0] -= 1
             return wrapper
 
-        real_mul, real_kernel = la.mat_mul, la.kernel_basis
+        real_mul, real_kernel, real_freeze = la.mat_mul, la.kernel_basis, la.freeze
 
         def mat_mul(a, b):
             if not depth[0]:
                 counts["product outside a check"] += 1
             return real_mul(a, b)
+
+        def freeze(rows):
+            frozen = real_freeze(rows)
+            if frozen is not rows:
+                counts["matrix copied"] += 1
+            return frozen
 
         def kernel_basis(m):
             kernels.append(m)
@@ -196,7 +202,18 @@ class TestWorkCount:
                             counted("hermite_row_form", la.hermite_row_form))
         monkeypatch.setattr(la, "mat_mul", mat_mul)
         monkeypatch.setattr(la, "kernel_basis", kernel_basis)
+        monkeypatch.setattr(la, "freeze", freeze)
         return counts, kernels
+
+    def test_a_list_matrix_is_copied(self, work):
+        # the copy counter of the tests below counts: a matrix given as
+        # lists is copied once on entry, and the built matrices are not
+        counts, _ = work
+        marking = FiberedMarking.standard(2)
+        swap = bundles._fiberwise_matrix(marking, (1, 2))
+        bundles.validate_involution(marking.lattice, [list(row) for row in swap])
+        bundles.validate_involution(marking.lattice, swap)
+        assert counts == {"validate_involution": 2, "matrix copied": 1}
 
     @pytest.mark.parametrize("profile", realizable_profiles(12))
     def test_z22_model(self, work, monkeypatch, profile):
@@ -212,7 +229,7 @@ class TestWorkCount:
         # sigma_1 and sigma_2 are squared in their checks; sigma_3 is their
         # product, proved involutive by the symmetry of G sigma_3 and not
         # squared.  The conic-bundle test reads traces and images of K and f:
-        # no Hermite form and no kernel
+        # no Hermite form and no kernel.  No matrix is copied ("matrix copied")
         assert counts == {"validate_involution": 2, "product outside a check": 1,
                           "is_g_symmetric": 1}
         assert kernels == []
@@ -229,7 +246,8 @@ class TestWorkCount:
 
         monkeypatch.setattr(bundles, "is_conic_bundle", is_conic_bundle)
         model = exceptional_from_delta([p1(j) for j in range(2 * n)])
-        # the swap is checked once, and its split once, by the one trace test
+        # the swap is checked once, and its split once, by the one trace
+        # test; no matrix is copied ("matrix copied")
         assert counts == {"validate_involution": 1, "is_conic_bundle": 1}
         assert kernels == []
         assert model.action().generators == (model.swap,)

@@ -179,10 +179,30 @@ def test_hermite_row_form_degenerate_shapes(m):
     assert la.hermite_row_form(m) == reference_hermite_row_form(m)
 
 
+class Count(int):
+    """An int subclass, as an entry ``freeze`` must convert."""
+
+
+class Row(tuple):
+    """A tuple subclass, as a row ``freeze`` must copy."""
+
+
 def test_freeze_converts_entries_to_int():
-    frozen = la.freeze([[True, 2], (3, False)])
-    assert frozen == ((1, 2), (3, 0))
-    assert all(type(x) is int for row in frozen for x in row)
+    for rows in ([[True, 2], (3, False)],   # lists and bools
+                 [(1, 2), (3, 0)],          # a list of canonical rows
+                 ((1, 2), [3, 0]),          # one list row
+                 ((True, 2), (3, 0)),       # a bool in a tuple of tuples
+                 ((Count(1), 2), (3, 0)),   # an int subclass
+                 (Row((1, 2)), (3, 0))):    # a tuple subclass row
+        frozen = la.freeze(rows)
+        assert frozen is not rows and frozen == ((1, 2), (3, 0))
+        assert type(frozen) is tuple and all(type(row) is tuple for row in frozen)
+        assert all(type(x) is int for row in frozen for x in row)
+
+
+@pytest.mark.parametrize("m", [(), ((),), ((1, -2), (0, 3)), ((5,), (0, 7, 1))])
+def test_freeze_returns_a_canonical_matrix_as_it_is(m):
+    assert la.freeze(m) is m
 
 
 @st.composite

@@ -19,6 +19,7 @@ from cremona import (
     reflection_matrix,
 )
 from cremona import intlinalg as la
+from cremona import picard
 from cremona.corpus import cubic_coxeter_action, cubic_coxeter_matrix
 from cremona.errors import (
     CremonaError,
@@ -394,15 +395,21 @@ class TestMoriFibration:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=12).flatmap(lambda k: st.tuples(
-        st.just(k), even_fiber_sets(k), even_fiber_sets(k))))
+        st.just(k), even_fiber_sets(k), even_fiber_sets(k), st.integers(min_value=0, max_value=k))))
     def test_traces_agree_with_fixed_rank_oracle(self, drawn):
         # {1, s_J1, s_J2, s_J1^J2} is a group: one Klein four-group, one
-        # involution (J1 = J2, or one set empty) or the trivial group
-        k, j1, j2 = drawn
+        # involution (J1 = J2, or one set empty) or the trivial group.  Drawn
+        # j > 0, the group is conjugated by the swap t of E_0 and E_j: t s t
+        # still fixes K, and its fixed lattice Z K + Z t(f) has rank 2 and
+        # is saturated, but t(f) = L - E_j != f, so only the f check refuses it
+        k, j1, j2, conjugate = drawn
         marking = FiberedMarking.standard(k)
         n = marking.lattice.rank
         sigmas = [involution_matrix(marking, j) for j in (j1, j2, tuple(sorted(set(j1) ^ set(j2))))]
         assert reference_mat_mul(sigmas[0], sigmas[1]) == sigmas[2]
+        if conjugate:
+            t = swap_matrix(marking.lattice, 1, conjugate + 1)
+            sigmas = [reference_mat_mul(reference_mat_mul(t, g), t) for g in sigmas]
         elements = tuple({g for g in sigmas if g != la.identity(n)})
         kf = (marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs)
         fixed = all(tuple(sum(map(int.__mul__, row, v)) for row in g) == v
@@ -450,6 +457,9 @@ def perturb(m: tuple, how: str, i: int, j: int, delta: int) -> tuple:
         return la.transpose(m)
     if how == "drop-row":
         return m[:-1]
+    if how == "keep-row-sums":  # +delta at (i, 0), -delta at (i, 1): row i . K moves by -4 delta
+        return tuple((row[0] + delta, row[1] - delta) + tuple(row[2:]) if r == i else row
+                     for r, row in enumerate(m))
     return m
 
 
@@ -460,7 +470,8 @@ def outcome(check, lat, m):
         return type(exc)
 
 
-PERTURBATIONS = ("none", "entry", "negate", "flip-e1", "swap-l-e1", "transpose", "drop-row")
+PERTURBATIONS = ("none", "entry", "negate", "flip-e1", "swap-l-e1", "transpose", "drop-row",
+                 "keep-row-sums")
 
 
 @given(
@@ -478,6 +489,29 @@ def test_validate_action_matches_dense_reference(r, word, how, i, j, delta):
     assert outcome(validate_action, lat, m) == outcome(reference_validate_action, lat, m)
 
 
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.lists(st.integers(min_value=0, max_value=20), max_size=8),
+    st.sampled_from([how for how in PERTURBATIONS if how != "drop-row"]),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from((-2, -1, 1, 2)),
+)
+@settings(max_examples=300, deadline=None)
+def test_k_check_matches_the_product(r, word, how, i, j, delta):
+    # the row-sum K check on its own, isometry or not, against M K = K through
+    # the dense product: Weyl words fix K, and the perturbations move it
+    lat = BlowupLattice(r)
+    m = perturb(weyl_word(lat, word), how, i, j, delta)
+    k = lat.canonical_class.coeffs
+    fixes = reference_mat_mul(m, tuple((x,) for x in k)) == tuple((x,) for x in k)
+    try:
+        got = picard._check_fixes_k(m) is m
+    except MovesCanonicalClass:
+        got = False
+    assert got == fixes
+
+
 @pytest.mark.parametrize("how, expected", [
     ("none", None),
     ("entry", NotIsometry),
@@ -485,6 +519,7 @@ def test_validate_action_matches_dense_reference(r, word, how, i, j, delta):
     ("flip-e1", MovesCanonicalClass),
     ("swap-l-e1", NotIsometry),
     ("drop-row", DimensionMismatch),
+    ("keep-row-sums", NotIsometry),
 ])
 def test_each_perturbation_reaches_its_error(how, expected):
     # the property above compares both checks on every one of these outcomes
