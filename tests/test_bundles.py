@@ -13,8 +13,10 @@ from cremona import (
     Line,
     P1Point,
     P2Point,
+    RamificationTriplet,
     build_from_four_lines,
     build_from_three_lines_conic,
+    classify,
     del_pezzo_verdict_for_profile,
     exceptional_from_delta,
     fixed_curve_class,
@@ -31,7 +33,7 @@ from cremona import (
     validate_triplet,
     z22_from_triplet,
 )
-from cremona import bundles, picard
+from cremona import bundles, jsonio, picard
 from cremona import intlinalg as la
 from cremona.bundles import RealizationCertificate
 from cremona.corpus import (
@@ -234,6 +236,25 @@ class TestWorkCount:
                           "is_g_symmetric": 1}
         assert kernels == []
         assert model.action().generators == model.generators[:2]
+
+    @pytest.mark.parametrize("profile", realizable_profiles(12))
+    def test_classify_builds_each_point_once(self, monkeypatch, profile):
+        # the reader builds one point per distinct pair, though each lies in
+        # two sets, and the canonical form one per image point
+        doc = {"kind": "z22", "triplet": jsonio.triplet_json(triplet_from_profile(profile))}
+        built = collections.Counter()
+        real_init = P1Point.__init__
+
+        def init(self, a, b):
+            built["P1Point"] += 1
+            real_init(self, a, b)
+
+        monkeypatch.setattr(P1Point, "__init__", init)
+        verdict = classify(jsonio.parse_descriptor(doc))
+        k = sum(profile)
+        canonical = isinstance(verdict.invariant, RamificationTriplet)
+        assert canonical == (verdict.outcome == "maximal")
+        assert built["P1Point"] == k + (k if canonical else 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_exceptional_model(self, work, monkeypatch, n):

@@ -20,6 +20,8 @@ from cremona import (
 from cremona import jsonio, square_class
 from cremona.errors import (
     CoverageViolation,
+    DuplicatePoint,
+    InvalidDescriptor,
     InvariantViolation,
     OddCardinality,
     TooFewPoints,
@@ -41,19 +43,30 @@ def pts(*values) -> tuple[P1Point, ...]:
 
 class TestValidateTriplet:
     def test_each_branch_set_is_sorted_and_checked_once(self, monkeypatch):
-        calls = []
-        real = square_class.sorted_distinct
+        checked, point_sorts = [], []
+        real = square_class._distinct
 
-        def counted(points, what):
-            calls.append(what)
+        def distinct(points, what):
+            checked.append(what)
             return real(points, what)
 
-        monkeypatch.setattr(square_class, "sorted_distinct", counted)
+        def counted_sorted(items, key=None, **kwargs):
+            out = sorted(items, key=key, **kwargs)
+            keys = out if key is None else [key(x) for x in out]
+            if any(isinstance(x, P1Point) for x in keys):
+                point_sorts.append(keys)
+            return out
+
+        monkeypatch.setattr(square_class, "_distinct", distinct)
+        monkeypatch.setattr(square_class, "sorted", counted_sorted, raising=False)
         t = jsonio.parse_triplet([[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]], "$.triplet")
-        assert calls == ["branch set 1", "branch set 2", "branch set 3"]
-        # a Moebius image is sorted again
-        t.transformed(Mobius.from_coeffs(0, 1, 1, 0))
-        assert calls[3:] == ["a branch set"] * 3
+        assert checked == ["branch set 1", "branch set 2", "branch set 3"]
+        # each set is sorted as indices; only the support is sorted as points
+        assert point_sorts == [list(t.support)]
+        # a Moebius image is validated again: each set checked, its support sorted
+        image = t.transformed(Mobius.from_coeffs(0, 1, 1, 0))
+        assert checked[3:] == ["a branch set"] * 3
+        assert point_sorts[1:] == [list(image.support)]
 
     def test_profile_and_support(self):
         t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
@@ -411,3 +424,66 @@ class TestKernelLimits:
         with pytest.raises(InvariantViolation,
                            match=r"^Mobius\[1,1;0,1\] ties with the least pinning but moves the set$"):
             stabilizer(pts(0, 1, None))
+
+
+@st.composite
+def triplet_documents(draw):
+    """A realizable triplet with k <= 14 on random rational points, as the
+    JSON pairs of its sets, shuffled, with some pairs unreduced; and the
+    same document with every pair reduced."""
+    a1, a2, a3 = draw(st.sampled_from(realizable_profiles(14)))
+    k = a1 + a2 + a3
+    support = pts(*draw(st.lists(values(40), min_size=k, max_size=k, unique=True)))
+    m12, m13 = a1 + a2 - a3, a1 + a3 - a2
+    b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
+    given_doc, reduced = [], []
+    for s in draw(st.permutations([b12 + b13, b12 + b23, b13 + b23])):
+        s = draw(st.permutations(s))
+        scales = draw(st.lists(st.sampled_from((1, 1, 2, -1, -3)), min_size=len(s), max_size=len(s)))
+        given_doc.append([[c * p.a, c * p.b] for p, c in zip(s, scales)])
+        reduced.append([[p.a, p.b] for p in s])
+    return given_doc, reduced
+
+
+class TestIndexSets:
+    """A triplet carries each set as increasing indices into its sorted
+    support, from the JSON reader to the canonical form."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(triplet_documents())
+    def test_indices_read_the_sets_off_the_support(self, docs):
+        given_doc, reduced = docs
+        t = jsonio.parse_triplet(given_doc, "$.triplet")
+        assert list(t.support) == sorted(t.support)
+        for i, s in enumerate(t.sets):
+            assert t.indices[i] == tuple(t.support.index(p) for p in s)
+        r = jsonio.parse_triplet(reduced, "$.triplet")
+        assert (t.sets, t.support, t.indices) == (r.sets, r.support, r.indices)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(triplet_documents())
+    def test_canonical_form_is_taken_in_kernel_order(self, docs):
+        canon = triplet_canonical_form(jsonio.parse_triplet(docs[0], "$.triplet"))
+        again = RamificationTriplet(canon.sets)
+        assert (canon.sets, canon.support, canon.indices) == (again.sets, again.support, again.indices)
+
+    @pytest.mark.parametrize("doc, error, message", [
+        ([[[0, 1], [0, 1], [1, 1], [2, 1]], [[0, 1], [3, 1]], [[1, 1], [2, 1]]],
+         DuplicatePoint, "repeated point in branch set 1"),
+        ([[[0, 1], [1, 1]], [[0, 1], [2, 4], [1, 2], [3, 1]], [[1, 1], [3, 1]]],
+         DuplicatePoint, "repeated point in branch set 2"),
+        ([[[0, 1], [1, 1]], [[0, 1], [0, 0]], [[1, 1], [0, 1]]],
+         InvalidDescriptor, "at $.triplet[1][1]: [0, 0] is not a point of the line"),
+        ([[[0, 1], [1, 1]], [[0, 1], [True, 1]], [[1, 1], [0, 1]]],
+         InvalidDescriptor, "at $.triplet[1][1][0]: expected an integer, got True"),
+        ([[[0, 1], [1, 1]], [[0, 1], [2, 1]], [[1, 1], "x"]],
+         InvalidDescriptor, "at $.triplet[2][1]: cannot read 'x' as an exact rational"),
+        ([[[0, 1], [1, 1]], [[0, 1], [2, 1, 3]], [[1, 1], [2, 1]]],
+         InvalidDescriptor, "at $.triplet[1][1]: expected 2 entries, got 3"),
+    ], ids=["repeated-pair", "repeated-unreduced-pair", "zero-pair", "bool-coordinate",
+            "string-point", "three-entry-point"])
+    def test_errors_keep_class_message_and_path(self, doc, error, message):
+        with pytest.raises(error) as info:
+            jsonio.parse_triplet(doc, "$.triplet")
+        assert type(info.value) is error
+        assert str(info.value) == message
