@@ -11,7 +11,10 @@ when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it;
 each line goes to the ``sys.stderr`` of the moment it is logged.
 Each command imports the modules it needs when it runs, so importing this
 module loads no computational module; a process builds its parser once,
-on the first ``main`` call.
+on the first ``main`` call. A command line is parsed by the parser of the
+command it names; the whole tree parses only a line that names no command
+or that this parser leaves arguments of, so help and usage errors are the
+tree's own.
 """
 
 from __future__ import annotations
@@ -160,52 +163,61 @@ def _int_arg(text: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by later ones."""
+    """The command-line parser, built on the first call and shared by later ones;
+    its ``leaves`` maps each command path, ``("lattice", "genus")`` say, to the
+    parser of that command."""
     parser = argparse.ArgumentParser(
         prog="cremona",
         description="Classify algebraic subgroup models of the plane Cremona group.")
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_flags(p):
-        p.add_argument("--input", "-i", default="-", help="input JSON path, - for stdin")
-        p.add_argument("--output", "-o", default="-", help="report path, - for stdout")
+    def command(subparsers, *path, func, help, io=True):
+        p = parser.leaves[path] = subparsers.add_parser(path[-1], help=help)
+        p.set_defaults(func=func)
+        if io:
+            p.add_argument("--input", "-i", default="-", help="input JSON path, - for stdin")
+            p.add_argument("--output", "-o", default="-", help="report path, - for stdout")
+        return p
 
-    p = sub.add_parser("classify", help="classify a surface descriptor")
-    io_flags(p)
+    p = command(sub, "classify", func=_cmd_classify, help="classify a surface descriptor")
     p.add_argument("--links", action="store_true",
                    help="include the link feasibility report for maximal verdicts")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("construct", help="build a bundle model from geometric data")
+    p = command(sub, "construct", func=_cmd_construct,
+                help="build a bundle model from geometric data")
     p.add_argument("kind", choices=("four-lines", "three-lines-conic", "z22", "exceptional"))
-    io_flags(p)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("lattice", help="lattice computations")
-    lsub = p.add_subparsers(dest="lattice_cmd", required=True)
-    q = lsub.add_parser("minus-one-count", help="count (-1)-classes of a blowup lattice")
+    lsub = sub.add_parser("lattice", help="lattice computations").add_subparsers(
+        dest="lattice_cmd", required=True)
+    q = command(lsub, "lattice", "minus-one-count", func=_cmd_minus_one_count, io=False,
+                help="count (-1)-classes of a blowup lattice")
     q.add_argument("--r", type=_int_arg, required=True, help="number of blown-up points")
     q.add_argument("--list", action="store_true", help="include the classes themselves")
     q.add_argument("--output", "-o", default="-")
-    q.set_defaults(func=_cmd_minus_one_count)
-    q = lsub.add_parser("invariant-rank", help="rank and basis of the fixed sublattice")
-    io_flags(q)
-    q.set_defaults(func=_cmd_invariant_rank)
-    q = lsub.add_parser("genus", help="adjunction genus of a divisor class")
-    io_flags(q)
-    q.set_defaults(func=_cmd_genus)
+    command(lsub, "lattice", "invariant-rank", func=_cmd_invariant_rank,
+            help="rank and basis of the fixed sublattice")
+    command(lsub, "lattice", "genus", func=_cmd_genus, help="adjunction genus of a divisor class")
 
-    p = sub.add_parser("canonical", help="canonical forms modulo Moebius maps")
+    p = command(sub, "canonical", func=_cmd_canonical, help="canonical forms modulo Moebius maps")
     p.add_argument("shape", choices=("triplet", "delta"))
-    io_flags(p)
-    p.set_defaults(func=_cmd_canonical)
-
-    p = sub.add_parser("verify", help="run a named invariant suite")
+    p = command(sub, "verify", func=_cmd_verify, io=False, help="run a named invariant suite")
     p.add_argument("--suite", default="all", help="suite name (default: all)")
     p.add_argument("--output", "-o", default="-")
-    p.set_defaults(func=_cmd_verify)
-
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line with the parser of the command it names; one that
+    names none (``--help``, an unknown command) or that this parser leaves
+    arguments of goes to the whole tree, for the tree's own help and errors."""
+    parser = build_parser()
+    for path in (tuple(argv[:1]), tuple(argv[:2])):
+        if path in parser.leaves:
+            args, extras = parser.leaves[path].parse_known_args(argv[len(path):])
+            if not extras:
+                return args
+            break
+    return parser.parse_args(argv)
 
 
 def _configure_logging():
@@ -235,7 +247,7 @@ def main(argv=None) -> int:
     if "CREMONA_LOG" in os.environ:
         _configure_logging()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error, after printing the usage; here
         # 2 means an indeterminate verdict

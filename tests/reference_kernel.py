@@ -31,6 +31,10 @@ sections by subtracting fiber components, as the builder once did.
 that the swap splits the lattice, from before ``picard.is_conic_bundle``
 proved it: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
 
+``reference_enumerate_minus_one_classes`` is the (-1)-class search as it was
+before each multiplicity got its exact Cauchy-Schwarz range: every ``m`` with
+``m^2 <= quad``, pruned a level late, and ``DivisorClass`` records sorted.
+
 ``reference_parse_*`` are the JSON readers of points, divisors and matrices
 as they were before one type check over a whole array replaced the walk:
 every entry goes through ``expect_int`` with its ``$.path[i]`` formatted.
@@ -306,6 +310,32 @@ def reference_build_from_three_lines_conic(lines, conic, d1, d2):
                                     (1, 0, (a3, b3, c)), (2, -1, (a1, a2, b1, b2, c)))
     ]
     return z22_from_triplet(triplet, _certificate("three-lines-conic", triplet, sections))
+
+
+# the (-1)-class search with square-root bounds --------------------------------
+
+
+def reference_enumerate_minus_one_classes(lattice):
+    r = lattice.r
+    if not 1 <= r <= 8:
+        raise UnsupportedRank(f"(-1)-class enumeration supports 1 <= r <= 8, got r={r}")
+
+    found = []
+
+    def extend(prefix, remaining, lin, quad):
+        if remaining == 0:
+            if lin == 0 and quad == 0:
+                found.append(picard.DivisorClass((prefix[0],) + tuple(-m for m in prefix[1:])))
+            return
+        if quad < 0 or lin * lin > remaining * quad:
+            return
+        bound = math.isqrt(quad)
+        for m in range(-bound, bound + 1):
+            extend(prefix + [m], remaining - 1, lin - m, quad - m * m)
+
+    for d in range(-1, 7):
+        extend([d], r, 3 * d - 1, d * d + 1)
+    return tuple(sorted(found))
 
 
 # the canonical-form kernel with its cubic first pass ---------------------------

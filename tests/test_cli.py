@@ -86,6 +86,17 @@ matrix_docs = st.one_of(
 matrix_docs = matrix_docs | st.dictionaries(json_texts, matrix_docs, min_size=1, max_size=2)
 
 
+def _with_nested(doc, path, value):
+    """A deep copy of the JSON value ``doc`` with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    inner = doc
+    for i in outer:
+        inner = inner[i]
+    inner[last] = value
+    return doc
+
+
 def _floats_in(doc):
     if isinstance(doc, dict):
         return any(map(_floats_in, doc.values()))
@@ -253,9 +264,16 @@ class TestDescriptorParsing:
         ("exceptional", "aut", lambda aut: dict(aut, stabilizer_order=2)),
         # a null that construct writes inside a key is part of its text, not absent
         ("exceptional", "aut", lambda aut: {k: v for k, v in aut.items() if v is not None}),
+        ("exceptional", "aut", lambda aut: dict(aut, equals_full_automorphisms=1)),
+        ("exceptional", "aut", lambda aut: dict(aut, extra=None)),
         ("z22", "k", str),
         ("z22", "generators", lambda generators: generators[::-1]),
-    ], ids=["true-for-1", "float", "aut", "aut-without-null", "string", "generators"])
+        ("z22", "generators", lambda g: [g[1], g[0], *g[2:]]),
+        ("z22", "generators", lambda g: _with_nested(g, (0, 0, 0), True)),
+        ("z22", "generators", lambda g: _with_nested(g, (1, 2, 3), float(g[1][2][3]))),
+    ], ids=["true-for-1", "float", "aut", "aut-without-null", "aut-one-for-true",
+            "aut-extra-key", "string", "generators", "two-generators-swapped",
+            "true-entry", "float-entry"])
     def test_construct_keys_must_be_what_construct_writes(self, kind, key, change):
         # the model is rebuilt from the row's fields, and a key that construct
         # writes must be what it writes for that model, as JSON text
@@ -265,9 +283,30 @@ class TestDescriptorParsing:
             doc = jsonio.exceptional_model_json(jsonio.parse_model({"delta": [0, 1]}, kind))
         doc = json.loads(json.dumps(doc))
         rebuilt = jsonio.parse_descriptor(doc)
+        assert classify(rebuilt).outcome != "indeterminate"
         assert jsonio.parse_descriptor(dict(doc, **{key: None})) == rebuilt
-        with pytest.raises(InvalidDescriptor, match=rf"^at \$\.{key}: construct writes "):
-            jsonio.parse_descriptor(dict(doc, **{key: change(doc[key])}))
+        tampered = change(doc[key])
+        assert json.dumps(tampered, sort_keys=True) != json.dumps(doc[key], sort_keys=True)
+        with pytest.raises(InvalidDescriptor) as info:
+            jsonio.parse_descriptor(dict(doc, **{key: tampered}))
+        assert str(info.value) == f"at $.{key}: construct writes {excerpt(doc[key])}, not {excerpt(tampered)}"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(json_values, json_values | st.sampled_from([0, 1, 0.0, 1.0, False, True]),
+           st.sampled_from(["same", "keys-reversed", "other"]))
+    def test_same_json_is_equal_json_text(self, written, other, given_as):
+        # on JSON values the comparison agrees with the equality of the sorted
+        # json.dumps texts, whatever the order of an object's keys
+        def keys_reversed(v):
+            if isinstance(v, dict):
+                return {k: keys_reversed(v[k]) for k in reversed(list(v))}
+            return [keys_reversed(x) for x in v] if isinstance(v, list) else v
+
+        written = json.loads(json.dumps(written))
+        given = {"same": written, "keys-reversed": keys_reversed(written), "other": other}[given_as]
+        given = json.loads(json.dumps(given))
+        assert jsonio._same_json(given, written) == (
+            json.dumps(given, sort_keys=True) == json.dumps(written, sort_keys=True))
 
     def test_z22_model_round_trip_keeps_the_certificate(self):
         model = four_lines_model()
@@ -1358,6 +1397,64 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
         assert (capsys.readouterr().out, code) == (fresh.stdout, fresh.returncode), argv
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+#: command lines for the dispatch: help at each level, usage errors before,
+#: inside and after a command, abbreviations, ``--`` and ``--opt=value``
+DISPATCH_ARGV = [
+    [], ["--help"], ["-h"], ["bogus"], ["class"], ["-i", "x", "classify"], ["--", "classify"],
+    ["classify"], ["classify", "-h"], ["classify", "--bogus"], ["classify", "extra"],
+    ["classify", "--links", "--inp", "a.json", "-o", "b.json"], ["classify", "--"],
+    ["classify", "--input"], ["construct"], ["construct", "bogus"],
+    ["construct", "z22", "-i", "x.json"], ["construct", "--", "z22"],
+    ["construct", "four-lines", "--help"],
+    ["canonical", "delta", "--", "x"], ["lattice"], ["lattice", "-h"], ["lattice", "bogus"],
+    ["lattice", "minus-one-count"], ["lattice", "minus-one-count", "--r", "abc"],
+    ["lattice", "minus-one-count", "--r=2", "--li"], ["lattice", "genus", "--input=-", "x"],
+    ["verify", "--suite", "all", "-o", "out.json"],
+]
+
+
+def _parsed(parse, argv):
+    """(stdout, stderr, SystemExit code or None, namespace without the
+    command names) of one parse of ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    if args is not None:
+        args = {k: v for k, v in args.items() if k not in ("command", "lattice_cmd")}
+    return out.getvalue(), err.getvalue(), code, args
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_parses_as_the_whole_tree(monkeypatch, argv):
+    # the command's own parser, with the whole tree for what it cannot take,
+    # prints, exits and parses as the whole tree does; argparse's error paths
+    # differ between Python versions, so every row runs on every version
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(cli._parse, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+def test_workload_command_lines_reach_only_their_command_parser(monkeypatch):
+    from test_stage_digest import _build_ops
+
+    # every command line the benchmark runs parses as the whole tree parses
+    # it, and the top-level parser is never asked
+    build_ops = _build_ops()
+    stages = {argv for workload in ("klein-four-sweep", "branch-delta", "model-build")
+              for op in build_ops(workload, 71) for argv in op.stages}
+    parser = cli.build_parser()
+    expected = {argv: _parsed(parser.parse_args, argv) for argv in stages}
+    calls = []
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a, **k: calls.append(a))
+    for argv in stages:
+        assert _parsed(cli._parse, argv) == expected[argv]
+        assert expected[argv][2] is None
+    assert calls == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_logging():

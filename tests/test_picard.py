@@ -42,6 +42,7 @@ from cremona.picard import (
 
 import oracles
 from reference_kernel import (
+    reference_enumerate_minus_one_classes,
     reference_group_order,
     reference_invariant_sublattice,
     reference_involution_matrix,
@@ -182,6 +183,14 @@ class TestMinusOneClasses:
         classes = enumerate_minus_one_classes(BlowupLattice(8))
         assert max(d.coeffs[0] for d in classes) == 6
         assert sum(d.coeffs[0] == 6 for d in classes) == 8
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_same_classes_in_the_same_order_as_the_reference(self, r):
+        # the exact per-entry range and the sort on int tuples change no class
+        # and no position
+        classes = enumerate_minus_one_classes(BlowupLattice(r))
+        assert classes == reference_enumerate_minus_one_classes(BlowupLattice(r))
+        assert all(type(d) is DivisorClass for d in classes)
 
     def test_output_is_sorted_and_duplicate_free(self):
         classes = enumerate_minus_one_classes(BlowupLattice(5))
