@@ -192,8 +192,9 @@ def z22_from_triplet(
 ) -> Z22BundleModel:
     """Build the marked lattice model of a branch triplet.
 
-    The support points become the singular fibers (in canonical order) and
-    each branch set, read as its index set (``triplet.indices``), yields the
+    The support points become the singular fibers (in canonical order):
+    E_j of ``FiberedMarking.standard(k)`` lies over the j-th support point.
+    Each branch set, read as its index set (``triplet.indices``), yields the
     involution swapping exactly its fibers.
     Each fact is checked once, in this order: ``involution_matrix`` checks
     sigma_1 and sigma_2 (involutive isometries fixing K); their product
@@ -202,8 +203,7 @@ def z22_from_triplet(
     that whole group, that the invariant lattice is Z K + Z f.  A failure
     of the last three raises InvariantViolation.
     """
-    support = triplet.support
-    marking = FiberedMarking(BlowupLattice(len(support) + 1), support)
+    marking = FiberedMarking.standard(len(triplet.support))
     fibers = [tuple([i + 1 for i in s]) for s in triplet.indices]
     s1, s2 = involution_matrix(marking, fibers[0]), involution_matrix(marking, fibers[1])
     s3 = la.mat_mul(s1, s2)
@@ -538,6 +538,8 @@ class ExceptionalBundleModel(NamedTuple):
 def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     """Build the exceptional bundle branched over the given point set.
 
+    The marking is ``FiberedMarking.standard(2n)``: E_j lies over the j-th
+    point of the sorted set, which the model keeps as ``delta``.
     The swap exchanges the components of every singular fiber: +1 twice
     (on K and f) and -1 on the 2n classes ``f - 2 E_j``.  That split is
     proved by ``is_conic_bundle(marking, (swap,))``: each ``f - 2 E_j`` is
@@ -551,7 +553,7 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
     """
     pts = branch_set(delta, "the branch set")
     n = len(pts) // 2
-    marking = FiberedMarking(BlowupLattice(2 * n + 1), pts)
+    marking = FiberedMarking.standard(2 * n)
     swap = involution_matrix(marking, tuple(range(1, 2 * n + 1)))
     require(is_conic_bundle(marking, (swap,)), "the fixed lattice of the swap is not Z K + Z f")
     s1 = DivisorClass((1, 0) + (-1,) * (n + 1) + (0,) * (n - 1))
@@ -650,12 +652,11 @@ def halphen_check(triplet: RamificationTriplet) -> HalphenReport | None:
     """
     if triplet.profile != (2, 2, 4):
         return None
-    model = z22_from_triplet(triplet)
-    # a_1 = 2, so the class -K + (a_1 - 2) f is -K, of square 0 and genus 1
-    curve = fixed_curve_class(model, 1)
+    # a_1 = 2, so the class -K + (a_1 - 2) f of fixed_curve_class is -K, of
+    # square 0 and genus 1, on the lattice of E_0 and the k = 8 fibers
     return HalphenReport(
         k_squared=0,
-        fixed_curve=curve.divisor,
+        fixed_curve=-BlowupLattice(9).canonical_class,
         genus=1,
         note=("the full automorphism group of the surface is not algebraic; "
               "the subgroup preserving the fibration is, and it is maximal"),

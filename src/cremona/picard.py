@@ -8,13 +8,14 @@ preserving the intersection form and fixing K.
 
 The fibered variant used by the conic-bundle constructions relabels the
 first exceptional class as ``E_0`` (the blown-up projection center) and
-carries the fiber class ``f = L - E_0`` together with the base point of
-P^1 under each remaining ``E_j``.  ``is_conic_bundle``, the one
-conic-bundle test of the package, checks by traces and with no row
-reduction that a group's fixed lattice on such a marking is exactly
-Z K + Z f, a conic bundle of invariant Picard rank two; it trusts the
-checks below for K, and reads g f as the first column of g minus the
-second, as f = L - E_0.
+carries the fiber class ``f = L - E_0``; the remaining ``E_j`` lies over
+the j-th point of the model's own support (a triplet's support or an
+exceptional bundle's branch set), which the marking does not store.
+``is_conic_bundle``, the one conic-bundle test of the package, checks by
+traces and with no row reduction that a group's fixed lattice on such a
+marking is exactly Z K + Z f, a conic bundle of invariant Picard rank two;
+it trusts the checks below for K, and reads g f as the first column of g
+minus the second, as f = L - E_0.
 
 A matrix is checked when it enters: ``validate_action`` for a general
 isometry (``M^T G M = G`` for G = diag(1, -1, ..., -1), as the one sparse
@@ -45,7 +46,6 @@ from functools import cache
 from . import intlinalg as la
 from .errors import (
     DimensionMismatch,
-    DuplicatePoint,
     MovesCanonicalClass,
     NotClosedUnderAction,
     NotInvolution,
@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedRank,
     excerpt,
 )
-from .geometry import P1Point, _Frozen
+from .geometry import _Frozen
 from .intlinalg import Mat, Vec
 
 MAX_BLOWUPS = 13
@@ -368,30 +368,26 @@ class FiberedMarking(_Frozen):
     """A blowup lattice marked as a conic bundle over P^1.
 
     ``lattice.r == k + 1``: the class ``E_0`` is the blown-up projection
-    center and ``E_1, ..., E_k`` sit over the distinct base points listed
-    in ``base_points``.  The fiber class is ``f = L - E_0``.
+    center and ``E_1, ..., E_k`` sit over k distinct base points, the j-th
+    over the j-th point of the support of the model that holds the marking.
+    The fiber class is ``f = L - E_0``.
     """
 
-    __slots__ = __match_args__ = ("lattice", "base_points")
+    __slots__ = __match_args__ = ("lattice",)
 
-    def __init__(self, lattice: BlowupLattice, base_points: tuple[P1Point, ...]) -> None:
-        pts = tuple(base_points)
+    def __init__(self, lattice: BlowupLattice) -> None:
+        if lattice.r < 1:
+            raise DimensionMismatch(f"a fibered marking needs r >= 1, got r = {lattice.r}")
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "base_points", pts)
-        if len(set(pts)) != len(pts):
-            raise DuplicatePoint("base points of the singular fibers must be distinct")
-        if lattice.r != len(pts) + 1:
-            raise DimensionMismatch(
-                f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {lattice.r}")
 
     @classmethod
     def standard(cls, k: int) -> "FiberedMarking":
-        """A marking over the base points 0, 1, ..., k-1."""
-        return cls(BlowupLattice(k + 1), tuple(P1Point(j, 1) for j in range(k)))
+        """The marking with k fibers."""
+        return cls(BlowupLattice(k + 1))
 
     @property
     def k(self) -> int:
-        return len(self.base_points)
+        return self.lattice.r - 1
 
     @property
     def fiber_class(self) -> DivisorClass:

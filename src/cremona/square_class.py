@@ -382,17 +382,12 @@ def stabilizer(points) -> tuple[Mobius, ...]:
     same least image, and every such triple gives one; so the symmetries
     are read off the ties of the canonical-form pass.
     """
-    return canonical_delta_and_stabilizer(points)[1]
-
-
-def canonical_delta_and_stabilizer(points) -> tuple[tuple[P1Point, ...], tuple[Mobius, ...]]:
-    """`delta_canonical_form` and `stabilizer` of one point set from one pass."""
-    return _canonical_and_stabilizer(sorted_distinct(points, "a branch set"))
+    return _canonical_and_stabilizer(sorted_distinct(points, "a branch set"))[1]
 
 
 def _canonical_and_stabilizer(pts: tuple[P1Point, ...]):
-    """`canonical_delta_and_stabilizer` of a point set that ``sorted_distinct``
-    already returned, such as a checked ``branch_set``."""
+    """`delta_canonical_form` and `stabilizer` from one pass, of a point set
+    that ``sorted_distinct`` already returned, such as a checked ``branch_set``."""
     canon, ties = _delta_pass(pts)
     first = tuple(pts[i] for i in ties[0])
     pairs = {(p.a, p.b) for p in pts}

@@ -676,20 +676,14 @@ class LatticeAction:
 @dataclass(frozen=True)
 class FiberedMarking:
     lattice: BlowupLattice
-    base_points: tuple
 
     def __post_init__(self) -> None:
-        pts = tuple(self.base_points)
-        object.__setattr__(self, "base_points", pts)
-        if len(set(pts)) != len(pts):
-            raise DuplicatePoint("base points of the singular fibers must be distinct")
-        if self.lattice.r != len(pts) + 1:
-            raise DimensionMismatch(
-                f"marking with {len(pts)} fibers needs r = {len(pts) + 1}, lattice has r = {self.lattice.r}")
+        if self.lattice.r < 1:
+            raise DimensionMismatch(f"a fibered marking needs r >= 1, got r = {self.lattice.r}")
 
     @property
     def k(self):
-        return len(self.base_points)
+        return self.lattice.r - 1
 
 
 def _set_key(pts):

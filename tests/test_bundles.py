@@ -18,6 +18,7 @@ from cremona import (
     build_from_three_lines_conic,
     classify,
     del_pezzo_verdict_for_profile,
+    delta_canonical_form,
     exceptional_from_delta,
     fixed_curve_class,
     halphen_check,
@@ -29,6 +30,7 @@ from cremona import (
     minimality_obstruction_solver,
     realizable_profiles,
     second_fibration_solver,
+    stabilizer,
     triplet_from_profile,
     validate_triplet,
     z22_from_triplet,
@@ -67,6 +69,7 @@ from reference_kernel import (
     reference_exceptional_split,
     reference_group_order,
     reference_involution_matrix,
+    reference_mat_mul,
 )
 
 
@@ -102,6 +105,22 @@ class TestInvolutionMatrix:
         marking = FiberedMarking.standard(4)
         with pytest.raises(DimensionMismatch):
             involution_matrix(marking, (1, 5))
+
+    def test_every_even_swap_set_gives_an_involution_fixing_f(self):
+        # all 4096 matrices the formula builds for k <= 12: each is an isometry
+        # fixing K (validate_action), squares to 1, fixes f, and has trace
+        # 2 + (k - |J|) - |J|, one +1 per unmoved fiber and -1 per swapped one
+        for k in range(13):
+            marking = FiberedMarking.standard(k)
+            ident = la.identity(marking.lattice.rank)
+            f = marking.fiber_class.coeffs
+            for size in range(0, k + 1, 2):
+                for swapped in itertools.combinations(range(1, k + 1), size):
+                    m = involution_matrix(marking, swapped)
+                    assert picard.validate_action(marking.lattice, m) == m
+                    assert reference_mat_mul(m, m) == ident, (k, swapped)
+                    assert la.mat_vec(m, f) == f, (k, swapped)
+                    assert sum(m[i][i] for i in range(k + 2)) == k + 2 - 2 * size, (k, swapped)
 
     def test_matches_divisor_class_reference_for_every_even_swap_set(self):
         # the integer columns written directly against the DivisorClass sums
@@ -300,17 +319,36 @@ class TestWorkCount:
     @pytest.mark.parametrize("build", [four_lines_model, three_lines_conic_model])
     def test_plane_model_builds_one_marking(self, monkeypatch, build):
         # the certificate's sections are written in the marking of the model
-        markings = []
-        real_init = picard.FiberedMarking.__init__
+        model = self.markings_built(monkeypatch, build)
+        assert model.certificate is not None
 
-        def init(self, lattice, base_points):
-            markings.append(base_points)
-            real_init(self, lattice, base_points)
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_exceptional_model_builds_one_marking(self, monkeypatch, n):
+        model = self.markings_built(
+            monkeypatch, lambda: exceptional_from_delta([p1(j) for j in range(2 * n)]))
+        assert model.marking.k == len(model.delta) == 2 * n
+
+    @staticmethod
+    def markings_built(monkeypatch, build):
+        """Build a model and check that it made exactly one marking, by
+        ``FiberedMarking.standard`` on its own number of fibers: E_j then lies
+        over the j-th point of the model's support, which no marking stores."""
+        made = []
+        real_init, real_standard = picard.FiberedMarking.__init__, picard.FiberedMarking.standard
+
+        def init(self, lattice):
+            made.append(lattice)
+            real_init(self, lattice)
+
+        def standard(k):
+            made.append(k)
+            return real_standard(k)
 
         monkeypatch.setattr(picard.FiberedMarking, "__init__", init)
+        monkeypatch.setattr(picard.FiberedMarking, "standard", standard)
         model = build()
-        assert markings == [model.marking.base_points]
-        assert model.certificate is not None
+        assert made == [model.marking.k, model.marking.lattice]
+        return model
 
 
 class TestFixedCurves:
@@ -710,6 +748,14 @@ class TestExceptionalBundles:
                     split = False
                 assert split == (len(swapped) == k), swapped
                 assert picard.is_conic_bundle(marking, (swap,)) == split, swapped
+
+    @pytest.mark.parametrize("values", [(3, 0, 2, 1), (0, None, 1, -1), (20, 0, 1, 3, 7, 12)])
+    def test_canonical_form_and_stabilizer_are_the_public_ones(self, values):
+        # the model reads both from one pass over its sorted branch set
+        delta = tuple(p1(v) for v in values)
+        model = exceptional_from_delta(delta)
+        assert (model.canonical_delta, model.stabilizer) == \
+            (delta_canonical_form(delta), stabilizer(delta))
 
     def test_aut_descriptor_for_n_one(self):
         model = exceptional_from_delta(tuple(p1(i) for i in (0, 1)))

@@ -778,6 +778,23 @@ class TestExitCodes:
                            {"delta": [0, 1, -1, "inf"]})
         assert code == 3 and report is None
 
+    def test_moving_stabilizer_map_exits_3_under_optimize(self):
+        # the kernel's stabilizer maps are checked against the set at run
+        # time; python -O strips assert statements but not this check
+        script = (
+            "import sys\n"
+            "from cremona import Mobius, square_class\n"
+            "from cremona.cli import main\n"
+            "assert False, 'not reached under -O'\n"
+            "square_class.mobius_from_triples = "
+            "lambda src, dst: Mobius.from_coeffs(1, 1, 0, 1)\n"
+            "sys.exit(main(['construct', 'exceptional']))\n"
+        )
+        proc = run_child(["-O", "-c", script], json.dumps({"delta": [0, 1, -1, "inf"]}))
+        assert_one_logged_line(
+            proc, 3, "ERROR cremona: internal invariant violation: Mobius[1,1;0,1] ties "
+                     "with the least pinning but moves the set")
+
     def test_wrong_involution_exits_3_under_optimize(self):
         # sigma_1 and sigma_2 both swap fibers 1 and 2, so sigma_1 sigma_2 = 1 != sigma_3;
         # python -O strips assert statements but not this check
@@ -1195,18 +1212,6 @@ def test_public_api_is_pinned():
         getattr(cremona, name)
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert; invariants must raise InvariantViolation instead
-    package = pathlib.Path(cremona.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
-
-
 def test_objects_are_read_only_by_the_object_reader():
     # every JSON object is read by jsonio.parse_object, which refuses the keys
     # it does not read, except the top level of a classify input, which
@@ -1238,6 +1243,19 @@ def test_objects_are_read_only_by_the_object_reader():
                         root = root.value
                     if not (isinstance(root, ast.Name) and root.id in module_names):
                         found.append(f"{name}:{node.lineno} {ast.unparse(node.func)}")
+    assert found == []
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements and reads __debug__ as False, which
+    # drops an ``if __debug__:`` block; invariants must raise InvariantViolation
+    package = pathlib.Path(cremona.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__")
+    ]
     assert found == []
 
 

@@ -10,7 +10,6 @@ from cremona import (
     DivisorClass,
     FiberedMarking,
     LatticeAction,
-    P1Point,
     adjunction_genus,
     enumerate_minus_one_classes,
     intersect,
@@ -24,7 +23,6 @@ from cremona.corpus import cubic_coxeter_action, cubic_coxeter_matrix
 from cremona.errors import (
     CremonaError,
     DimensionMismatch,
-    DuplicatePoint,
     MovesCanonicalClass,
     NotClosedUnderAction,
     NotInvolution,
@@ -338,10 +336,13 @@ class TestPairMinimality:
 
 class TestFiberedMarking:
     def test_standard_marking(self):
-        marking = FiberedMarking.standard(3)
-        assert marking.k == 3
-        assert marking.lattice.r == 4
-        assert marking.base_points == (P1Point(0, 1), P1Point(1, 1), P1Point(2, 1))
+        # the marking is its lattice: E_j lies over the j-th support point of
+        # the model that holds it, and the marking stores no points
+        assert FiberedMarking.__match_args__ == ("lattice",)
+        for k in range(13):
+            marking = FiberedMarking.standard(k)
+            assert marking.k == k
+            assert marking == FiberedMarking(BlowupLattice(k + 1))
 
     def test_distinguished_classes(self):
         marking = FiberedMarking.standard(2)
@@ -359,10 +360,9 @@ class TestFiberedMarking:
             marking.fiber_component(3)
 
     def test_constructor_guards(self):
-        with pytest.raises(DuplicatePoint):
-            FiberedMarking(BlowupLattice(3), (P1Point(0, 1), P1Point(0, 1)))
-        with pytest.raises(DimensionMismatch):
-            FiberedMarking(BlowupLattice(3), (P1Point(0, 1),))
+        # E_0, the projection center, needs one exceptional class
+        with pytest.raises(DimensionMismatch, match="needs r >= 1"):
+            FiberedMarking(BlowupLattice(0))
 
 
 def even_fiber_sets(k: int):
@@ -386,7 +386,7 @@ class TestMoriFibration:
     def test_rank_two_wrong_lattice(self):
         # swapping E_0 with the unique fiber component fixes L and E_0 + E_1,
         # which is not Z K + Z f
-        marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
+        marking = FiberedMarking(BlowupLattice(2))
         lat = marking.lattice
         action = LatticeAction(lat, (swap_matrix(lat, 1, 2),))
         assert invariant_sublattice(action)[0] == 2
@@ -394,13 +394,13 @@ class TestMoriFibration:
 
     def test_rank_too_large(self):
         # the trivial group fixes the whole rank-3 lattice
-        marking = FiberedMarking(BlowupLattice(2), (P1Point(0, 1),))
+        marking = FiberedMarking(BlowupLattice(2))
         assert not is_conic_bundle(marking, ())
 
     def test_zero_fibers_is_not_saturated(self):
         # rank 2 fixed by the trivial group, so the trace count alone would
         # say yes; but Z K + Z f has index 2 in Z^2
-        assert not is_conic_bundle(FiberedMarking(BlowupLattice(1), ()), ())
+        assert not is_conic_bundle(FiberedMarking(BlowupLattice(1)), ())
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=12).flatmap(lambda k: st.tuples(

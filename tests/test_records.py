@@ -81,7 +81,7 @@ RAW = {
     "DivisorClass": st.lists(st.one_of(ints, st.booleans()), max_size=5),
     "BlowupLattice": st.integers(-2, 15),
     "LatticeAction": action_raw(),
-    "FiberedMarking": st.tuples(st.integers(0, 6), p1_list),
+    "FiberedMarking": st.integers(-2, 15),
     "RamificationTriplet": st.lists(p1_list, min_size=3, max_size=3),
 }
 for _name, _cls in NEW.items():
@@ -102,8 +102,7 @@ def build(ns, name, raw):
         r, gens = raw
         return cls(ns["BlowupLattice"](r), [tuple(map(tuple, g)) for g in gens])
     if name == "FiberedMarking":
-        r, pts = raw
-        return cls(ns["BlowupLattice"](r), tuple(ns["P1Point"](*p) for p in pts))
+        return cls(ns["BlowupLattice"](raw))
     return cls(tuple(tuple(ns["P1Point"](*p) for p in s) for s in raw))
 
 
@@ -178,7 +177,7 @@ def _cross_type_check(first, second, raw1, raw2):
 ALIKE = {
     "P1Point": (1, 2), "P2Point": (1, 2, 3), "Line": (1, 2, 3), "Conic": (1, 2, 3, 0, 0, 0),
     "Mobius": [[1, 2], [3, 4]], "DivisorClass": [1, 2, 3], "BlowupLattice": 1,
-    "LatticeAction": (1, []), "FiberedMarking": (2, [(1, 2)]),
+    "LatticeAction": (1, []), "FiberedMarking": 1,
     "RamificationTriplet": [[(0, 1), (1, 2)], [(0, 1), (1, 0)], [(1, 2), (1, 0)]],
     **{name: [1] * len(OLD[name].__dataclass_fields__) for name in PLAIN},
 }
