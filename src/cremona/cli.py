@@ -4,11 +4,10 @@ Exit status: 0 success, 1 invalid input (a usage error, malformed JSON,
 JSON nested too deeply, bad descriptor, an unreadable or non-UTF-8 file,
 an integer too long to convert to or from text), 2 an indeterminate
 classification, 3 a violated internal invariant.
-Logs go to standard error at the level named by the ``CREMONA_LOG``
-environment variable; reports go to the output path (default stdout).
-``logging`` is imported and set up on the first log record, or at start
-when ``CREMONA_LOG`` is set, so a run that logs nothing never loads it;
-each line goes to the ``sys.stderr`` of the moment it is logged.
+Reports go to the output path (default stdout). ``_log`` writes each log
+line, ``LEVEL cremona: message``, to the ``sys.stderr`` of its moment, at
+the level named by the ``CREMONA_LOG`` environment variable (default
+warning), through no logger: a program's own log handlers never see it.
 Each command imports the modules it needs when it runs, so importing this
 module loads no computational module; a process builds its parser once,
 on the first ``main`` call. A command line is parsed by the parser of the
@@ -76,7 +75,7 @@ def _cmd_classify(args) -> int:
         doc["links"] = jsonio.link_report_json(link_feasibility(descriptor, verdict))
     _write_report(args.output, doc)
     if verdict.outcome == "indeterminate":
-        _log("info", "indeterminate verdict: %s", verdict.reason)
+        _log("INFO", "indeterminate verdict: %s", verdict.reason)
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -139,7 +138,7 @@ def _cmd_verify(args) -> int:
     from . import suites
 
     if args.suite not in suites.SUITES:
-        _log("error", "unknown suite %r; choose from %s", args.suite, ", ".join(suites.SUITES))
+        _log("ERROR", "unknown suite %r; choose from %s", args.suite, ", ".join(suites.SUITES))
         return EXIT_INVALID_INPUT
     results = suites.run_suite(args.suite)
     checks = [
@@ -150,7 +149,7 @@ def _cmd_verify(args) -> int:
     _write_report(args.output, {"suite": args.suite, "checks": checks,
                                 "failures": len(failed)})
     for c in failed:
-        _log("error", "check %s failed: %s", c["name"], c["error"])
+        _log("ERROR", "check %s failed: %s", c["name"], c["error"])
     return EXIT_INVARIANT_VIOLATION if failed else EXIT_OK
 
 
@@ -172,12 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subparsers, *path, func, help, io=True):
+    # the options added before --output, as (flags, keywords) pairs; --input by default
+    reads = ((("--input", "-i"), {"default": "-", "help": "input JSON path, - for stdin"}),)
+
+    def command(subparsers, *path, func, help, before_output=reads):
         p = parser.leaves[path] = subparsers.add_parser(path[-1], help=help)
         p.set_defaults(func=func)
-        if io:
-            p.add_argument("--input", "-i", default="-", help="input JSON path, - for stdin")
-            p.add_argument("--output", "-o", default="-", help="report path, - for stdout")
+        for flags, keywords in before_output:
+            p.add_argument(*flags, **keywords)
+        p.add_argument("--output", "-o", default="-", help="report path, - for stdout")
         return p
 
     p = command(sub, "classify", func=_cmd_classify, help="classify a surface descriptor")
@@ -189,20 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     lsub = sub.add_parser("lattice", help="lattice computations").add_subparsers(
         dest="lattice_cmd", required=True)
-    q = command(lsub, "lattice", "minus-one-count", func=_cmd_minus_one_count, io=False,
-                help="count (-1)-classes of a blowup lattice")
-    q.add_argument("--r", type=_int_arg, required=True, help="number of blown-up points")
-    q.add_argument("--list", action="store_true", help="include the classes themselves")
-    q.add_argument("--output", "-o", default="-")
+    command(lsub, "lattice", "minus-one-count", func=_cmd_minus_one_count,
+            help="count (-1)-classes of a blowup lattice", before_output=(
+                (("--r",), {"type": _int_arg, "required": True, "help": "number of blown-up points"}),
+                (("--list",), {"action": "store_true", "help": "include the classes themselves"})))
     command(lsub, "lattice", "invariant-rank", func=_cmd_invariant_rank,
             help="rank and basis of the fixed sublattice")
     command(lsub, "lattice", "genus", func=_cmd_genus, help="adjunction genus of a divisor class")
 
     p = command(sub, "canonical", func=_cmd_canonical, help="canonical forms modulo Moebius maps")
     p.add_argument("shape", choices=("triplet", "delta"))
-    p = command(sub, "verify", func=_cmd_verify, io=False, help="run a named invariant suite")
-    p.add_argument("--suite", default="all", help="suite name (default: all)")
-    p.add_argument("--output", "-o", default="-")
+    command(sub, "verify", func=_cmd_verify, help="run a named invariant suite",
+            before_output=[(("--suite",), {"default": "all", "help": "suite name (default: all)"})])
     return parser
 
 
@@ -220,32 +220,28 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _configure_logging():
-    """Return the ``cremona`` logger at the level ``CREMONA_LOG`` names now;
-    unless it has a handler, give it one that writes each line to
-    ``sys.stderr`` as it is then, so each in-process ``main`` logs to its own."""
-    import logging
-
-    logger = logging.getLogger("cremona")
-    if not logger.handlers:
-        class Stderr(logging.StreamHandler):
-            stream = property(lambda self: sys.stderr, lambda self, value: None)
-
-        handler = Stderr()
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        logger.addHandler(handler)
-    level = getattr(logging, os.environ.get("CREMONA_LOG", "warning").upper(), None)
-    logger.setLevel(level if isinstance(level, int) else logging.WARNING)
-    return logger
+#: the least level that each ``CREMONA_LOG`` name lets through; any other
+#: value, ``notset`` and the empty one included, means warning
+_LEVELS = {"DEBUG": 10, "INFO": 20, "WARNING": 30, "WARN": 30, "ERROR": 40,
+           "CRITICAL": 50, "FATAL": 50}
 
 
 def _log(level: str, message: str, *args) -> None:
-    getattr(_configure_logging(), level)(message, *args)
+    """Write ``LEVEL cremona: message`` to ``sys.stderr`` as it is now, if
+    ``CREMONA_LOG`` lets ``level`` through; a missing, closed or full stderr
+    loses the line."""
+    stream = sys.stderr
+    threshold = _LEVELS.get(os.environ.get("CREMONA_LOG", "").upper(), 30)
+    if stream is None or _LEVELS[level] < threshold:
+        return
+    try:
+        stream.write(f"{level} cremona: {message % args if args else message}\n")
+        stream.flush()
+    except (OSError, ValueError):
+        pass
 
 
 def main(argv=None) -> int:
-    if "CREMONA_LOG" in os.environ:
-        _configure_logging()
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
@@ -257,16 +253,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:
-        _log("error", "malformed JSON at line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
+        _log("ERROR", "malformed JSON at line %d column %d: %s", exc.lineno, exc.colno, exc.msg)
         return EXIT_INVALID_INPUT
     except (OSError, UnicodeDecodeError) as exc:
-        _log("error", "cannot read or write: %s", exc)
+        _log("ERROR", "cannot read or write: %s", exc)
         return EXIT_INVALID_INPUT
     except InvariantViolation as exc:
-        _log("error", "internal invariant violation: %s", exc)
+        _log("ERROR", "internal invariant violation: %s", exc)
         return EXIT_INVARIANT_VIOLATION
     except CremonaError as exc:
-        _log("error", "%s: %s", type(exc).__name__, exc)
+        _log("ERROR", "%s: %s", type(exc).__name__, exc)
         return EXIT_INVALID_INPUT
 
 

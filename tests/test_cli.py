@@ -2,7 +2,6 @@ import ast
 import contextlib
 import io
 import json
-import logging
 import os
 import pathlib
 import random
@@ -407,10 +406,10 @@ class TestClassifyCommand:
         assert code == 1 and report is None
 
     @pytest.mark.parametrize("delta", [[0, 1, 1, 2, 3], [0, "0/5", [0, 7], 1]])
-    def test_repeated_branch_point_is_invalid_input(self, tmp_path, caplog, delta):
+    def test_repeated_branch_point_is_invalid_input(self, tmp_path, capsys, delta):
         code, report = run(tmp_path, ["classify"], {"kind": "exceptional", "delta": delta})
         assert code == 1 and report is None
-        assert "DuplicatePoint: repeated point in the branch set" in caplog.text
+        assert "DuplicatePoint: repeated point in the branch set" in capsys.readouterr().err
 
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -501,16 +500,16 @@ class TestConstructCommand:
         assert model_doc["k_squared"] == 4
         assert model_doc["aut"]["stabilizer_order"] == 4
 
-    def test_exceptional_repeated_branch_point(self, tmp_path, caplog):
+    def test_exceptional_repeated_branch_point(self, tmp_path, capsys):
         code, report = run(
             tmp_path, ["construct", "exceptional"], {"delta": [0, 1, 1, 2, 3]})
         assert code == 1 and report is None
-        assert "DuplicatePoint: repeated point in the branch set" in caplog.text
+        assert "DuplicatePoint: repeated point in the branch set" in capsys.readouterr().err
 
-    def test_document_that_is_not_an_object(self, tmp_path, caplog):
+    def test_document_that_is_not_an_object(self, tmp_path, capsys):
         path = write_doc(tmp_path, "in.json", [])
         assert main(["construct", "four-lines", "--input", path]) == 1
-        assert "InvalidDescriptor: at $: expected an object" in caplog.text
+        assert "InvalidDescriptor: at $: expected an object" in capsys.readouterr().err
 
 
 class TestLatticeCommand:
@@ -571,12 +570,12 @@ class TestCanonicalCommand:
         assert code == 0
         assert report == {"delta": [[3, -1], [0, 1], [1, 1], [1, 0]]}
 
-    def test_delta_past_the_cap_is_invalid_input(self, tmp_path, caplog):
+    def test_delta_past_the_cap_is_invalid_input(self, tmp_path, capsys):
         n = square_class.MAX_CANONICAL_POINTS + 1
         code, report = run(tmp_path, ["canonical", "delta"], {"delta": list(range(n))})
         assert code == 1 and report is None
         assert f"TooManyPoints: canonical forms and stabilizers accept at most {n - 1}" \
-            in caplog.text
+            in capsys.readouterr().err
 
     def test_delta_at_the_cap_is_accepted(self, tmp_path):
         n = square_class.MAX_CANONICAL_POINTS
@@ -730,18 +729,31 @@ class TestPlaneInvariance:
         assert reports[0] == reports[1]
 
 
-def run_child(args, stdin, log=None, timeout=60):
-    """Run ``python <args>`` with the package on the path, and ``CREMONA_LOG``
-    set to ``log`` or unset; returns the process, or raises
-    ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
+def child_env(log=None):
+    """The environment of a child: the package on the path, and
+    ``CREMONA_LOG`` set to ``log`` or unset."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cremona.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CREMONA_LOG", None)
     if log is not None:
         env["CREMONA_LOG"] = log
+    return env
+
+
+def run_child(args, stdin, log=None, timeout=60):
+    """Run ``python <args>`` under ``child_env(log)``; returns the process, or
+    raises ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     return subprocess.run(
         [sys.executable, *args], input=stdin,
-        capture_output=True, text=True, env=env, timeout=timeout)
+        capture_output=True, text=True, env=child_env(log), timeout=timeout)
+
+
+def logged_lines(capsys, level="ERROR"):
+    """The messages of the lines on the captured stderr, each logged at ``level``."""
+    prefix = f"{level} cremona: "
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith(prefix) for line in lines), lines
+    return [line[len(prefix):] for line in lines]
 
 
 def assert_one_logged_line(proc, code, prefix):
@@ -986,11 +998,10 @@ class TestRecordsInMessages:
                                        "center": [0, 0, 1]},
          "InvalidDescriptor: at $.lines[3][2]: expected an integer, got False"),
     ])
-    def test_logged_line(self, tmp_path, caplog, argv, doc, message):
+    def test_logged_line(self, tmp_path, capsys, argv, doc, message):
         code, report = run(tmp_path, argv, doc)
         assert code == 1 and report is None
-        logged = [r.getMessage() for r in caplog.records if r.name == "cremona"]
-        assert logged == [message]
+        assert logged_lines(capsys) == [message]
 
 
 def _with_certificate_source(source):
@@ -1073,10 +1084,10 @@ class TestLongValuesInMessages:
             "certificate-source", "hirzebruch-index", "del-pezzo-degree", "blowup-rank",
             "center-on-a-line", "repeated-line", "certificate-section", "d1-off-the-lines",
             "double-point-on-the-conic", "line-misses-the-conic"])
-    def test_logged_line_is_bounded(self, tmp_path, caplog, argv, doc):
+    def test_logged_line_is_bounded(self, tmp_path, capsys, argv, doc):
         code, report = run(tmp_path, argv, doc)
         assert code == 1 and report is None
-        [logged] = [r.getMessage() for r in caplog.records if r.name == "cremona"]
+        [logged] = logged_lines(capsys)
         assert len(logged.encode()) <= 1024
         assert " characters)" in logged
 
@@ -1483,8 +1494,30 @@ def test_cli_import_loads_neither_dataclasses_nor_logging():
     assert not loaded & {"dataclasses", "inspect", "logging", "traceback", "string"}
 
 
+#: the least level that each value of CREMONA_LOG lets through; None is unset
+LOG_THRESHOLDS = {None: 30, "debug": 10, "DEBUG": 10, "info": 20, "warning": 30, "warn": 30,
+                  "error": 40, "critical": 50, "fatal": 50, "notset": 30, "bogus": 30, "": 30}
+BAD_HIRZEBRUCH = '{"kind": "hirzebruch", "n": "x"}'
+Z22_222 = '{"kind": "z22", "triplet": [[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]]}'
+Z22_222_REASON = "profile (2, 2, 2) needs a geometric realization certificate to decide"
+Z22_222_REPORT = f'{{\n  "outcome": "indeterminate",\n  "reason": "{Z22_222_REASON}"\n}}\n'
+#: argv, stdin, exit code, stdout, the level of the one line it may log, and that line
+LOGGED_RUNS = [
+    (["classify"], Z22_222, 2, Z22_222_REPORT, 20,
+     f"INFO cremona: indeterminate verdict: {Z22_222_REASON}\n"),
+    (["classify"], BAD_HIRZEBRUCH, 1, "", 40,
+     "ERROR cremona: InvalidDescriptor: at $.n: expected an integer, got 'x'\n"),
+    (["verify", "--suite", "nosuch"], "", 1, "", 40,
+     "ERROR cremona: unknown suite 'nosuch'; choose from geometry, picard, square-class, "
+     "bundles, classifier, all\n"),
+]
+#: a logged error and a logged indeterminate verdict: stdin, CREMONA_LOG, exit code
+LOST_LINE_RUNS = [(BAD_HIRZEBRUCH, "warning", 1), (Z22_222, "debug", 2)]
+
+
 class TestLoggingSetUp:
-    """``logging`` is loaded on the first log record, or at start with CREMONA_LOG."""
+    """The CLI writes its log lines itself: ``logging`` is never loaded, and
+    each line goes to the stderr of its moment, at the level CREMONA_LOG names."""
 
     SCRIPT = ("import sys\n"
               "from cremona.cli import main\n"
@@ -1495,9 +1528,10 @@ class TestLoggingSetUp:
         proc = run_child(["-c", self.SCRIPT], '{"kind": "hirzebruch", "n": 2}')
         assert proc.stdout.splitlines()[-1] == "0 False" and proc.stderr == ""
 
-    def test_cremona_log_sets_it_up_at_start(self):
-        proc = run_child(["-c", self.SCRIPT], '{"kind": "hirzebruch", "n": 2}', log="debug")
-        assert proc.stdout.splitlines()[-1] == "0 True" and proc.stderr == ""
+    def test_cremona_log_and_a_logged_line_never_load_it(self):
+        proc = run_child(["-c", self.SCRIPT], Z22_222, log="debug")
+        assert proc.stdout.splitlines()[-1] == "2 False"
+        assert proc.stderr == f"INFO cremona: indeterminate verdict: {Z22_222_REASON}\n"
 
     def test_debug_level_logs_the_indeterminate_verdict(self):
         doc = json.dumps({"kind": "z22", "triplet": [[0, 1, 2, 3], [0, 1, 4, 5], [2, 3, 4, 5]]})
@@ -1521,6 +1555,47 @@ class TestLoggingSetUp:
             lines.append(err.getvalue())
         assert lines == [f"ERROR cremona: InvalidDescriptor: at $.n: expected an integer, got {n!r}\n"
                          for n in ("x", "y")]
+
+    def test_root_logging_of_the_caller_gets_no_copy(self):
+        # a program that set up root logging and calls main in process sees
+        # each line once
+        script = ("import logging\n"
+                  "logging.basicConfig()\n"
+                  "from cremona.cli import main\n"
+                  "print(main(['classify']))\n")
+        proc = run_child(["-c", script], BAD_HIRZEBRUCH)
+        assert proc.stdout == "1\n"
+        assert proc.stderr == "ERROR cremona: InvalidDescriptor: at $.n: expected an integer, got 'x'\n"
+
+    @pytest.mark.parametrize("log", LOG_THRESHOLDS, ids=repr)
+    def test_bytes_at_each_level(self, log):
+        # the three commands run side by side, each in its own interpreter
+        procs = [(subprocess.Popen([sys.executable, "-m", "cremona", *argv], stdin=subprocess.PIPE,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                   env=child_env(log)), stdin)
+                 for argv, stdin, *_ in LOGGED_RUNS]
+        runs = [(*proc.communicate(stdin, timeout=60), proc.returncode) for proc, stdin in procs]
+        assert runs == [(stdout, line if level >= LOG_THRESHOLDS[log] else "", code)
+                        for _, _, code, stdout, level, line in LOGGED_RUNS]
+
+    @pytest.mark.parametrize("doc, log, code", LOST_LINE_RUNS)
+    def test_no_stderr_loses_the_line(self, monkeypatch, doc, log, code):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+        monkeypatch.setattr(sys, "stderr", None)
+        monkeypatch.setenv("CREMONA_LOG", log)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["classify"]) == code
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"])
+    @pytest.mark.parametrize("doc, log, code", LOST_LINE_RUNS)
+    def test_a_closed_or_full_stderr_loses_the_line(self, redirect, doc, log, code):
+        if redirect.endswith("/dev/full") and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "cremona", "classify"],
+            input=doc, stdout=subprocess.PIPE, text=True, env=child_env(log), timeout=60)
+        assert proc.returncode == code
+        assert proc.stdout == (Z22_222_REPORT if code == 2 else "")
 
 
 class TestVerifyCommand:
@@ -1547,7 +1622,7 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert len(names) == len(set(names)) >= 15
 
-    def test_failed_rows_are_reported_and_exit_3(self, tmp_path, monkeypatch, caplog):
+    def test_failed_rows_are_reported_and_exit_3(self, tmp_path, monkeypatch, capsys):
         def raises():
             raise ZeroDivisionError("the thunk failed")
 
@@ -1564,6 +1639,4 @@ class TestVerifyCommand:
         assert failed[0]["error"].startswith(
             "InvariantViolation: expected 'a wrong frozen value', got ")
         assert failed[1]["error"] == "ZeroDivisionError: the thunk failed"
-        logged = [r.getMessage() for r in caplog.records
-                  if r.name == "cremona" and r.levelno == logging.ERROR]
-        assert logged == [f"check {c['name']} failed: {c['error']}" for c in failed]
+        assert logged_lines(capsys) == [f"check {c['name']} failed: {c['error']}" for c in failed]
