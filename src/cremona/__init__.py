@@ -30,7 +30,7 @@ _EXPORTS = {
         "invariant_sublattice", "is_pair_minimal", "reflection_matrix"),
     "square_class": (
         "RamificationTriplet", "delta_canonical_form", "realizable_profiles", "stabilizer",
-        "triplet_canonical_form", "triplet_from_profile", "validate_triplet"),
+        "triplet_canonical_form", "triplet_from_profile"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

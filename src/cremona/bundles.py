@@ -95,7 +95,6 @@ from .square_class import (
     RamificationTriplet,
     _canonical_and_stabilizer,
     branch_set,
-    validate_triplet,
 )
 
 # ---------------------------------------------------------------------------
@@ -388,7 +387,7 @@ def build_from_four_lines(lines, center: P2Point) -> Z22BundleModel:
     for pairing in pairings:
         others = [proj[p] for p in double_points if p not in pairing]
         branch_sets.append(tuple(others))
-    triplet = validate_triplet(*branch_sets)
+    triplet = RamificationTriplet(branch_sets)
 
     sections = [(1, 0, [proj[pair] for pair in double_points if i in pair]) for i in range(4)]
     return z22_from_triplet(triplet, _certificate("four-lines", triplet, sections))
@@ -463,7 +462,7 @@ def build_from_three_lines_conic(
     branch_a = (proj[a1], proj[a2], proj[b3], proj[c])
     branch_b = (proj[b1], proj[b2], proj[a3], proj[c])
     branch_c = (proj[a1], proj[a2], proj[a3], proj[b1], proj[b2], proj[b3])
-    triplet = validate_triplet(branch_a, branch_b, branch_c)
+    triplet = RamificationTriplet((branch_a, branch_b, branch_c))
 
     sections = [
         (degree, e0, [proj[pt] for pt in through])

@@ -154,6 +154,11 @@ def _contract_to_plane() -> Verdict:
 # canonical invariants -------------------------------------------------------
 
 
+def _refused(field: str, message: str) -> InvalidDescriptor:
+    """The refusal of a descriptor field, named by its ``$.`` path."""
+    return InvalidDescriptor(f"at $.{field}: {message}")
+
+
 def _cubic_parameter(family: str, raw: str) -> str:
     """The invariant form of the 8a or 8c parameter, after its restrictions.
 
@@ -166,20 +171,19 @@ def _cubic_parameter(family: str, raw: str) -> str:
     converts from text (see ``geometry._rational``) cannot be checked.
     """
     try:
-        value = _rational(raw, "parameter")
+        value = _rational(raw, "at $.parameter: parameter")
     except ValueError:
         return raw
     except ZeroDivisionError:
-        raise InvalidDescriptor(f"parameter {excerpt(raw, str)} has denominator zero") from None
+        raise _refused("parameter", f"parameter {excerpt(raw, str)} has denominator zero") from None
     if family == CUBIC_TRIPLE_COVER:
         if value == -3:
-            raise InvalidDescriptor(f"parameter {excerpt(raw, str)} makes the triple-cover "
-                                    "cubic singular (alpha^3 = -27)")
+            raise _refused("parameter", f"parameter {excerpt(raw, str)} makes the triple-cover "
+                           "cubic singular (alpha^3 = -27)")
         return raw
     if value == 0 or 8 * value**3 == -1:
-        raise InvalidDescriptor(
-            f"parameter {excerpt(raw, str)} violates the S_4 cubic restrictions "
-            "(9 l^3 != 8 l and 8 l^3 != -1)")
+        raise _refused("parameter", f"parameter {excerpt(raw, str)} violates the S_4 cubic "
+                       "restrictions (9 l^3 != 8 l and 8 l^3 != -1)")
     return str(abs(value))
 
 
@@ -188,7 +192,7 @@ def _cubic_parameter(family: str, raw: str) -> str:
 
 def _classify_hirzebruch(d: HirzebruchDescriptor) -> Verdict:
     if d.n < 0:
-        raise InvalidDescriptor(f"Hirzebruch index must be >= 0, got {excerpt(d.n)}")
+        raise _refused("n", f"Hirzebruch index must be >= 0, got {excerpt(d.n)}")
     if d.n >= 2:
         return _maximal(4, {"n": d.n})
     if d.n == 1:
@@ -251,49 +255,51 @@ def _classify_cubic(d: DelPezzoDescriptor) -> Verdict:
     # the tags and the parameter are checked before minimality is decided,
     # so that their contradictions are refused whichever branch follows
     if d.fixed_point_report is not None and d.fixed_point_report not in _FIXED_POINT_REPORTS:
-        raise InvalidDescriptor(
-            f"unknown fixed point report {excerpt(d.fixed_point_report)}; "
-            f"expected one of {_FIXED_POINT_REPORTS}")
+        raise _refused("fixed_point_report", f"unknown fixed point report "
+                       f"{excerpt(d.fixed_point_report)}; expected one of {_FIXED_POINT_REPORTS}")
+    if d.cubic_family is not None and d.cubic_family not in _CUBIC_TAGS:
+        raise _refused("cubic_family", f"unknown cubic family tag {excerpt(d.cubic_family)}")
+    if d.cubic_family == CUBIC_EXTRA_FIXED_POINT and d.fixed_point_report == ALL_ON_EXCEPTIONAL:
+        raise _refused("cubic_family", "the extra-fixed-point family contradicts an "
+                       "all-on-exceptional report")
     value = None
-    if d.cubic_family is not None:
-        if d.cubic_family not in _CUBIC_TAGS:
-            raise InvalidDescriptor(f"unknown cubic family tag {excerpt(d.cubic_family)}")
-        if d.cubic_family == CUBIC_EXTRA_FIXED_POINT and d.fixed_point_report == ALL_ON_EXCEPTIONAL:
-            raise InvalidDescriptor(
-                "the extra-fixed-point family contradicts an all-on-exceptional report")
-        if d.cubic_family in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA) and d.parameter is not None:
-            value = _cubic_parameter(d.cubic_family, d.parameter)
+    if d.parameter is not None:
+        if d.cubic_family not in (CUBIC_TRIPLE_COVER, CUBIC_S4_LAMBDA):
+            raise _refused("parameter", f"only the {CUBIC_TRIPLE_COVER} and {CUBIC_S4_LAMBDA} "
+                           "cubic families read a parameter")
+        value = _cubic_parameter(d.cubic_family, d.parameter)
     if d.action is None:
-        raise InvalidDescriptor("degree 3 needs the lattice action to decide minimality")
+        raise _refused("action", "degree 3 needs the lattice action to decide minimality")
     if d.action.lattice.r != 6:
-        raise InvalidDescriptor(
-            f"degree 3 needs a lattice with r = 6, got r = {d.action.lattice.r}")
+        raise _refused("action.r", f"degree 3 needs a lattice with r = 6, got r = {d.action.lattice.r}")
     if d.fixed_point_report is None:
-        raise InvalidDescriptor("degree 3 needs a fixed point report")
+        raise _refused("fixed_point_report", "degree 3 needs a fixed point report")
     minimal, _witness = is_pair_minimal(d.action.lattice, d.action)
     if minimal and d.fixed_point_report == ALL_ON_EXCEPTIONAL:
         if d.cubic_family is None:
-            raise InvalidDescriptor(
-                "a minimal cubic action with fixed points on the exceptional "
-                "curves needs its equation family tag")
+            raise _refused("cubic_family", "a minimal cubic action with fixed points on the "
+                           "exceptional curves needs its equation family tag")
         sub = _CUBIC_SUBFAMILY[d.cubic_family]
         datum: dict = {"subfamily": sub}
         if sub != "8b":
             if value is None:
-                raise InvalidDescriptor(f"the {d.cubic_family} cubic family needs its parameter")
+                raise _refused("parameter", f"the {d.cubic_family} cubic family needs its parameter")
             datum["alpha" if sub == "8a" else "lambda_up_to_sign"] = value
         return _maximal(8, datum, subfamily=sub)
     return _not_maximal(*_blow_down_chain_from(3))
 
 
 def _classify_quartic_cover(d: DelPezzoDescriptor) -> Verdict:
-    if d.quartic_row is not None:
-        order, label = d.quartic_row
-        if DEGREE2_TABLE.get(order) != label:
-            raise InvalidDescriptor(
-                f"({excerpt(order)}, {excerpt(label)}) is not a row of the degree-2 table")
-        if d.restrictions_satisfied:
-            return _maximal(9, {"order": order, "structure": label})
+    if d.quartic_row is None:
+        if not d.restrictions_satisfied:
+            raise _refused("restrictions_satisfied", "read only with a quartic_row")
+        return _not_maximal(*_blow_down_chain_from(2))
+    order, label = d.quartic_row
+    if DEGREE2_TABLE.get(order) != label:
+        raise _refused("quartic_row",
+                       f"({excerpt(order)}, {excerpt(label)}) is not a row of the degree-2 table")
+    if d.restrictions_satisfied:
+        return _maximal(9, {"order": order, "structure": label})
     return _not_maximal(*_blow_down_chain_from(2))
 
 
@@ -327,13 +333,13 @@ def rule(kind, degree, given) -> tuple[tuple[str, ...], Callable[..., Verdict]]:
     first of the ``given`` fields that the row does not read is refused."""
     if (kind, degree) not in RULES:
         if kind in {k for k, _ in RULES}:
-            raise InvalidDescriptor(f"at $.degree: del Pezzo degree must be 1..9, got {excerpt(degree)}")
-        raise InvalidDescriptor(f"at $.kind: unknown descriptor kind {excerpt(kind)}")
+            raise _refused("degree", f"del Pezzo degree must be 1..9, got {excerpt(degree)}")
+        raise _refused("kind", f"unknown descriptor kind {excerpt(kind)}")
     fields, decide = RULES[kind, degree]
     unread = sorted(set(given).difference(fields))
     if unread:
         row = kind if degree is None else f"{kind} degree {degree}"
-        raise InvalidDescriptor(f"at $.{excerpt(unread[0], str)}: not read by the {row} row")
+        raise _refused(excerpt(unread[0], str), f"not read by the {row} row")
     return fields, decide
 
 

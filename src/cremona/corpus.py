@@ -33,7 +33,7 @@ from .classifier import (
 )
 from .geometry import Conic, Line, P1Point, P2Point
 from .picard import BlowupLattice, DivisorClass, LatticeAction, reflection_matrix
-from .square_class import validate_triplet
+from .square_class import RamificationTriplet, triplet_from_profile
 
 
 def p1(value) -> P1Point:
@@ -79,18 +79,11 @@ def exceptional_model() -> ExceptionalBundleModel:
     return exceptional_from_delta(EXCEPTIONAL_DELTA)
 
 
-HALPHEN_TRIPLET = validate_triplet(
-    [p1(0), p1(1), p1(2), p1(3)],
-    [p1(4), p1(5), p1(6), p1(None)],
-    [p1(0), p1(1), p1(2), p1(3), p1(4), p1(5), p1(6), p1(None)],
-)
+HALPHEN_TRIPLET = RamificationTriplet(tuple(
+    [p1(x) for x in xs] for xs in ((0, 1, 2, 3), (4, 5, 6, None), (0, 1, 2, 3, 4, 5, 6, None))))
 
-#: small uncertified triplets, one per del Pezzo branch degree
-TRIPLET_K3 = validate_triplet([p1(0), p1(1)], [p1(0), p1(2)], [p1(1), p1(2)])
-TRIPLET_K4 = validate_triplet(
-    [p1(0), p1(1)], [p1(2), p1(3)], [p1(0), p1(1), p1(2), p1(3)])
-TRIPLET_K5 = validate_triplet(
-    [p1(0), p1(1)], [p1(0), p1(2), p1(3), p1(4)], [p1(1), p1(2), p1(3), p1(4)])
+#: small uncertified triplets on 0..k-1, one per del Pezzo branch degree
+TRIPLET_K3, TRIPLET_K4, TRIPLET_K5 = map(triplet_from_profile, ((1, 1, 1), (1, 1, 2), (1, 2, 2)))
 
 
 # cubic-surface lattice actions ------------------------------------------------

@@ -123,7 +123,7 @@ class QOnConfiguration(CremonaError):
 # classifier -----------------------------------------------------------------
 
 class InvalidDescriptor(CremonaError):
-    """A surface descriptor is malformed or uses an unknown label."""
+    """A surface descriptor is malformed or uses an unknown label, or a triplet has not three sets."""
 
 
 class InvalidCertificate(InvalidDescriptor):

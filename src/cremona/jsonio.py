@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _string
 from .errors import InvalidDescriptor, excerpt
 from .geometry import Conic, Line, P1Point, P2Point, _rational
 from .picard import BlowupLattice, DivisorClass, LatticeAction
-from .square_class import RamificationTriplet, validate_triplet
+from .square_class import RamificationTriplet
 
 # bundles and classifier are imported by the functions that use them, so
 # that commands needing neither (canonical, lattice) do not load them; the
@@ -283,14 +283,14 @@ def divisor_json(d: DivisorClass) -> list[int]:
 
 
 def parse_triplet(v, where: str) -> RamificationTriplet:
-    """Three branch sets of points, checked by ``validate_triplet``.  Every
+    """Three branch sets of points, checked by ``RamificationTriplet``.  Every
     point lies in two sets, so the sets share one ``_p1_points`` table and
     each distinct well-formed ``[a, b]`` pair is built once."""
     # one point per distinct pair: with a point per entry, parse_triplet takes
     # 1.10x as long on the klein-four-sweep triplets (Python 3.11.7, shared 2-vCPU VM)
     built = {}
-    return validate_triplet(*(_p1_points(s, f"{where}[{i}]", built)
-                              for i, s in enumerate(expect_list(v, where, 3))))
+    return RamificationTriplet([_p1_points(s, f"{where}[{i}]", built)
+                                for i, s in enumerate(expect_list(v, where, 3))])
 
 
 def triplet_json(t: RamificationTriplet) -> list[list[list[int]]]:

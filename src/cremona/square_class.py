@@ -9,9 +9,11 @@ A ramification triplet is the combinatorial core of an action of the
 Klein four-group on a conic bundle: three branch sets A_1, A_2, A_3 in
 which every point of the union lies in exactly two of the sets, so that
 A_3 is the symmetric difference of the other two.  A triplet carries its
-sorted support and each set as increasing indices into it (``indices``);
-validating one sorts the support once and orders the sets as index
-tuples, and the model and the canonical form read the index sets.
+sorted support and each set as increasing indices into it (``indices``),
+which the model and the canonical form read.  ``RamificationTriplet(sets)``,
+the one constructor, checks the rules; a Moebius image, a canonical form
+and a standard profile are built unchecked, from index sets, by the two
+trusted builders ``_of_labels`` and ``_of_indices``.
 Canonical forms pin three support points to 0, 1 and infinity and
 minimize over the choices, making equality of forms a Q-conjugacy test.
 
@@ -40,6 +42,7 @@ from itertools import chain
 from .errors import (
     CoverageViolation,
     DuplicatePoint,
+    InvalidDescriptor,
     InvariantViolation,
     OddCardinality,
     TooFewPoints,
@@ -93,27 +96,39 @@ def _labelled(sets) -> tuple[list[P1Point], list[list[int]]]:
 class RamificationTriplet(_Frozen):
     """Three even branch sets covering every point exactly twice.
 
-    ``support`` is the sorted union of the sets, and ``indices`` holds each
-    set as increasing indices into it.  The sets are stored sorted (each
-    internally, and among themselves by size then lexicographic order), so
-    equal triplets compare equal; since index order is point order, that is
-    the order of the index sets by (size, indices), and the support is the
-    only sequence of points ever sorted.  Every triplet is made by
-    ``_of_indices``, which reads the sets off the support.
+    The constructor refuses any number of sets but three (InvalidDescriptor,
+    before a point is read), checks each set in turn for distinct points,
+    at least two of them and an even count, then checks that every point
+    lies in exactly two sets, all on the labels of ``_labelled``.  The sets
+    are stored sorted (each internally, and among themselves by size then
+    lexicographic order), so equal triplets compare equal; as index order is
+    point order, that is the (size, indices) order of ``indices`` into the
+    sorted ``support``, the only sequence of points ever sorted.
+    ``_of_labels`` and ``_of_indices`` trust their caller, whose docstring
+    proves the rules; ``_of_indices`` makes every triplet.
     """
 
     __slots__ = ("sets", "support", "indices")
     __match_args__ = ("sets",)
 
-    def __new__(cls, sets: tuple[tuple[P1Point, ...], ...]) -> "RamificationTriplet":
+    def __new__(cls, sets) -> "RamificationTriplet":
+        sets = tuple(sets)
+        if len(sets) != 3:
+            raise InvalidDescriptor(f"expected 3 entries, got {len(sets)}")
         points, labelled = _labelled(sets)
-        return cls._of_labels(points, [_distinct(s, "a branch set") for s in labelled])
+        labelled = [_checked(s, f"branch set {idx}") for idx, s in enumerate(labelled, start=1)]
+        counts = Counter(chain.from_iterable(labelled))
+        if any(c != 2 for c in counts.values()):
+            bad = sorted(points[label] for label, c in counts.items() if c != 2)
+            raise CoverageViolation(
+                f"points covered a number of times other than twice: {excerpt(bad)}")
+        return cls._of_labels(points, labelled)
 
     @classmethod
     def _of_labels(cls, points, labelled) -> "RamificationTriplet":
-        """The triplet of sets given by ``_labelled``, each without repeats:
-        the points are sorted once, as the support, and the index sets are
-        sorted as ints."""
+        """The triplet of distinct ``points`` and of label sets (places in
+        ``points``) that satisfy the triplet rules: the points are sorted
+        once, as the support, and the index sets as ints."""
         order = sorted(range(len(points)), key=points.__getitem__)
         index = [0] * len(order)
         for i, label in enumerate(order):
@@ -138,26 +153,10 @@ class RamificationTriplet(_Frozen):
         return tuple(len(s) // 2 for s in self.sets)
 
     def transformed(self, m: Mobius) -> "RamificationTriplet":
-        return RamificationTriplet(tuple(tuple(m.apply(p) for p in s) for s in self.sets))
-
-
-def validate_triplet(a1, a2, a3) -> RamificationTriplet:
-    """Check the three branch sets and pack them into a triplet.
-
-    Each set must have at least two points and even size; every point of
-    the union must lie in exactly two of the sets (equivalently the third
-    set is the symmetric difference of the other two).  The checks read
-    the labels of the points (``_labelled``), in the same order and with
-    the same messages as on the points.
-    """
-    points, labelled = _labelled((a1, a2, a3))
-    labelled = [_checked(s, f"branch set {idx}") for idx, s in enumerate(labelled, start=1)]
-    counts = Counter(chain.from_iterable(labelled))
-    if any(c != 2 for c in counts.values()):
-        bad = sorted(points[label] for label, c in counts.items() if c != 2)
-        raise CoverageViolation(
-            f"points covered a number of times other than twice: {excerpt(bad)}")
-    return RamificationTriplet._of_labels(points, labelled)
+        """The image triplet under ``m``: the images of the support, with the
+        same index sets.  A Moebius map over Q is a bijection of P^1(Q), so the
+        images are distinct and each set keeps its size and coverage."""
+        return RamificationTriplet._of_labels([m.apply(p) for p in self.support], self.indices)
 
 
 def realizable_profiles(max_k: int) -> tuple[tuple[int, int, int], ...]:
@@ -177,15 +176,17 @@ def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
 
     The support is split into three blocks of pairwise overlaps; the first
     a1+a2-a3 points lie in sets 1 and 2, the next a1+a3-a2 in sets 1 and 3,
-    the last a2+a3-a1 in sets 2 and 3.
+    the last a2+a3-a1 in sets 2 and 3.  By construction each index lies in
+    exactly two of the sets, of sizes 2 a1, 2 a2 and 2 a3, each at least 2.
     """
     a1, a2, a3 = profile
     m12, m13, m23 = a1 + a2 - a3, a1 + a3 - a2, a2 + a3 - a1
     if min(m12, m13, m23) < 0 or min(profile) < 1:
         raise CoverageViolation(f"profile {profile} is not realizable")
-    support = [P1Point(i, 1) for i in range(a1 + a2 + a3)]
-    b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
-    return validate_triplet(b12 + b13, b12 + b23, b13 + b23)
+    k = a1 + a2 + a3
+    b12, b13, b23 = range(m12), range(m12, m12 + m13), range(m12 + m13, k)
+    return RamificationTriplet._of_labels([P1Point(i, 1) for i in range(k)],
+                                          [[*b12, *b13], [*b12, *b23], [*b13, *b23]])
 
 
 # canonical forms and stabilizers ----------------------------------------------

@@ -50,16 +50,21 @@ from functools import cached_property
 from cremona import geometry
 from cremona import intlinalg as la
 from cremona import picard
+from cremona import square_class
 from cremona.bundles import _certificate, _distinct, z22_from_triplet
 from cremona.errors import (
+    CoverageViolation,
     CremonaError,
     DegenerateConfiguration,
     DimensionMismatch,
     DuplicatePoint,
+    InvalidDescriptor,
     MovesCanonicalClass,
     NotIsometry,
+    OddCardinality,
     TooFewPoints,
     TooManyPoints,
+    TooSmall,
     UnsupportedRank,
     excerpt,
     require,
@@ -67,7 +72,7 @@ from cremona.errors import (
 from cremona.geometry import intersect_line_conic, line_through, lines_meet, project_from
 from cremona.jsonio import _fail, expect_int, expect_list
 from cremona.picard import MAX_BLOWUPS, validate_action
-from cremona.square_class import MAX_CANONICAL_POINTS, sorted_distinct, validate_triplet
+from cremona.square_class import MAX_CANONICAL_POINTS
 
 
 def reference_mat_mul(a, b):
@@ -302,7 +307,7 @@ def reference_build_from_three_lines_conic(lines, conic, d1, d2):
     branch_a = (proj[a1], proj[a2], proj[b3], proj[c])
     branch_b = (proj[b1], proj[b2], proj[a3], proj[c])
     branch_c = (proj[a1], proj[a2], proj[a3], proj[b1], proj[b2], proj[b3])
-    triplet = validate_triplet(branch_a, branch_b, branch_c)
+    triplet = square_class.RamificationTriplet((branch_a, branch_b, branch_c))
 
     sections = [
         (degree, e0, [proj[pt] for pt in through])
@@ -456,7 +461,7 @@ def reference_parse_p1_points(v, where):
 def reference_parse_triplet(v, where):
     sets = expect_list(v, where, 3)
     parsed = [reference_parse_p1_points(s, f"{where}[{i}]") for i, s in enumerate(sets)]
-    return validate_triplet(*parsed)
+    return square_class.RamificationTriplet(parsed)
 
 
 def reference_parse_divisor(v, where):
@@ -695,10 +700,25 @@ class RamificationTriplet:
     sets: tuple
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(
-            (sorted_distinct(s, "a branch set") for s in self.sets),
-            key=_set_key,
-        ))
+        # the triplet rules, checked on the points: three sets; each set
+        # distinct, of at least two points and even; every point in two sets
+        sets = tuple(tuple(s) for s in self.sets)
+        if len(sets) != 3:
+            raise InvalidDescriptor(f"expected 3 entries, got {len(sets)}")
+        for i, s in enumerate(sets, start=1):
+            if len(set(s)) != len(s):
+                raise DuplicatePoint(f"repeated point in branch set {i}")
+            if len(s) < 2:
+                raise TooSmall(f"branch set {i} has {len(s)} < 2 points")
+            if len(s) % 2:
+                raise OddCardinality(f"branch set {i} has odd size {len(s)}")
+        bad = sorted({p for s in sets for p in s if sum(p in t for t in sets) != 2},
+                     key=lambda p: p.sort_key())
+        if bad:
+            raise CoverageViolation(
+                f"points covered a number of times other than twice: {excerpt(bad)}")
+        canon = tuple(sorted((tuple(sorted(s, key=lambda p: p.sort_key())) for s in sets),
+                             key=_set_key))
         object.__setattr__(self, "sets", canon)
 
     @property

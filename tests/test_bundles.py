@@ -32,7 +32,6 @@ from cremona import (
     second_fibration_solver,
     stabilizer,
     triplet_from_profile,
-    validate_triplet,
     z22_from_triplet,
 )
 from cremona import bundles, jsonio, picard
@@ -826,9 +825,9 @@ class TestHalphen:
         assert halphen_check(triplet_from_profile((1, 1, 2))) is None
 
     def test_standard_triplet_with_the_boundary_profile(self):
-        t = validate_triplet(
+        t = RamificationTriplet((
             tuple(p1(i) for i in (0, 1, 2, 3)),
             tuple(p1(i) for i in (4, 5, 6, 7)),
             tuple(p1(i) for i in range(8)),
-        )
+        ))
         assert halphen_check(t) is not None

@@ -80,7 +80,7 @@ class TestHirzebruchBranch:
         assert v.outcome == "maximal" and v.family == 2
 
     def test_negative_index_rejected(self):
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.n: Hirzebruch index must be >= 0, got -1$"):
             classify(HirzebruchDescriptor(-1))
 
 
@@ -213,12 +213,13 @@ class TestCubicBranch:
 
     def test_missing_parameter_rejected(self):
         for family in (CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER):
-            with pytest.raises(InvalidDescriptor, match="needs its parameter"):
+            with pytest.raises(InvalidDescriptor, match=r"^at \$\.parameter: .* needs its parameter$"):
                 classify(minimal_cubic(family))
 
     @pytest.mark.parametrize("family", [CUBIC_S4_LAMBDA, CUBIC_TRIPLE_COVER])
     def test_zero_denominator_is_not_a_parameter(self, family):
-        with pytest.raises(InvalidDescriptor, match="denominator zero"):
+        with pytest.raises(InvalidDescriptor,
+                           match=r"^at \$\.parameter: parameter 1/0 has denominator zero$"):
             classify(minimal_cubic(family, parameter="1/0"))
 
     @pytest.mark.parametrize("raw", ["1/" + "0" * 5000, "0." + "0" * 4400, "7" * 4301,
@@ -264,13 +265,13 @@ class TestCubicBranch:
                 cubic_family=CUBIC_TRIPLE_COVER, parameter="-3"))
 
     def test_missing_action_or_report_rejected(self):
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.action: "):
             classify(DelPezzoDescriptor(3, fixed_point_report=ALL_ON_EXCEPTIONAL))
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.fixed_point_report: "):
             classify(DelPezzoDescriptor(3, action=cubic_coxeter_action()))
 
     def test_missing_family_tag_rejected_when_maximal_path_applies(self):
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.cubic_family: "):
             classify(DelPezzoDescriptor(
                 3, action=cubic_coxeter_action(),
                 fixed_point_report=ALL_ON_EXCEPTIONAL))
@@ -284,7 +285,8 @@ class TestCubicBranch:
         # the tag says a fixed point lies off the exceptional curves, the report
         # says none does, whether or not the action is minimal
         action = cubic_coxeter_action() if minimal else non_minimal_cubic_action()
-        with pytest.raises(InvalidDescriptor, match="contradicts an all-on-exceptional report"):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.cubic_family: the extra-fixed-point "
+                                                     "family contradicts an all-on-exceptional report$"):
             classify(DelPezzoDescriptor(
                 3, action=action, fixed_point_report=ALL_ON_EXCEPTIONAL,
                 cubic_family=CUBIC_EXTRA_FIXED_POINT))
@@ -325,7 +327,7 @@ class TestQuarticCoverBranch:
         assert [s.k_squared for s in v.chain if s.k_squared is not None] == [1]
 
     def test_mispaired_row_rejected(self):
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.quartic_row: \(336, '2xS4'\) is not a row "):
             classify(DelPezzoDescriptor(2, quartic_row=(336, "2xS4")))
 
     def test_unknown_label_rejected(self):
@@ -427,14 +429,41 @@ class TestDescriptorValidation:
     def test_action_rank_must_match_degree(self):
         # degree 3 reads the action, whose lattice must have r = 6
         for r in (5, 7):
-            with pytest.raises(InvalidDescriptor, match=f"r = 6, got r = {r}"):
+            with pytest.raises(InvalidDescriptor, match=rf"^at \$\.action\.r: .* r = 6, got r = {r}$"):
                 classify(DelPezzoDescriptor(
                     3, action=LatticeAction(BlowupLattice(r), ()),
                     fixed_point_report=ALL_ON_EXCEPTIONAL, cubic_family=CUBIC_CLEBSCH))
 
     def test_fixed_point_report_vocabulary(self):
-        with pytest.raises(InvalidDescriptor):
+        with pytest.raises(InvalidDescriptor, match=r"^at \$\.fixed_point_report: unknown "):
             classify(DelPezzoDescriptor(3, fixed_point_report="somewhere"))
+
+    @pytest.mark.parametrize("doc", [
+        {"cubic_family": CUBIC_CLEBSCH, "parameter": "5"},
+        {"cubic_family": CUBIC_EXTRA_FIXED_POINT, "fixed_point_report": OFF_EXCEPTIONAL,
+         "parameter": "5"},
+        {"parameter": "zz"},
+    ], ids=["clebsch", "extra-fixed-point", "untagged"])
+    def test_parameter_without_a_parametrized_family_is_refused(self, doc):
+        # refused with the tags, before the action is read or minimality decided
+        message = ("at $.parameter: only the triple-cover and s4-lambda cubic families "
+                   "read a parameter")
+        with pytest.raises(InvalidDescriptor) as info:
+            classify(DelPezzoDescriptor(3, **doc))
+        assert str(info.value) == message
+        code, err = _logged_run({"kind": "del-pezzo", "degree": 3, "action": FIELD_VALUES["action"],
+                                 "fixed_point_report": ALL_ON_EXCEPTIONAL, **doc})
+        assert (code, err) == (1, f"ERROR cremona: InvalidDescriptor: {message}\n")
+
+    def test_restrictions_without_a_quartic_row_are_refused(self):
+        message = "at $.restrictions_satisfied: read only with a quartic_row"
+        with pytest.raises(InvalidDescriptor) as info:
+            classify(DelPezzoDescriptor(2, restrictions_satisfied=False))
+        assert str(info.value) == message
+        code, err = _logged_run({"kind": "del-pezzo", "degree": 2, "restrictions_satisfied": False})
+        assert (code, err) == (1, f"ERROR cremona: InvalidDescriptor: {message}\n")
+        # the default, given, is the default
+        assert _logged_run({"kind": "del-pezzo", "degree": 2, "restrictions_satisfied": True})[0] == 0
 
     def test_non_descriptor_rejected(self):
         with pytest.raises(InvalidDescriptor):

@@ -82,7 +82,10 @@ RAW = {
     "BlowupLattice": st.integers(-2, 15),
     "LatticeAction": action_raw(),
     "FiberedMarking": st.integers(-2, 15),
-    "RamificationTriplet": st.lists(p1_list, min_size=3, max_size=3),
+    # any sets, most of them refused, or three overlap blocks, most of them a triplet
+    "RamificationTriplet": st.one_of(
+        st.lists(p1_list, min_size=2, max_size=4),
+        st.tuples(p1_list, p1_list, p1_list).map(lambda b: [b[0] + b[1], b[0] + b[2], b[1] + b[2]])),
 }
 for _name, _cls in NEW.items():
     if _name in PLAIN:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,6 @@ from cremona import (
     stabilizer,
     triplet_canonical_form,
     triplet_from_profile,
-    validate_triplet,
 )
 from cremona import jsonio, square_class
 from cremona.errors import (
@@ -41,6 +42,9 @@ def pts(*values) -> tuple[P1Point, ...]:
 
 
 class TestValidateTriplet:
+    """The checked constructor ``RamificationTriplet(sets)`` and the triplets derived
+    from one."""
+
     def test_each_branch_set_is_sorted_and_checked_once(self, monkeypatch):
         checked, point_sorts = [], []
         real = square_class._distinct
@@ -62,43 +66,98 @@ class TestValidateTriplet:
         assert checked == ["branch set 1", "branch set 2", "branch set 3"]
         # each set is sorted as indices; only the support is sorted as points
         assert point_sorts == [list(t.support)]
-        # a Moebius image is validated again: each set checked, its support sorted
+        # a Moebius image is not checked again; only its support is sorted
         image = t.transformed(Mobius.from_coeffs(0, 1, 1, 0))
-        assert checked[3:] == ["a branch set"] * 3
+        assert checked[3:] == []
         assert point_sorts[1:] == [list(image.support)]
 
     def test_profile_and_support(self):
-        t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
+        t = RamificationTriplet((pts(0, 1), pts(0, 2), pts(1, 2)))
         assert t.profile == (1, 1, 1)
         assert t.support == pts(0, 1, 2)
         assert len(t.support) == sum(t.profile)
 
     def test_third_set_is_symmetric_difference(self):
-        t = validate_triplet(pts(0, 1), pts(2, 3), pts(0, 1, 2, 3))
+        t = RamificationTriplet((pts(0, 1), pts(2, 3), pts(0, 1, 2, 3)))
         assert set(t.sets[2]) == set(t.sets[0]) ^ set(t.sets[1])
         assert t.profile == (1, 1, 2)
 
     def test_membership_lists_exactly_two_sets(self):
-        t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
+        t = RamificationTriplet((pts(0, 1), pts(0, 2), pts(1, 2)))
         for p in t.support:
             assert sum(p in s for s in t.sets) == 2
 
     def test_sets_are_sorted_among_themselves(self):
-        t1 = validate_triplet(pts(1, 2), pts(0, 1), pts(0, 2))
-        t2 = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
+        t1 = RamificationTriplet((pts(1, 2), pts(0, 1), pts(0, 2)))
+        t2 = RamificationTriplet((pts(0, 1), pts(0, 2), pts(1, 2)))
         assert t1 == t2
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
-            validate_triplet((), pts(0, 1), pts(0, 1))
+            RamificationTriplet(((), pts(0, 1), pts(0, 1)))
 
     def test_odd_cardinality(self):
         with pytest.raises(OddCardinality):
-            validate_triplet(pts(0, 1, 2), pts(0, 1), pts(2, 3))
+            RamificationTriplet((pts(0, 1, 2), pts(0, 1), pts(2, 3)))
 
     def test_coverage_violation(self):
         with pytest.raises(CoverageViolation):
-            validate_triplet(pts(0, 1), pts(2, 3), pts(4, 5))
+            RamificationTriplet((pts(0, 1), pts(2, 3), pts(4, 5)))
+
+    @pytest.mark.parametrize("doc, error", [
+        ([[0], [0, 1], [1]], TooSmall),
+        ([[0, 1, 2], [0, 1], [2, 3]], OddCardinality),
+        ([[0, 1], [0, 2, 2, 3], [1, 3]], DuplicatePoint),
+        ([[0, 1], [0, 2], [1, 3]], CoverageViolation),
+        ([[0, 1], [0, 1], [0, 1]], CoverageViolation),
+        ([[0, 1], [0, 1]], InvalidDescriptor),
+        ([[0, 1], [0, 2], [1, 2], [0, 1]], InvalidDescriptor),
+    ], ids=["one-point-set", "odd-set", "repeated-point", "covered-once",
+            "covered-three-times", "two-sets", "four-sets"])
+    def test_non_triplets_are_refused_as_by_the_reader(self, doc, error):
+        # the constructor refuses what the JSON reader refuses, with the same
+        # class and message; the reader's count message also names its path
+        with pytest.raises(error) as read:
+            jsonio.parse_triplet(doc, "$.triplet")
+        with pytest.raises(error) as built:
+            RamificationTriplet([pts(*s) for s in doc])
+        assert type(built.value) is type(read.value) is error
+        assert str(read.value).removeprefix("at $.triplet: ") == str(built.value)
+
+    def test_set_count_is_refused_before_a_point_is_read(self):
+        with pytest.raises(InvalidDescriptor, match=r"^expected 3 entries, got 2$"):
+            RamificationTriplet([[object()], [object()]])
+
+    @pytest.mark.parametrize("profile", realizable_profiles(8))
+    def test_moebius_image_is_the_checked_triplet_of_the_moved_sets(self, profile):
+        t = triplet_from_profile(profile)
+        # t -> 1/t and t -> 1/(t - 1) send the support points 0 and 1 to infinity
+        for m in (Mobius.from_coeffs(2, 1, 0, 1), Mobius.from_coeffs(0, 1, 1, 0),
+                  Mobius.from_coeffs(0, 1, 1, -1), Mobius.from_coeffs(1, 3, 2, -5)):
+            image = t.transformed(m)
+            checked = RamificationTriplet([[m.apply(p) for p in s] for s in t.sets])
+            assert (image.sets, image.support, image.indices) == \
+                (checked.sets, checked.support, checked.indices)
+            assert image == checked
+        assert P1Point.infinity() in t.transformed(Mobius.from_coeffs(0, 1, 1, 0)).support
+
+    @pytest.mark.parametrize("profile", realizable_profiles(16))
+    def test_standard_triplet_is_the_checked_triplet(self, profile):
+        a1, a2, a3 = profile
+        support = pts(*range(a1 + a2 + a3))
+        m12, m13 = a1 + a2 - a3, a1 + a3 - a2
+        b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
+        t = triplet_from_profile(profile)
+        checked = RamificationTriplet((b12 + b13, b12 + b23, b13 + b23))
+        assert (t.sets, t.support, t.indices) == (checked.sets, checked.support, checked.indices)
+        assert t.profile == profile
+
+    def test_copy_and_pickle_round_trip(self):
+        t = RamificationTriplet((pts(0, None), pts(1, -1), pts(0, 1, -1, None)))
+        for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert type(again) is RamificationTriplet
+            assert (again.sets, again.support, again.indices) == (t.sets, t.support, t.indices)
+            assert again == t and hash(again) == hash(t)
 
 
 class TestProfiles:
@@ -151,7 +210,7 @@ class TestStabilizer:
 
 class TestCanonicalForms:
     def test_canonical_support_contains_the_pinned_triple(self):
-        t = validate_triplet(pts(5, 7), pts(5, 11), pts(7, 11))
+        t = RamificationTriplet((pts(5, 7), pts(5, 11), pts(7, 11)))
         canon = triplet_canonical_form(t)
         assert set(pts(0, 1, None)) <= set(canon.support)
 
@@ -161,13 +220,13 @@ class TestCanonicalForms:
         assert triplet_canonical_form(canon) == canon
 
     def test_invariance_under_a_mobius_map(self):
-        t = validate_triplet(pts(0, 1), pts(2, 3), pts(0, 1, 2, 3))
+        t = RamificationTriplet((pts(0, 1), pts(2, 3), pts(0, 1, 2, 3)))
         m = Mobius.from_coeffs(2, 1, 1, 3)
         assert triplet_canonical_form(t.transformed(m)) == triplet_canonical_form(t)
 
     def test_different_cross_ratios_do_not_collide(self):
-        generic = validate_triplet(pts(0, 1), pts(2, 3), pts(0, 1, 2, 3))
-        harmonic = validate_triplet(pts(0, None), pts(1, -1), pts(0, 1, -1, None))
+        generic = RamificationTriplet((pts(0, 1), pts(2, 3), pts(0, 1, 2, 3)))
+        harmonic = RamificationTriplet((pts(0, None), pts(1, -1), pts(0, 1, -1, None)))
         assert triplet_canonical_form(generic) != triplet_canonical_form(harmonic)
 
     def test_delta_canonical_form_pins_and_is_invariant(self):
@@ -186,7 +245,7 @@ class TestCanonicalForms:
 class TestTransformed:
     @given(st.permutations([0, 1, 2]))
     def test_relabelling_support_preserves_the_triplet_shape(self, perm):
-        t = validate_triplet(pts(0, 1), pts(0, 2), pts(1, 2))
+        t = RamificationTriplet((pts(0, 1), pts(0, 2), pts(1, 2)))
         src = pts(0, 1, 2)
         from cremona import mobius_from_triples
 
@@ -259,7 +318,7 @@ def triplets(draw, profiles=realizable_profiles(7), span=8):
     support = pts(*draw(st.lists(values(span), min_size=k, max_size=k, unique=True)))
     m12, m13 = a1 + a2 - a3, a1 + a3 - a2
     b12, b13, b23 = support[:m12], support[m12:m12 + m13], support[m12 + m13:]
-    return validate_triplet(b12 + b13, b12 + b23, b13 + b23)
+    return RamificationTriplet((b12 + b13, b12 + b23, b13 + b23))
 
 
 SYMMETRIC_SETS = [
@@ -283,8 +342,8 @@ class TestKernelMatchesReference:
         # the kernel's least candidate is returned as it stands: validating
         # and sorting its sets again changes nothing
         canon = triplet_canonical_form(t)
-        assert canon == validate_triplet(*canon.sets)
-        assert canon.support == validate_triplet(*canon.sets).support
+        assert canon == RamificationTriplet(canon.sets)
+        assert canon.support == RamificationTriplet(canon.sets).support
 
     @settings(max_examples=60, deadline=None)
     @given(value_sets(3, 8))
@@ -408,7 +467,7 @@ class TestKernelLimits:
         with pytest.raises(TooManyPoints):
             stabilizer(six)
         with pytest.raises(TooManyPoints):
-            triplet_canonical_form(validate_triplet(six[:2], six[2:], six))
+            triplet_canonical_form(RamificationTriplet((six[:2], six[2:], six)))
         assert len(stabilizer(six[:5])) == len(reference_stabilizer(six[:5]))
 
     def test_cap_admits_every_benchmark_size(self):
