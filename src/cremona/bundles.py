@@ -12,26 +12,14 @@ on the lattice is forced by preserving the form, K and f:
 * ``L -> (a + 1) L - a E_0 - sum_J E_j``.
 
 The branch data of a Klein four-group is a ramification triplet (module
-``square_class``); the three involutions built from its sets multiply as
-sigma_1 sigma_2 = sigma_3 because every point lies in exactly two sets.
-
-A model checks each fact once.  Each involution is checked when it is
-built, by ``picard.validate_involution``: it squares to the identity,
-G M is symmetric for the form G = diag(1, -1, ..., -1), which for an
-involution is the isometry condition (``M^T G M = (G M)^T M = G M M = G``),
-and it fixes K, which nothing reads again.  The Klein-four model builds
-sigma_1 and sigma_2 this way and takes sigma_3 = sigma_1 sigma_2, an
-isometry fixing K, which must equal the involution of A_3 and have
-G sigma_3 symmetric (so sigma_3^2 = I): {1, sigma_1, sigma_2, sigma_3} is
-a group, for three sparse products.  One trace test over the group, for
-{1, sigma_1, sigma_2, sigma_3} and for an exceptional bundle's {1, swap}
-alike, proves that the fixed lattice is exactly Z K + Z f
-(``picard.is_conic_bundle``): a conic bundle of invariant Picard rank
-two.  ``action()`` returns the group as a validated ``LatticeAction``.
-What follows from a construction by algebra is proved in its docstring,
-not checked (``errors.require``): the square and genus of each fixed
-curve, the squares, disjointness and swap of the exceptional sections,
-the solver's equation, and the anticanonical Halphen curve.
+``square_class``).  Each involution is checked once, when it is built, by
+``picard.validate_involution``: an involutive isometry fixing K.  What
+follows from a construction by algebra is proved in its docstring, not
+checked (``errors.require``): the group law of each model and its fixed
+lattice Z K + Z f, a conic bundle of invariant Picard rank two; the square
+and genus of each fixed curve; the squares, disjointness and swap of the
+exceptional sections; the solver's equation; and the anticanonical Halphen
+curve.  ``action()`` returns a model's group as a validated ``LatticeAction``.
 
 Two explicit plane constructions produce such bundles with a certificate
 of (-2)-sections: four general lines projected from a general center
@@ -64,7 +52,6 @@ from .errors import (
     InvalidCertificate,
     OddCardinality,
     QOnConfiguration,
-    TooSmall,
     excerpt,
     require,
 )
@@ -87,13 +74,12 @@ from .picard import (
     LatticeAction,
     adjunction_genus,
     intersect,
-    is_conic_bundle,
-    is_g_symmetric,
     validate_involution,
 )
 from .square_class import (
     RamificationTriplet,
     _canonical_and_stabilizer,
+    _realizable,
     branch_set,
 )
 
@@ -102,13 +88,17 @@ from .square_class import (
 
 
 def involution_matrix(marking: FiberedMarking, swapped: tuple[int, ...]) -> Mat:
-    """The lattice action of the involution swapping the listed fibers.
+    """The lattice action sigma_J of the involution swapping the listed fibers.
 
-    ``swapped`` holds 1-based fiber indices; its size must be even (an
+    ``swapped`` holds 1-based fiber indices J; its size must be even (an
     involution of the generic fiber ramifies over an even set).  The
     returned matrix is checked once, by ``picard.validate_involution``:
     it squares to the identity, G M is symmetric (so it is an isometry)
     and it fixes K.  Callers rely on that check and repeat none of it.
+
+    The rest is read off the formula.  Column E_j is L - E_0 - E_j = f - E_j
+    for j in J and E_j otherwise; the trace is k + 2 - 2 |J|; and for J
+    nonempty, sigma_J f = f, as sigma_J^2 E_j = E_j gives sigma_J f - f = 0.
     """
     return validate_involution(marking.lattice, _fiberwise_matrix(marking, swapped))
 
@@ -193,24 +183,24 @@ def z22_from_triplet(
 
     The support points become the singular fibers (in canonical order):
     E_j of ``FiberedMarking.standard(k)`` lies over the j-th support point.
-    Each branch set, read as its index set (``triplet.indices``), yields the
-    involution swapping exactly its fibers.
-    Each fact is checked once, in this order: ``involution_matrix`` checks
-    sigma_1 and sigma_2 (involutive isometries fixing K); their product
-    sigma_3 equals the involution of A_3 and, by ``is_g_symmetric``, squares
-    to the identity, so {1, sigma_1, sigma_2, sigma_3} is a group; then, on
-    that whole group, that the invariant lattice is Z K + Z f.  A failure
-    of the last three raises InvariantViolation.
+    sigma_1 and sigma_2 swap the fibers of A_1 and A_2 (``triplet.indices``),
+    each checked by ``involution_matrix``, and sigma_3 = sigma_1 sigma_2.
+
+    The group is proved.  sigma_i fixes K and f and sends E_j to f - E_j for
+    j in A_i, fixing the other E_j (``involution_matrix``).  So sigma_3 fixes
+    K and f and sends E_j to f - E_j exactly when j is in one of A_1, A_2,
+    that is in A_3 by the triplet rule, fixing the other E_j.  K, f and the
+    E_j span Pic (x) Q (K + 3 f = -2 E_0 + sum E_j, L = f + E_0), so sigma_3
+    is the involution of A_3 and {1, sigma_1, sigma_2, sigma_3} a group, of
+    order 4 as the A_i are nonempty and distinct.  Its fixed space has
+    dimension the mean trace (Serre, Linear Representations of Finite
+    Groups, 2.3), (4 (k + 2) - 2 (|A_1| + |A_2| + |A_3|)) / 4 = 2, as the
+    sets cover each of the k fibers twice.  So the fixed lattice, saturated
+    as a kernel, is Z K + Z f, saturated as its minor on L, E_1 is -1.
     """
     marking = FiberedMarking.standard(len(triplet.support))
-    fibers = [tuple([i + 1 for i in s]) for s in triplet.indices]
-    s1, s2 = involution_matrix(marking, fibers[0]), involution_matrix(marking, fibers[1])
-    s3 = la.mat_mul(s1, s2)
-    require(s3 == _fiberwise_matrix(marking, fibers[2]), "sigma_1 sigma_2 != sigma_3")
-    require(is_g_symmetric(s3), "sigma_1 sigma_2 does not square to the identity")
-    model = Z22BundleModel(marking, triplet, (s1, s2, s3), certificate)
-    require(is_conic_bundle(marking, model.generators),
-            "the fixed lattice of the Klein four-group model is not Z K + Z f")
+    s1, s2 = (involution_matrix(marking, tuple([i + 1 for i in s])) for s in triplet.indices[:2])
+    model = Z22BundleModel(marking, triplet, (s1, s2, la.mat_mul(s1, s2)), certificate)
     if certificate is not None:
         _check_certificate(model, certificate)
     return model
@@ -288,17 +278,9 @@ class DelPezzoVerdict(NamedTuple):
 def del_pezzo_verdict_for_profile(
     profile: tuple[int, int, int], certified: bool = False
 ) -> DelPezzoVerdict:
-    """The purely numerical del Pezzo decision for a branch profile.
-
-    This works on the half-sizes alone, so it also answers for formal
-    profiles that no actual triplet realizes (a triplet forces the
-    triangle inequality a_3 <= a_1 + a_2; the rule below does not need it).
-    """
-    a = tuple(sorted(profile))
-    if len(a) != 3:
-        raise DimensionMismatch(f"a profile has three half-sizes, got {profile}")
-    if a[0] < 1:
-        raise TooSmall(f"every half-size of a profile is at least 1, got {profile}")
+    """The purely numerical del Pezzo decision for a branch profile, which
+    must be realizable (``square_class._realizable``)."""
+    a = _realizable(profile)
     k = sum(a)
     if k >= 8:
         return DelPezzoVerdict("no", f"K^2 = {8 - k} <= 0")
@@ -539,22 +521,21 @@ def exceptional_from_delta(delta) -> ExceptionalBundleModel:
 
     The marking is ``FiberedMarking.standard(2n)``: E_j lies over the j-th
     point of the sorted set, which the model keeps as ``delta``.
-    The swap exchanges the components of every singular fiber: +1 twice
-    (on K and f) and -1 on the 2n classes ``f - 2 E_j``.  That split is
-    proved by ``is_conic_bundle(marking, (swap,))``: each ``f - 2 E_j`` is
-    orthogonal to K and f, and an isometric involution's (-1)-eigenspace is
-    the orthogonal complement of its fixed space, so that is Q K + Q f
-    exactly when (2n + 2) + tr(swap) = 4.  The sections
+    The swap exchanges the components of every singular fiber, and its
+    fixed lattice is Z K + Z f, as for ``z22_from_triplet`` with J all 2n
+    fibers: it fixes K and f (``involution_matrix``), its trace is
+    2 - 2n, so its fixed space has dimension (2n + 2 + 2 - 2n) / 2 = 2, and
+    Z K + Z f is saturated.  The sections
     ``s_1 = L - E_1 - ... - E_{n+1}`` and ``s_2 = E_0 - E_{n+2} - ... - E_{2n}``
     then need no check: by inspection both have square -n and s_1.s_2 = 0;
-    s_1 + s_2 = -K - 2 f and s_1 - s_2 is orthogonal to K and f, so the
-    swap sends s_1 to s_2.
+    s_1 + s_2 = -K - 2 f is fixed, and s_1 - s_2 is orthogonal to K and f,
+    so in the (-1)-eigenspace, the orthogonal complement of the fixed space
+    for an isometric involution: the swap sends s_1 to s_2.
     """
     pts = branch_set(delta, "the branch set")
     n = len(pts) // 2
     marking = FiberedMarking.standard(2 * n)
     swap = involution_matrix(marking, tuple(range(1, 2 * n + 1)))
-    require(is_conic_bundle(marking, (swap,)), "the fixed lattice of the swap is not Z K + Z f")
     s1 = DivisorClass((1, 0) + (-1,) * (n + 1) + (0,) * (n - 1))
     s2 = DivisorClass((0, 1) + (0,) * (n + 1) + (-1,) * (n - 1))
 

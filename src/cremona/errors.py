@@ -97,7 +97,7 @@ class OddCardinality(CremonaError):
 
 
 class CoverageViolation(CremonaError):
-    """Some point of the union is covered once or three times, not 0 or 2."""
+    """A point is covered other than 0 or 2 times, or a profile has a_3 > a_1 + a_2."""
 
 
 class TooSmall(CremonaError):

@@ -11,19 +11,14 @@ first exceptional class as ``E_0`` (the blown-up projection center) and
 carries the fiber class ``f = L - E_0``; the remaining ``E_j`` lies over
 the j-th point of the model's own support (a triplet's support or an
 exceptional bundle's branch set), which the marking does not store.
-``is_conic_bundle``, the one conic-bundle test of the package, checks by
-traces and with no row reduction that a group's fixed lattice on such a
-marking is exactly Z K + Z f, a conic bundle of invariant Picard rank two;
-it trusts the checks below for K, and reads g f as the first column of g
-minus the second, as f = L - E_0.
+The models of ``bundles`` prove that their groups fix exactly Z K + Z f.
 
 A matrix is checked when it enters: ``validate_action`` for a general
 isometry (``M^T G M = G`` for G = diag(1, -1, ..., -1), as the one sparse
 product of ``M^T`` with ``G M``), and ``validate_involution`` for a matrix
 that must square to the identity: then M is an isometry exactly when G M is
 symmetric, as ``M^T G M = (G M)^T M = G M M = G``, so an involution costs a
-sparse square and n(n-1)/2 entry comparisons; ``is_g_symmetric`` proves a
-product of two of them involutive with no square.  Both then check that M
+sparse square and n(n-1)/2 entry comparisons.  Both then check that M
 fixes K = (-3, 1, ..., 1) with no product: row . K is the row's sum minus
 four times its first entry.  A matrix that is already a tuple of tuples of
 plain ints enters with no copy (``intlinalg.freeze``).  Later computations
@@ -238,19 +233,12 @@ def validate_involution(lattice: BlowupLattice, matrix: Mat) -> Mat:
     m = _square_matrix(lattice, matrix)
     if la.mat_mul(m, m) != la.identity(len(m)):
         raise NotInvolution("matrix does not square to the identity")
-    if not is_g_symmetric(m):
+    # G M is symmetric: M[0][j] == -M[j][0] and M[i][j] == M[j][i] for i, j > 0
+    cols = list(zip(*m))
+    if (m[0][1:] != tuple([-x for x in cols[0][1:]])
+            or [row[1:] for row in m[1:]] != [col[1:] for col in cols[1:]]):
         raise NotIsometry("matrix does not preserve the intersection form")
     return _check_fixes_k(m)
-
-
-def is_g_symmetric(m: Mat) -> bool:
-    """Whether G M is symmetric: ``M[0][j] == -M[j][0]``, ``M[i][j] == M[j][i]``
-    for i, j > 0.  For ``M = a b`` with a, b accepted by ``validate_involution``
-    this holds exactly when ``M^2 = I``: ``a^T G = G a`` and ``b^T G = G b`` give
-    ``(G a b)^T = G b a``, which is G M exactly when a and b commute."""
-    cols = list(zip(*m))
-    return (m[0][1:] == tuple([-x for x in cols[0][1:]])
-            and [row[1:] for row in m[1:]] == [col[1:] for col in cols[1:]])
 
 
 def reflection_matrix(lattice: BlowupLattice, root: DivisorClass) -> Mat:
@@ -407,24 +395,3 @@ class FiberedMarking(_Frozen):
             raise DimensionMismatch(f"fiber index {j} out of range 1..{self.k}")
         return self.lattice.exceptional_class(j + 1)
 
-
-def is_conic_bundle(marking: FiberedMarking, elements: tuple[Mat, ...]) -> bool:
-    """Whether the fixed lattice F of a finite group G is Z K + Z f on the nose.
-
-    ``elements`` are the non-identity elements of G, each checked by
-    ``validate_involution`` or ``validate_action``, or a product of two
-    involutions so checked (``is_g_symmetric``), so each fixes K.  F is
-    saturated, so it equals Z K + Z f exactly when every element fixes f,
-    Z K + Z f is saturated, and F has rank 2.  Saturation needs a fiber,
-    and no computation: on the columns L, E_1, K = (-3, ..., 1, ...) and
-    f = (1, ..., 0, ...) have minor -3 * 0 - 1 * 1 = -1 for every marking
-    (with no fibers the index is 2).  Over Q that rank is
-    (1/|G|) sum of tr(g) over G (Serre, Linear Representations of Finite
-    Groups, 2.3), so the test is n + sum of tr(g) over the elements = 2 |G|.
-    """
-    f = marking.fiber_class.coeffs
-    n = len(f)
-    # g f is column 0 minus column 1 of g, as f = L - E_0: a tenth of the
-    # time of mat_vec on a 13 x 13 matrix (Python 3.11.7, shared 2-vCPU VM)
-    return (n > 2 and all(tuple([row[0] - row[1] for row in g]) == f for g in elements)
-            and n + sum(g[i][i] for g in elements for i in range(n)) == 2 * (len(elements) + 1))

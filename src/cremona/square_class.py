@@ -41,6 +41,7 @@ from itertools import chain
 
 from .errors import (
     CoverageViolation,
+    DimensionMismatch,
     DuplicatePoint,
     InvalidDescriptor,
     InvariantViolation,
@@ -171,6 +172,20 @@ def realizable_profiles(max_k: int) -> tuple[tuple[int, int, int], ...]:
                  for a3 in range(a2, min(a1 + a2, max_k - a1 - a2) + 1))
 
 
+def _realizable(profile) -> tuple[int, int, int]:
+    """A profile as sorted half-sizes, refused unless some triplet realizes
+    it (see ``realizable_profiles``): three half-sizes (DimensionMismatch),
+    each at least 1 (TooSmall), with a_3 <= a_1 + a_2 (CoverageViolation)."""
+    a = tuple(sorted(profile))
+    if len(a) != 3:
+        raise DimensionMismatch(f"a profile has three half-sizes, got {profile}")
+    if a[0] < 1:
+        raise TooSmall(f"every half-size of a profile is at least 1, got {profile}")
+    if a[2] > a[0] + a[1]:
+        raise CoverageViolation(f"profile {profile} is not realizable")
+    return a
+
+
 def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
     """A standard triplet with the given profile, supported on 0..k-1.
 
@@ -179,10 +194,8 @@ def triplet_from_profile(profile: tuple[int, int, int]) -> RamificationTriplet:
     the last a2+a3-a1 in sets 2 and 3.  By construction each index lies in
     exactly two of the sets, of sizes 2 a1, 2 a2 and 2 a3, each at least 2.
     """
-    a1, a2, a3 = profile
-    m12, m13, m23 = a1 + a2 - a3, a1 + a3 - a2, a2 + a3 - a1
-    if min(m12, m13, m23) < 0 or min(profile) < 1:
-        raise CoverageViolation(f"profile {profile} is not realizable")
+    a1, a2, a3 = _realizable(profile)
+    m12, m13 = a1 + a2 - a3, a1 + a3 - a2
     k = a1 + a2 + a3
     b12, b13, b23 = range(m12), range(m12, m12 + m13), range(m12 + m13, k)
     return RamificationTriplet._of_labels([P1Point(i, 1) for i in range(k)],

@@ -16,6 +16,7 @@ from typing import Callable
 from . import corpus
 from . import intlinalg as la
 from .bundles import (
+    exceptional_from_delta,
     halphen_check,
     is_del_pezzo_bundle,
     jonquieres_involution_matrix,
@@ -95,6 +96,21 @@ def _exceptional_swap():
     return invariant_sublattice(model.action())[0], len(model.stabilizer)
 
 
+def _klein_four_group():
+    """What the models prove and do not check: per profile with k <= 12,
+    whether g_1 g_2 = g_3, whether g_3^2 = 1 and the invariant rank; then
+    the invariant rank of the exceptional swap for n = 1..6."""
+    groups = {}
+    for profile in realizable_profiles(12):
+        model = z22_from_triplet(triplet_from_profile(profile))
+        g1, g2, g3 = model.generators
+        groups[profile] = (la.mat_mul(g1, g2) == g3, la.mat_mul(g3, g3) == la.identity(len(g3)),
+                           invariant_sublattice(model.action())[0])
+    swaps = tuple(invariant_sublattice(exceptional_from_delta(map(corpus.p1, range(2 * n)))
+                                       .action())[0] for n in range(1, 7))
+    return groups, swaps
+
+
 def _reduction_chains():
     chains = {}
     for key, descriptor in corpus.golden_reduction_descriptors().items():
@@ -149,6 +165,8 @@ SUITES: dict[str, tuple[Row, ...]] = {
         ("halphen-profile", _halphen,
          lambda: (0, -BlowupLattice(9).canonical_class, 1, None)),
         ("exceptional-swap", _exceptional_swap, lambda: (2, 4)),
+        ("klein-four-group", _klein_four_group,
+         lambda: (dict.fromkeys(realizable_profiles(12), (True, True, 2)), (2,) * 6)),
     ),
     "classifier": (
         ("golden-families",

@@ -27,9 +27,9 @@ written entrywise as ``I + r (G r)^T``: the image of each basis vector by
 ``reference_exceptional_sections`` builds the exceptional bundle's two
 sections by subtracting fiber components, as the builder once did.
 
-``reference_exceptional_split`` is the exceptional bundle's own proof
-that the swap splits the lattice, from before ``picard.is_conic_bundle``
-proved it: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
+``reference_exceptional_split`` is the exceptional bundle's split checked
+fiber by fiber, which ``bundles.exceptional_from_delta`` now proves in its
+docstring: the swap fixes f, and each ``f - 2 E_j`` is a (-1)-eigenvector.
 
 ``reference_enumerate_minus_one_classes`` is the (-1)-class search as it was
 before each multiplicity got its exact Cauchy-Schwarz range: every ``m`` with

@@ -50,6 +50,7 @@ from cremona.corpus import (
     p1,
 )
 from cremona.errors import (
+    CoverageViolation,
     CremonaError,
     DegenerateConfiguration,
     DimensionMismatch,
@@ -61,6 +62,7 @@ from cremona.errors import (
     TooSmall,
 )
 from cremona.geometry import Mobius, line_through, lines_meet, mobius_from_triples
+import oracles
 from reference_kernel import (
     AlignmentViolation,
     reference_build_from_three_lines_conic,
@@ -82,19 +84,6 @@ class TestInvolutionMatrix:
         assert la.mat_vec(m, k) == k
         assert la.mat_vec(m, f) == f
 
-    def test_swaps_exactly_the_listed_fibers(self):
-        marking = FiberedMarking.standard(4)
-        m = involution_matrix(marking, (2, 4))
-        lat = marking.lattice
-        f = marking.fiber_class
-        for j in range(1, 5):
-            ej = marking.fiber_component(j)
-            image = la.mat_vec(m, ej.coeffs)
-            if j in (2, 4):
-                assert image == (f - ej).coeffs  # the opposite component
-            else:
-                assert image == ej.coeffs
-
     def test_odd_swap_set_rejected(self):
         marking = FiberedMarking.standard(4)
         with pytest.raises(OddCardinality):
@@ -108,7 +97,9 @@ class TestInvolutionMatrix:
     def test_every_even_swap_set_gives_an_involution_fixing_f(self):
         # all 4096 matrices the formula builds for k <= 12: each is an isometry
         # fixing K (validate_action), squares to 1, fixes f, and has trace
-        # 2 + (k - |J|) - |J|, one +1 per unmoved fiber and -1 per swapped one
+        # 2 + (k - |J|) - |J|, one +1 per unmoved fiber and -1 per swapped one;
+        # column E_j, read as plain ints, is f - E_j (the opposite component)
+        # exactly for j in J and E_j otherwise, as the models' proofs read it
         for k in range(13):
             marking = FiberedMarking.standard(k)
             ident = la.identity(marking.lattice.rank)
@@ -120,6 +111,10 @@ class TestInvolutionMatrix:
                     assert reference_mat_mul(m, m) == ident, (k, swapped)
                     assert la.mat_vec(m, f) == f, (k, swapped)
                     assert sum(m[i][i] for i in range(k + 2)) == k + 2 - 2 * size, (k, swapped)
+                    for j in range(1, k + 1):
+                        e_j = tuple(int(i == j + 1) for i in range(k + 2))
+                        image = (1, -1) + tuple(-x for x in e_j[2:]) if j in swapped else e_j
+                        assert tuple(row[j + 1] for row in m) == image, (k, swapped, j)
 
     def test_matches_divisor_class_reference_for_every_even_swap_set(self):
         # the integer columns written directly against the DivisorClass sums
@@ -146,28 +141,6 @@ class TestZ22Model:
         assert model.k == 6
         assert model.k_squared == 2
 
-    def test_product_of_noncommuting_generators_is_refused(self, monkeypatch):
-        # sigma_3 is not squared: were sigma_1 and sigma_2 reflections in roots
-        # meeting in 1, and the formula for A_3 their product, the symmetry
-        # test on that product refuses the model
-        lat = BlowupLattice(5)
-        e2, e3, e4 = (lat.exceptional_class(i) for i in (2, 3, 4))
-        gens = [picard.reflection_matrix(lat, e2 - e3), picard.reflection_matrix(lat, e3 - e4)]
-        product = la.mat_mul(*gens)
-        monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: gens.pop(0))
-        monkeypatch.setattr(bundles, "_fiberwise_matrix", lambda marking, swapped: product)
-        with pytest.raises(InvariantViolation, match="does not square to the identity"):
-            z22_from_triplet(triplet_from_profile((1, 1, 2)))
-
-    def test_a_group_fixing_more_than_k_and_f_is_refused(self, monkeypatch):
-        # identity matrices pass the involution checks, the product and the
-        # symmetry test; only the trace test sees the fixed lattice of rank k + 2
-        monkeypatch.setattr(bundles, "_fiberwise_matrix",
-                            lambda marking, swapped: la.identity(marking.lattice.rank))
-        with pytest.raises(InvariantViolation, match="^the fixed lattice of the Klein four-group"
-                           r" model is not Z K \+ Z f$"):
-            z22_from_triplet(triplet_from_profile((1, 1, 2)))
-
     def test_invariant_lattice_is_k_and_fiber(self):
         model = z22_from_triplet(triplet_from_profile((2, 2, 2)))
         rank, basis = invariant_sublattice(model.action())
@@ -175,6 +148,45 @@ class TestZ22Model:
         lat = model.marking.lattice
         target = (lat.canonical_class.coeffs, model.marking.fiber_class.coeffs)
         assert la.spans_equal(tuple(d.coeffs for d in basis), target)
+
+
+#: sends 3 to infinity, so the moved triplets of k >= 4 points have a support
+#: point at infinity and index sets unlike the standard ones
+MOVE = Mobius.from_coeffs(2, 1, 1, -3)
+
+
+def dense_identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def dense_fixes_k_and_f(g) -> bool:
+    n = len(g)
+    return all(tuple(sum(x * y for x, y in zip(row, v)) for row in g) == v
+               for v in ((-3,) + (1,) * (n - 1), (1, -1) + (0,) * (n - 2)))
+
+
+class TestProvedGroupFacts:
+    """What the models prove in their docstrings and no longer check,
+    recomputed with the dense reference product, plain-int images and the
+    rational rank oracle, none of them the package's arithmetic."""
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["standard", "moved"])
+    @pytest.mark.parametrize("profile", realizable_profiles(12))
+    def test_klein_four_model(self, profile, moved):
+        triplet = triplet_from_profile(profile)
+        model = z22_from_triplet(triplet.transformed(MOVE) if moved else triplet)
+        g1, g2, g3 = model.generators
+        assert reference_mat_mul(g1, g2) == g3
+        assert reference_mat_mul(g3, g3) == dense_identity(model.marking.lattice.rank)
+        assert all(dense_fixes_k_and_f(g) for g in model.generators)
+        assert oracles.invariant_rank_oracle([list(map(list, g)) for g in model.generators]) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_exceptional_model(self, n):
+        swap = exceptional_from_delta([p1(j) for j in range(2 * n)]).swap
+        assert reference_mat_mul(swap, swap) == dense_identity(2 * n + 2)
+        assert dense_fixes_k_and_f(swap)
+        assert oracles.invariant_rank_oracle([list(map(list, swap))]) == 2
 
 
 class TestWorkCount:
@@ -236,22 +248,13 @@ class TestWorkCount:
         assert counts == {"validate_involution": 2, "matrix copied": 1}
 
     @pytest.mark.parametrize("profile", realizable_profiles(12))
-    def test_z22_model(self, work, monkeypatch, profile):
+    def test_z22_model(self, work, profile):
         counts, kernels = work
-        real = bundles.is_g_symmetric
-
-        def is_g_symmetric(m):
-            counts["is_g_symmetric"] += 1
-            return real(m)
-
-        monkeypatch.setattr(bundles, "is_g_symmetric", is_g_symmetric)
         model = z22_from_triplet(triplet_from_profile(profile))
         # sigma_1 and sigma_2 are squared in their checks; sigma_3 is their
-        # product, proved involutive by the symmetry of G sigma_3 and not
-        # squared.  The conic-bundle test reads traces and images of K and f:
-        # no Hermite form and no kernel.  No matrix is copied ("matrix copied")
-        assert counts == {"validate_involution": 2, "product outside a check": 1,
-                          "is_g_symmetric": 1}
+        # product, proved involutive and not checked.  No Hermite form, no
+        # kernel, and no matrix is copied ("matrix copied")
+        assert counts == {"validate_involution": 2, "product outside a check": 1}
         assert kernels == []
         assert model.action().generators == model.generators[:2]
 
@@ -275,19 +278,12 @@ class TestWorkCount:
         assert built["P1Point"] == k + (k if canonical else 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_exceptional_model(self, work, monkeypatch, n):
+    def test_exceptional_model(self, work, n):
         counts, kernels = work
-        real = bundles.is_conic_bundle
-
-        def is_conic_bundle(marking, elements):
-            counts["is_conic_bundle"] += 1
-            return real(marking, elements)
-
-        monkeypatch.setattr(bundles, "is_conic_bundle", is_conic_bundle)
         model = exceptional_from_delta([p1(j) for j in range(2 * n)])
-        # the swap is checked once, and its split once, by the one trace
-        # test; no matrix is copied ("matrix copied")
-        assert counts == {"validate_involution": 1, "is_conic_bundle": 1}
+        # the swap is checked once and its split is proved; no matrix is
+        # copied ("matrix copied")
+        assert counts == {"validate_involution": 1}
         assert kernels == []
         assert model.action().generators == (model.swap,)
 
@@ -391,8 +387,13 @@ class TestDelPezzoVerdict:
         assert del_pezzo_verdict_for_profile((2, 2, 2), certified=True).kind == "no"
 
     def test_invalid_profile(self):
+        # the rule of triplet_from_profile, so no unrealizable profile is answered
         with pytest.raises(TooSmall):
             del_pezzo_verdict_for_profile((0, 1, 1))
+        with pytest.raises(CoverageViolation, match=r"^profile \(1, 1, 3\) is not realizable$"):
+            del_pezzo_verdict_for_profile((1, 1, 3))
+        with pytest.raises(DimensionMismatch):
+            del_pezzo_verdict_for_profile((1, 1))
 
     def test_model_dispatch_uses_the_certificate(self):
         assert is_del_pezzo_bundle(four_lines_model()).kind == "no"
@@ -678,10 +679,6 @@ class TestJonquieres:
             jonquieres_involution_matrix(FiberedMarking.standard(3))
 
 
-#: the one message for a swap whose fixed lattice is not Z K + Z f
-SPLIT_REFUSED = r"the fixed lattice of the swap is not Z K \+ Z f"
-
-
 class TestExceptionalBundles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_swap_eigenvalue_split(self, n):
@@ -718,24 +715,10 @@ class TestExceptionalBundles:
         assert model.KERNEL_TAG == "C^* : Z/2"
         assert len(model.stabilizer) == 4
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_a_swap_fixing_a_fiber_is_refused_at_that_fiber(self, monkeypatch, n):
-        # the last two fibers are not swapped, so f - 2 E_j is fixed for them
-        full = bundles.involution_matrix
-        monkeypatch.setattr(bundles, "involution_matrix",
-                            lambda marking, swapped: full(marking, swapped[:-2]))
-        with pytest.raises(InvariantViolation, match=f"^{SPLIT_REFUSED}$"):
-            exceptional_from_delta(tuple(p1(i) for i in range(2 * n)))
-
-    def test_a_swap_moving_f_is_refused(self, monkeypatch):
-        monkeypatch.setattr(bundles, "involution_matrix", lambda marking, swapped: la.freeze(
-            [[int(i == (j + 1) % 6) for j in range(6)] for i in range(6)]))
-        with pytest.raises(InvariantViolation, match=f"^{SPLIT_REFUSED}$"):
-            exceptional_from_delta(tuple(p1(i) for i in range(4)))
-
     @pytest.mark.parametrize("k", range(1, 9))
-    def test_the_trace_test_agrees_with_the_fiberwise_split(self, k):
-        # every even J: only J = all fibers (k even) splits off Z K + Z f
+    def test_the_fixed_rank_agrees_with_the_fiberwise_split(self, k):
+        # every even J: only J = all fibers (k even) splits off Z K + Z f, and
+        # the fixed rank is the mean trace (k + 2 + k + 2 - 2 |J|) / 2
         marking = FiberedMarking.standard(k)
         for size in range(0, k + 1, 2):
             for swapped in itertools.combinations(range(1, k + 1), size):
@@ -746,7 +729,8 @@ class TestExceptionalBundles:
                 except InvariantViolation:
                     split = False
                 assert split == (len(swapped) == k), swapped
-                assert picard.is_conic_bundle(marking, (swap,)) == split, swapped
+                rank = invariant_sublattice(LatticeAction(marking.lattice, (swap,)))[0]
+                assert rank == k + 2 - len(swapped), swapped
 
     @pytest.mark.parametrize("values", [(3, 0, 2, 1), (0, None, 1, -1), (20, 0, 1, 3, 7, 12)])
     def test_canonical_form_and_stabilizer_are_the_public_ones(self, values):

@@ -807,23 +807,6 @@ class TestExitCodes:
             proc, 3, "ERROR cremona: internal invariant violation: Mobius[1,1;0,1] ties "
                      "with the least pinning but moves the set")
 
-    def test_wrong_involution_exits_3_under_optimize(self):
-        # sigma_1 and sigma_2 both swap fibers 1 and 2, so sigma_1 sigma_2 = 1 != sigma_3;
-        # python -O strips assert statements but not this check
-        script = (
-            "import sys\n"
-            "from cremona import bundles\n"
-            "from cremona.cli import main\n"
-            "assert False, 'not reached under -O'\n"
-            "real = bundles.involution_matrix\n"
-            "bundles.involution_matrix = lambda marking, swapped: real(marking, (1, 2))\n"
-            "sys.exit(main(['construct', 'z22']))\n"
-        )
-        proc = run_child(["-O", "-c", script],
-                         json.dumps({"triplet": [[0, 1], [0, 2], [1, 2]]}))
-        assert_one_logged_line(
-            proc, 3, "ERROR cremona: internal invariant violation: sigma_1 sigma_2")
-
     def test_overlong_input_integer_is_one_logged_line(self):
         # Python refuses to convert integers past 4300 digits from text
         text = '{"delta": [' + "9" * 5000 + ", 0, 1, 2]}"

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +30,6 @@ from cremona.errors import (
 )
 from cremona.bundles import involution_matrix
 from cremona.picard import (
-    is_conic_bundle,
-    is_g_symmetric,
     orbits,
     validate_action,
     validate_involution,
@@ -381,54 +378,30 @@ class TestMoriFibration:
         gen = jonquieres_involution_matrix(marking).generator
         action = LatticeAction(marking.lattice, (gen,))
         assert invariant_sublattice(action)[0] == 2
-        assert is_conic_bundle(marking, action.generators)
-
-    def test_rank_two_wrong_lattice(self):
-        # swapping E_0 with the unique fiber component fixes L and E_0 + E_1,
-        # which is not Z K + Z f
-        marking = FiberedMarking(BlowupLattice(2))
-        lat = marking.lattice
-        action = LatticeAction(lat, (swap_matrix(lat, 1, 2),))
-        assert invariant_sublattice(action)[0] == 2
-        assert not is_conic_bundle(marking, action.generators)
-
-    def test_rank_too_large(self):
-        # the trivial group fixes the whole rank-3 lattice
-        marking = FiberedMarking(BlowupLattice(2))
-        assert not is_conic_bundle(marking, ())
-
-    def test_zero_fibers_is_not_saturated(self):
-        # rank 2 fixed by the trivial group, so the trace count alone would
-        # say yes; but Z K + Z f has index 2 in Z^2
-        assert not is_conic_bundle(FiberedMarking(BlowupLattice(1)), ())
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=12).flatmap(lambda k: st.tuples(
-        st.just(k), even_fiber_sets(k), even_fiber_sets(k), st.integers(min_value=0, max_value=k))))
+        st.just(k), even_fiber_sets(k), even_fiber_sets(k))))
     def test_traces_agree_with_fixed_rank_oracle(self, drawn):
         # {1, s_J1, s_J2, s_J1^J2} is a group: one Klein four-group, one
-        # involution (J1 = J2, or one set empty) or the trivial group.  Drawn
-        # j > 0, the group is conjugated by the swap t of E_0 and E_j: t s t
-        # still fixes K, and its fixed lattice Z K + Z t(f) has rank 2 and
-        # is saturated, but t(f) = L - E_j != f, so only the f check refuses it
-        k, j1, j2, conjugate = drawn
+        # involution (J1 = J2, or one set empty) or the trivial group.  Each
+        # element fixes K and f, and the fixed rank is the mean trace, as
+        # the models' proofs read it: k + 2 - |J1 u J2|, which is 2 exactly
+        # when the sets cover every fiber
+        k, j1, j2 = drawn
         marking = FiberedMarking.standard(k)
         n = marking.lattice.rank
         sigmas = [involution_matrix(marking, j) for j in (j1, j2, tuple(sorted(set(j1) ^ set(j2))))]
         assert reference_mat_mul(sigmas[0], sigmas[1]) == sigmas[2]
-        if conjugate:
-            t = swap_matrix(marking.lattice, 1, conjugate + 1)
-            sigmas = [reference_mat_mul(reference_mat_mul(t, g), t) for g in sigmas]
-        elements = tuple({g for g in sigmas if g != la.identity(n)})
         kf = (marking.lattice.canonical_class.coeffs, marking.fiber_class.coeffs)
-        fixed = all(tuple(sum(map(int.__mul__, row, v)) for row in g) == v
-                    for g in elements for v in kf)
-        minors = [kf[0][a] * kf[1][b] - kf[0][b] * kf[1][a]
-                  for a, b in itertools.combinations(range(n), 2)]
-        saturated = math.gcd(*minors) == 1
+        assert all(tuple(sum(map(int.__mul__, row, v)) for row in g) == v
+                   for g in sigmas for v in kf)
+        elements = {g for g in sigmas if g != la.identity(n)}
         rank = (oracles.invariant_rank_oracle([list(map(list, g)) for g in elements])
                 if elements else n)
-        assert is_conic_bundle(marking, elements) == (rank == 2 and fixed and saturated)
+        traces = n + sum(g[i][i] for g in elements for i in range(n))
+        assert rank * (len(elements) + 1) == traces
+        assert rank == k + 2 - len(set(j1) | set(j2))
 
 
 # the column Gram check against the dense M^T G M product it replaced
@@ -697,23 +670,32 @@ def involution_pairs(draw):
 
 @given(involution_pairs())
 @settings(max_examples=300, deadline=None)
-def test_symmetric_product_is_the_square_check(pair):
+def test_product_of_involutions_is_accepted_exactly_when_it_squares_to_one(pair):
+    # a product of two isometries is an isometry, so the symmetry check
+    # passes it exactly when it is an involution
     lat, a, b = pair
     p = la.mat_mul(validate_involution(lat, a), validate_involution(lat, b))
-    assert is_g_symmetric(p) == (reference_mat_mul(p, p) == dense_identity(lat.rank))
+    expected = p if reference_mat_mul(p, p) == dense_identity(lat.rank) else NotInvolution
+    assert involution_outcome(lat, p) == expected
 
 
-def test_symmetric_product_of_reflections():
+def test_symmetry_check_refuses_an_involution_that_is_no_isometry():
     lat = BlowupLattice(3)
     l, e1, e2, e3 = lat.line_class(), *(lat.exceptional_class(i) for i in (1, 2, 3))
     a = reflection_matrix(lat, e1 - e2)
     # E_1 - E_2 and E_2 - E_3 meet in 1: the product has order 3
     p = la.mat_mul(a, reflection_matrix(lat, e2 - e3))
-    assert not is_g_symmetric(p)
-    assert la.mat_mul(p, p) != la.identity(4) == la.mat_mul(p, la.mat_mul(p, p))
+    assert involution_outcome(lat, p) is NotInvolution
     # E_1 - E_2 and L - E_1 - E_2 - E_3 are orthogonal: the reflections commute
     q = la.mat_mul(a, reflection_matrix(lat, l - e1 - e2 - e3))
-    assert is_g_symmetric(q) and la.mat_mul(q, q) == la.identity(4)
+    assert validate_involution(lat, q) == q
+    # a conjugated by the shear E_3 -> E_3 + E_1 squares to the identity,
+    # but G (t a t^-1) is not symmetric, which is checked before K
+    t, t_inv = (tuple(tuple(int(i == j) + c * ((i, j) == (1, 3)) for j in range(4))
+                      for i in range(4)) for c in (1, -1))
+    m = reference_mat_mul(reference_mat_mul(t, a), t_inv)
+    assert reference_mat_mul(m, m) == dense_identity(4)
+    assert involution_outcome(lat, m) is NotIsometry
 
 
 # the fixed lattice from distinct nonzero rows against every stacked row

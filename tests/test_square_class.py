@@ -11,6 +11,7 @@ from cremona import (
     Mobius,
     P1Point,
     RamificationTriplet,
+    del_pezzo_verdict_for_profile,
     delta_canonical_form,
     mobius_from_triples,
     realizable_profiles,
@@ -21,6 +22,8 @@ from cremona import (
 from cremona import jsonio, square_class
 from cremona.errors import (
     CoverageViolation,
+    CremonaError,
+    DimensionMismatch,
     DuplicatePoint,
     InvalidDescriptor,
     InvariantViolation,
@@ -178,8 +181,34 @@ class TestProfiles:
             assert len(t.support) == sum(profile)
 
     def test_unrealizable_profile_rejected(self):
-        with pytest.raises(CoverageViolation):
+        with pytest.raises(CoverageViolation, match=r"^profile \(1, 1, 3\) is not realizable$"):
             triplet_from_profile((1, 1, 3))
+        with pytest.raises(TooSmall, match=r"^every half-size of a profile is at least 1, "
+                                           r"got \(0, 1, 1\)$"):
+            triplet_from_profile((0, 1, 1))
+        with pytest.raises(DimensionMismatch, match=r"^a profile has three half-sizes"):
+            triplet_from_profile((1, 1))
+
+    def test_one_profile_rule_accepts_exactly_the_realizable_profiles(self):
+        # every triple, in any order, with sum <= 12: the rule, the standard
+        # triplet and the del Pezzo decision accept or refuse it alike
+        accepted = set()
+        for profile in itertools.product(range(-1, 13), repeat=3):
+            if sum(profile) > 12:
+                continue
+            outcomes = set()
+            for rule in (square_class._realizable, triplet_from_profile,
+                         del_pezzo_verdict_for_profile):
+                try:
+                    rule(profile)
+                    outcomes.add(None)
+                except CremonaError as exc:
+                    outcomes.add((type(exc), str(exc)))
+            assert len(outcomes) == 1, (profile, outcomes)
+            if outcomes == {None}:
+                accepted.add(square_class._realizable(profile))
+                assert triplet_from_profile(profile).profile == tuple(sorted(profile))
+        assert accepted == set(realizable_profiles(12))
 
 
 class TestStabilizer:
